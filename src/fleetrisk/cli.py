@@ -17,13 +17,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import itertools
 import json
 import sys
 from dataclasses import replace
 from datetime import date, datetime, timezone
 from pathlib import Path
+from typing import IO
 
 from . import config as cfg
 from .errors import FleetRiskError, UsageError
@@ -31,16 +31,18 @@ from .evaluation import (
     ChronologicalSplit,
     RandomRowSplit,
     ablation,
+    fit_on_train,
+    score_panel,
     separation_ratio,
     split,
     write_ablation_csv,
     write_eval_report,
     write_histogram_csv,
 )
-from .features import FeatureSpec, apply_scale, encode, standardize, transform
+from .features import FeatureSpec, encode, standardize, transform
 from .ingest import parse_subworkorders, write_subworkorders
 from .models import fit_model, load_model, predict_proba, save_model
-from .panel import PanelOptions, build_panel, load_utilization_csv, write_panel_csv
+from .panel import PanelOptions, build_panel, load_utilization_csv, week_index, write_panel_csv
 from .policy import (
     HighestRisk,
     MelSpec,
@@ -72,17 +74,10 @@ class _Run:
     def note_input(self, path: Path) -> None:
         self.inputs[str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()
 
-    def write_text(self, name: str, text: str) -> Path:
-        path = self.out_dir / name
-        path.write_text(text)
+    def open_output(self, name: str) -> IO[str]:
+        """Open an artifact for writing and list it in the manifest."""
         self.outputs.append(name)
-        return path
-
-    def write_bytes(self, name: str, blob: bytes) -> Path:
-        path = self.out_dir / name
-        path.write_bytes(blob)
-        self.outputs.append(name)
-        return path
+        return open(self.out_dir / name, "w", encoding="utf-8", newline="")
 
     def write_manifest(self) -> None:
         manifest = {
@@ -96,32 +91,24 @@ class _Run:
         (self.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _input_path(run: _Run) -> Path:
-    if run.config.input_csv:
-        path = Path(run.config.input_csv)
+def _locate(run: _Run, configured: str | None, fallback_name: str, what: str) -> Path | None:
+    """The configured file, which must exist; else the output directory's
+    `fallback_name` if a previous command wrote it; else None."""
+    if configured:
+        path = Path(configured)
         if not path.exists():
-            raise UsageError(f"input CSV not found: {path}")
+            raise UsageError(f"{what} not found: {path}")
         return path
-    fallback = run.out_dir / SUBWORKORDERS_CSV
-    if fallback.exists():
-        return fallback
-    raise UsageError("no input CSV: pass --input or run `synth` into this output directory first")
-
-
-def _utilization_path(run: _Run) -> Path | None:
-    if run.config.utilization_csv:
-        path = Path(run.config.utilization_csv)
-        if not path.exists():
-            raise UsageError(f"utilization CSV not found: {path}")
-        return path
-    fallback = run.out_dir / UTILIZATION_CSV
+    fallback = run.out_dir / fallback_name
     return fallback if fallback.exists() else None
 
 
 def _load_records(run: _Run):
-    path = _input_path(run)
+    path = _locate(run, run.config.input_csv, SUBWORKORDERS_CSV, "input CSV")
+    if path is None:
+        raise UsageError("no input CSV: pass --input or run `synth` into this output directory first")
     run.note_input(path)
-    return parse_subworkorders(path.read_bytes())
+    return parse_subworkorders(path)
 
 
 def _panel_options(run: _Run) -> PanelOptions:
@@ -132,7 +119,7 @@ def _panel_options(run: _Run) -> PanelOptions:
         except ValueError:
             raise UsageError(f"start_date is not an ISO date: {run.config.start_date!r}")
     utilization = None
-    sidecar = _utilization_path(run)
+    sidecar = _locate(run, run.config.utilization_csv, UTILIZATION_CSV, "utilization CSV")
     if sidecar is not None:
         run.note_input(sidecar)
         try:
@@ -168,46 +155,38 @@ def _load_saved_model(run: _Run):
     return load_model(path)
 
 
-def _fit_on_train(run: _Run, panel):
+def _split_and_fit(run: _Run, panel):
+    """Fit the configured model on the train side; returns it with the test side."""
     train, test = split(panel, _split_spec(run))
-    matrix = standardize(encode(train, cfg.feature_spec(run.config)))
-    model = fit_model(run.config.model, matrix, cfg.model_hyper(run.config))
-    return model, train, test
+    model = fit_on_train(train, cfg.feature_spec(run.config), run.config.model, cfg.model_hyper(run.config))
+    return model, test
 
 
 def _eval_artifacts(run: _Run, model, test_panel) -> None:
-    X = transform(test_panel.rows, model.columns, model.scale)
-    preds = predict_proba(model, X)
-    labels = [r.repair_flag for r in test_panel.rows]
-    report = separation_ratio(preds, labels)
-    buf = io.StringIO()
-    write_eval_report(report, buf)
-    run.write_text("eval_report.json", buf.getvalue())
+    report = score_panel(model, test_panel)
+    with run.open_output("eval_report.json") as stream:
+        write_eval_report(report, stream)
     for name, counts in (("histogram_true.csv", report.histogram_true), ("histogram_false.csv", report.histogram_false)):
-        buf = io.StringIO()
-        write_histogram_csv(counts, buf)
-        run.write_text(name, buf.getvalue())
+        with run.open_output(name) as stream:
+            write_histogram_csv(counts, stream)
 
 
 def _ablate_artifacts(run: _Run, panel) -> None:
     subsets = [FeatureSpec.of(names) for names in run.config.ablation_subsets]
     rows = ablation(panel, subsets, run.config.model, cfg.model_hyper(run.config), _split_spec(run))
-    buf = io.StringIO()
-    write_ablation_csv(rows, buf)
-    run.write_text("ablation.csv", buf.getvalue())
+    with run.open_output("ablation.csv") as stream:
+        write_ablation_csv(rows, stream)
 
 
 def _simulate_artifacts(run: _Run, model, test_panel) -> None:
     proactive = simulate_policy(model, test_panel, HighestRisk())
     random_arm = simulate_policy(model, test_panel, RandomUniform(seed=cfg.child_seed(run.config.seed, "policy")))
 
-    buf = io.StringIO()
-    write_trace_csv(proactive, buf)
-    run.write_text("policy_trace.csv", buf.getvalue())
+    with run.open_output("policy_trace.csv") as stream:
+        write_trace_csv(proactive, stream)
     for name, trace in (("policy_hist_proactive.csv", proactive), ("policy_hist_random.csv", random_arm)):
-        buf = io.StringIO()
-        write_trace_histograms_csv(trace_histograms(trace), buf)
-        run.write_text(name, buf.getvalue())
+        with run.open_output(name) as stream:
+            write_trace_histograms_csv(trace_histograms(trace), stream)
 
     summary = {}
     for arm, trace in (("proactive", proactive), ("random", random_arm)):
@@ -217,7 +196,8 @@ def _simulate_artifacts(run: _Run, model, test_panel) -> None:
             "mean_weeks_since_last_actual_service": trace.mean_weeks_since(),
             "mean_weeks_until_next_actual_service": trace.mean_weeks_until(),
         }
-    run.write_text("policy_summary.json", json.dumps(summary, indent=2, sort_keys=True))
+    with run.open_output("policy_summary.json") as stream:
+        json.dump(summary, stream, indent=2, sort_keys=True)
 
 
 def _mel_artifacts(run: _Run, model, panel) -> None:
@@ -233,7 +213,6 @@ def _mel_artifacts(run: _Run, model, panel) -> None:
     results = []
     for entry in run.config.mel_specs:
         vtype = str(entry["vehicle_type"])
-        mel = int(entry["mel"])
         rows = sorted(by_type.get(vtype, []), key=lambda r: r.asset_id)
         if not rows:
             raise FleetRiskError(f"no vehicles of type {vtype!r} in the panel")
@@ -241,37 +220,34 @@ def _mel_artifacts(run: _Run, model, panel) -> None:
             raise FleetRiskError(
                 f"mel spec for {vtype!r} says assigned={entry['assigned']} but the panel has {len(rows)}"
             )
-        X = transform(rows, model.columns, model.scale)
-        probs = predict_proba(model, X)
-        spec = MelSpec(vehicle_type=vtype, mel=mel, assigned=len(rows))
+        try:
+            spec = MelSpec(vehicle_type=vtype, mel=int(entry["mel"]), assigned=len(rows))
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"bad mel spec for {vtype!r}: {exc}") from exc
+        probs = predict_proba(model, transform(rows, model.columns, model.scale))
         results.append(
             {
                 "vehicle_type": vtype,
-                "mel": mel,
-                "assigned": len(rows),
+                "mel": spec.mel,
+                "assigned": spec.assigned,
                 "risk": mel_risk(probs, spec),
             }
         )
-    run.write_text("mel_risk.json", json.dumps({"specs": results}, indent=2, sort_keys=True))
+    with run.open_output("mel_risk.json") as stream:
+        json.dump({"specs": results}, stream, indent=2, sort_keys=True)
 
 
-def _labor_artifacts(run: _Run, records) -> None:
-    """Per-vehicle weekly labor-hours series from the raw records."""
-    from .panel import monday_of, week_index
-
-    if not records:
-        raise FleetRiskError("no records to report labor hours for")
-    start = monday_of(min(r.approval_date for r in records))
-    if run.config.start_date is not None:
-        start = monday_of(date.fromisoformat(run.config.start_date))
+def _labor_artifacts(run: _Run, records, panel) -> None:
+    """Per-vehicle weekly labor-hours series from the raw records, on the
+    panel's week index."""
     totals: dict[tuple[str, int], float] = {}
     for r in records:
-        key = (r.asset_id, week_index(r.approval_date, start))
+        key = (r.asset_id, week_index(r.approval_date, panel.start_monday))
         totals[key] = totals.get(key, 0.0) + (r.labor_hours or 0.0)
-    lines = ["asset_id,week,labor_hours"]
-    for (asset_id, week), hours in sorted(totals.items()):
-        lines.append(f"{asset_id},{week},{hours!r}")
-    run.write_text("labor_hours.csv", "\n".join(lines) + "\n")
+    with run.open_output("labor_hours.csv") as stream:
+        stream.write("asset_id,week,labor_hours\n")
+        for (asset_id, week), hours in sorted(totals.items()):
+            stream.write(f"{asset_id},{week},{hours!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -280,40 +256,38 @@ def _labor_artifacts(run: _Run, records) -> None:
 
 def _cmd_synth(run: _Run) -> int:
     csv_bytes, sidecar, truth = generate_fleet(cfg.fleet_config(run.config))
-    run.write_bytes(SUBWORKORDERS_CSV, csv_bytes)
-    run.write_text(UTILIZATION_CSV, sidecar)
-    run.write_text("ground_truth.json", json.dumps(truth.to_dict()))
+    with run.open_output(SUBWORKORDERS_CSV) as stream:
+        stream.write(csv_bytes.decode("utf-8"))
+    with run.open_output(UTILIZATION_CSV) as stream:
+        stream.write(sidecar)
+    with run.open_output("ground_truth.json") as stream:
+        truth.save(stream)
     return 0
 
 
 def _cmd_ingest(run: _Run) -> int:
     records, errors = _load_records(run)
-    buf = io.StringIO()
-    write_subworkorders(records, buf)
-    run.write_text("records.csv", buf.getvalue())
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["line", "field", "reason"])
-    for e in errors:
-        writer.writerow([e.line, e.field, e.reason])
-    run.write_text("row_errors.csv", buf.getvalue())
+    with run.open_output("records.csv") as stream:
+        write_subworkorders(records, stream)
+    with run.open_output("row_errors.csv") as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(["line", "field", "reason"])
+        for e in errors:
+            writer.writerow([e.line, e.field, e.reason])
     return 0
 
 
 def _cmd_panel(run: _Run) -> int:
     panel = _build_panel(run)
-    buf = io.StringIO()
-    write_panel_csv(panel, buf)
-    run.write_text("panel.csv", buf.getvalue())
+    with run.open_output("panel.csv") as stream:
+        write_panel_csv(panel, stream)
     return 0
 
 
 def _cmd_train(run: _Run) -> int:
-    panel = _build_panel(run)
-    model, _train, _test = _fit_on_train(run, panel)
-    buf = io.StringIO()
-    save_model(model, buf)
-    run.write_text(MODEL_JSON, buf.getvalue())
+    model, _test = _split_and_fit(run, _build_panel(run))
+    with run.open_output(MODEL_JSON) as stream:
+        save_model(model, stream)
     return 0
 
 
@@ -348,12 +322,11 @@ def _cmd_mel(run: _Run) -> int:
 
 def _cmd_report(run: _Run) -> int:
     records, _errors = _load_records(run)
-    _labor_artifacts(run, records)
     panel = build_panel(records, _panel_options(run))
-    model, _train, test = _fit_on_train(run, panel)
-    buf = io.StringIO()
-    save_model(model, buf)
-    run.write_text(MODEL_JSON, buf.getvalue())
+    _labor_artifacts(run, records, panel)
+    model, test = _split_and_fit(run, panel)
+    with run.open_output(MODEL_JSON) as stream:
+        save_model(model, stream)
     _eval_artifacts(run, model, test)
     _ablate_artifacts(run, panel)
     _simulate_artifacts(run, model, test)
@@ -362,30 +335,32 @@ def _cmd_report(run: _Run) -> int:
 
 def _cmd_tune(run: _Run) -> int:
     panel = _build_panel(run)
-    split_spec = _split_spec(run)
-    train, test = split(panel, split_spec)
-    spec = cfg.feature_spec(run.config)
+    train, test = split(panel, _split_spec(run))
 
     grid = run.config.tune_grid
     keys = sorted(grid)
     combos = list(itertools.product(*(grid[k] for k in keys))) if keys else [()]
 
-    matrix = standardize(encode(train, spec))
-    test_matrix = apply_scale(encode(test, spec, vocab=train.vocab), matrix.scale)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["params", "ratio", "mean_pred_true", "mean_pred_false"])
+    # encode once; each grid point only refits
+    matrix = standardize(encode(train, cfg.feature_spec(run.config)))
+    test_values = transform(test.rows, matrix.columns, matrix.scale)
+    test_labels = [r.repair_flag for r in test.rows]
+    results = []
     best = None
     for combo in combos:
         overrides = dict(zip(keys, combo))
         trial = replace(run.config, **overrides)
         model = fit_model(trial.model, matrix, cfg.model_hyper(trial))
-        report = separation_ratio(predict_proba(model, test_matrix.values), test_matrix.labels)
-        writer.writerow([json.dumps(overrides, sort_keys=True), repr(report.ratio), repr(report.mean_pred_true), repr(report.mean_pred_false)])
+        report = separation_ratio(predict_proba(model, test_values), test_labels)
+        results.append([json.dumps(overrides, sort_keys=True), repr(report.ratio), repr(report.mean_pred_true), repr(report.mean_pred_false)])
         if best is None or report.ratio > best[1]:
             best = (overrides, report.ratio)
-    run.write_text("tune_results.csv", buf.getvalue())
-    run.write_text("tune_best.json", json.dumps({"params": best[0], "ratio": best[1]}, indent=2, sort_keys=True))
+    with run.open_output("tune_results.csv") as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(["params", "ratio", "mean_pred_true", "mean_pred_false"])
+        writer.writerows(results)
+    with run.open_output("tune_best.json") as stream:
+        json.dump({"params": best[0], "ratio": best[1]}, stream, indent=2, sort_keys=True)
     return 0
 
 

@@ -146,28 +146,31 @@ def feature_spec(config: RunConfig) -> FeatureSpec:
 
 
 def model_hyper(config: RunConfig):
-    if config.model == "logistic":
-        return LogisticHyper(
-            l2_lambda=config.l2_lambda,
-            max_iters=config.max_iters,
-            tol=config.tol,
-            solver=config.solver,
-        )
-    if config.model == "forest":
-        return ForestHyper(
-            n_estimators=config.n_estimators if config.n_estimators is not None else 400,
-            max_features=config.max_features,
-            max_depth=config.max_depth if config.max_depth is not None else 12,
+    """The model kind's hyperparameters; values they reject are usage errors."""
+    try:
+        if config.model == "logistic":
+            return LogisticHyper(
+                l2_lambda=config.l2_lambda,
+                max_iters=config.max_iters,
+                tol=config.tol,
+                solver=config.solver,
+            )
+        if config.model == "forest":
+            return ForestHyper(
+                n_estimators=config.n_estimators if config.n_estimators is not None else 400,
+                max_features=config.max_features,
+                max_depth=config.max_depth if config.max_depth is not None else 12,
+                min_leaf=config.min_leaf,
+                seed=child_seed(config.seed, "model"),
+            )
+        return GbtHyper(
+            learning_rate=config.learning_rate,
+            n_estimators=config.n_estimators if config.n_estimators is not None else 200,
+            max_depth=config.max_depth if config.max_depth is not None else 3,
             min_leaf=config.min_leaf,
-            seed=child_seed(config.seed, "model"),
         )
-    return GbtHyper(
-        learning_rate=config.learning_rate,
-        n_estimators=config.n_estimators if config.n_estimators is not None else 200,
-        max_depth=config.max_depth if config.max_depth is not None else 3,
-        min_leaf=config.min_leaf,
-        seed=child_seed(config.seed, "model"),
-    )
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad {config.model} hyperparameter: {exc}") from exc
 
 
 def fleet_config(config: RunConfig) -> FleetConfig:

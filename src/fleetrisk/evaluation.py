@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import (
     SingleClassLabelsError,
     ZeroFalseMeanError,
 )
-from .features import FeatureSpec, apply_scale, encode, standardize, transform
+from .features import FeatureSpec, encode, standardize, transform
 from .models import fit_model, predict_proba
 from .panel import Panel, panel_from_rows
 
@@ -74,6 +73,9 @@ def split(panel: Panel, spec: SplitSpec) -> tuple[Panel, Panel]:
                 boundary = w
                 break
         in_test = weeks >= boundary
+    if in_test.all() or not in_test.any():
+        side = "train" if in_test.all() else "test"
+        raise DegeneratePanelError(f"split leaves the {side} side empty ({n} rows, test_fraction {spec.test_fraction})")
     train = [r for r, t in zip(rows, in_test) if not t]
     test = [r for r, t in zip(rows, in_test) if t]
     return (
@@ -120,18 +122,27 @@ def separation_ratio(preds: Sequence[float], labels: Sequence[int]) -> EvalRepor
     )
 
 
+def fit_on_train(train: Panel, feature_spec: FeatureSpec, model_kind: str, hyper):
+    """encode -> standardize -> fit. The model carries the train panel's
+    column layout and scale, which score_panel applies to held-out rows."""
+    return fit_model(model_kind, standardize(encode(train, feature_spec)), hyper)
+
+
+def score_panel(model, panel: Panel) -> EvalReport:
+    """Separation ratio of a fitted model's predictions over a panel."""
+    preds = predict_proba(model, transform(panel.rows, model.columns, model.scale))
+    return separation_ratio(preds, [r.repair_flag for r in panel.rows])
+
+
 def evaluate_split(panel: Panel, feature_spec: FeatureSpec, model_kind: str, hyper, split_spec: SplitSpec) -> tuple[EvalReport, object]:
-    """encode -> standardize -> fit on train -> score test -> report.
+    """Fit on the train side, score the test side.
 
     Returns the report along with the fitted model so callers can reuse it
     (the policy rollout wants the exact model the report describes).
     """
     train, test = split(panel, split_spec)
-    train_matrix = standardize(encode(train, feature_spec))
-    model = fit_model(model_kind, train_matrix, hyper)
-    test_matrix = apply_scale(encode(test, feature_spec, vocab=train.vocab), train_matrix.scale)
-    preds = predict_proba(model, test_matrix.values)
-    return separation_ratio(preds, test_matrix.labels), model
+    model = fit_on_train(train, feature_spec, model_kind, hyper)
+    return score_panel(model, test), model
 
 
 @dataclass
@@ -153,11 +164,7 @@ def ablation(
     train, test = split(panel, split_spec)
     out = []
     for spec in subsets:
-        train_matrix = standardize(encode(train, spec))
-        model = fit_model(model_kind, train_matrix, hyper)
-        test_matrix = apply_scale(encode(test, spec, vocab=train.vocab), train_matrix.scale)
-        preds = predict_proba(model, test_matrix.values)
-        report = separation_ratio(preds, test_matrix.labels)
+        report = score_panel(fit_on_train(train, spec, model_kind, hyper), test)
         out.append(
             AblationRow(
                 features=spec.names(),
@@ -181,41 +188,21 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
-def write_eval_report(report: EvalReport, destination: str | Path | IO[str]) -> None:
-    text = json.dumps(report_to_dict(report), indent=2)
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text)
+def write_eval_report(report: EvalReport, stream: IO[str]) -> None:
+    stream.write(json.dumps(report_to_dict(report), indent=2))
 
 
-def write_histogram_csv(counts: np.ndarray, destination: str | Path | IO[str]) -> None:
+def write_histogram_csv(counts: np.ndarray, stream: IO[str]) -> None:
     """Per-bin CSV: bin_low, bin_high, count over 50 uniform bins on [0,1]."""
     edges = np.linspace(0.0, 1.0, N_BINS + 1)
-    close = None
-    if not hasattr(destination, "write"):
-        destination = open(destination, "w", newline="")
-        close = destination
-    try:
-        writer = csv.writer(destination, lineterminator="\n")
-        writer.writerow(["bin_low", "bin_high", "count"])
-        for i, count in enumerate(counts):
-            writer.writerow([f"{edges[i]:.2f}", f"{edges[i + 1]:.2f}", int(count)])
-    finally:
-        if close is not None:
-            close.close()
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["bin_low", "bin_high", "count"])
+    for i, count in enumerate(counts):
+        writer.writerow([f"{edges[i]:.2f}", f"{edges[i + 1]:.2f}", int(count)])
 
 
-def write_ablation_csv(rows: Sequence[AblationRow], destination: str | Path | IO[str]) -> None:
-    close = None
-    if not hasattr(destination, "write"):
-        destination = open(destination, "w", newline="")
-        close = destination
-    try:
-        writer = csv.writer(destination, lineterminator="\n")
-        writer.writerow(["features", "mean_pred_true", "mean_pred_false", "ratio"])
-        for row in rows:
-            writer.writerow(["+".join(row.features), repr(row.mean_pred_true), repr(row.mean_pred_false), repr(row.ratio)])
-    finally:
-        if close is not None:
-            close.close()
+def write_ablation_csv(rows: Sequence[AblationRow], stream: IO[str]) -> None:
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["features", "mean_pred_true", "mean_pred_false", "ratio"])
+    for row in rows:
+        writer.writerow(["+".join(row.features), repr(row.mean_pred_true), repr(row.mean_pred_false), repr(row.ratio)])

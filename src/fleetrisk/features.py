@@ -8,7 +8,7 @@ kept sparse (CSR).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -180,9 +180,15 @@ def transform(rows: Sequence[PanelRow], columns: Sequence[Column], scale: np.nda
     sparse = any(col.group == "vehicle_id" for col in columns)
     values = _fill(rows, columns, sparse=sparse)
     if scale is not None:
-        inv = 1.0 / np.asarray(scale, dtype=np.float64)
-        values = values @ sp.diags(inv) if sp.issparse(values) else values * inv
+        values = _scale_columns(values, 1.0 / np.asarray(scale, dtype=np.float64))
     return values
+
+
+def _scale_columns(values: np.ndarray | sp.csr_matrix, factor: np.ndarray) -> np.ndarray | sp.csr_matrix:
+    """Multiply each column by its factor; CSR in, CSR out."""
+    if sp.issparse(values):
+        return sp.csr_matrix(values @ sp.diags(factor))
+    return values * factor
 
 
 def _column_std(values: np.ndarray | sp.csr_matrix) -> np.ndarray:
@@ -202,9 +208,11 @@ def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
     """
     std = _column_std(matrix.values)
     divisor = np.where(std > STD_EPSILON, std, 1.0)
+    # Dense training columns are divided exactly; held-out rows are scaled by
+    # the reciprocal (see transform). The two can differ in the last bit, and
+    # fitted models depend on both, so each keeps its arithmetic.
     if sp.issparse(matrix.values):
-        values = matrix.values @ sp.diags(1.0 / divisor)
-        values = sp.csr_matrix(values)
+        values = _scale_columns(matrix.values, 1.0 / divisor)
     else:
         values = matrix.values / divisor
     return FeatureMatrix(
@@ -221,14 +229,9 @@ def apply_scale(matrix: FeatureMatrix, scale: np.ndarray) -> FeatureMatrix:
     scale = np.asarray(scale, dtype=np.float64)
     if len(scale) != matrix.width:
         raise ValueError(f"scale length {len(scale)} != matrix width {matrix.width}")
-    inv = 1.0 / scale
-    if sp.issparse(matrix.values):
-        values = sp.csr_matrix(matrix.values @ sp.diags(inv))
-    else:
-        values = matrix.values * inv
     return FeatureMatrix(
         columns=list(matrix.columns),
-        values=values,
+        values=_scale_columns(matrix.values, 1.0 / scale),
         labels=matrix.labels,
         scale=matrix.scale * scale,
         standardized=True,

@@ -131,19 +131,21 @@ def _parse_datetime(text: str) -> datetime:
     return datetime.fromisoformat(text)
 
 
-def _decode(source: bytes | str | IO) -> io.StringIO | IO[str]:
+def source_text(source: bytes | str | Path | IO) -> str:
+    """The text of a CSV source. A str is the content itself, a Path is a
+    file to read, and bytes (from a file or a binary stream) are UTF-8 with
+    any byte-order mark dropped."""
+    if isinstance(source, Path):
+        source = source.read_bytes()
+    elif not isinstance(source, (bytes, str)):
+        source = source.read()
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8-sig"))
-    if isinstance(source, str):
-        return io.StringIO(source)
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8-sig")
-    return io.StringIO(data)
+        return source.decode("utf-8-sig")
+    return source
 
 
 def parse_subworkorders(
-    source: bytes | str | IO,
+    source: bytes | str | Path | IO,
     alias: dict[str, str] | None = None,
     delimiter: str = ",",
 ) -> tuple[list[SubWorkOrderRecord], list[RowError]]:
@@ -155,7 +157,7 @@ def parse_subworkorders(
     of the two returned lists.
     """
     alias = alias or {}
-    reader = csv.reader(_decode(source), delimiter=delimiter)
+    reader = csv.reader(io.StringIO(source_text(source)), delimiter=delimiter)
     try:
         header = next(reader)
     except StopIteration:

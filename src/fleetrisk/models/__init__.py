@@ -8,7 +8,6 @@ dispatch on the kind string so callers stay model-agnostic.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import WidthMismatchError
 from ..features import FeatureMatrix
@@ -34,12 +33,8 @@ def default_hyper(kind: str):
 
 
 def fit_model(kind: str, matrix: FeatureMatrix, hyper=None):
-    if kind not in _FITTERS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    fit, hyper_cls = _FITTERS[kind]
-    if hyper is None:
-        hyper = hyper_cls()
-    return fit(matrix, hyper)
+    default = default_hyper(kind)  # also rejects an unknown kind
+    return _FITTERS[kind][0](matrix, default if hyper is None else hyper)
 
 
 def predict_proba(model, X) -> np.ndarray:

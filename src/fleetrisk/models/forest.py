@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import SingleClassLabelsError
 from ..features import Column, FeatureMatrix
-from .tree import RegressionTree, fit_tree
+from .tree import RegressionTree, as_dense, fit_tree
 
 
 @dataclass(frozen=True)
@@ -35,9 +34,7 @@ class ForestModel:
     kind = "forest"
 
     def predict_proba(self, X) -> np.ndarray:
-        if sp.issparse(X):
-            X = X.toarray()
-        X = np.asarray(X, dtype=np.float64)
+        X = as_dense(X)
         total = np.zeros(X.shape[0])
         for tree in self.trees:
             total += tree.predict(X)
@@ -45,10 +42,7 @@ class ForestModel:
 
 
 def fit_random_forest(matrix: FeatureMatrix, hyper: ForestHyper = ForestHyper()) -> ForestModel:
-    X = matrix.values
-    if sp.issparse(X):
-        X = X.toarray()
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    X = as_dense(matrix.values)
     y = np.asarray(matrix.labels, dtype=np.float64)
     n, p = X.shape
     if y.min() == y.max():

@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import expit, logit
 
 from ..errors import SingleClassLabelsError
 from ..features import Column, FeatureMatrix
-from .tree import RegressionTree, fit_tree
+from .tree import RegressionTree, as_dense, fit_tree
 
 
 @dataclass(frozen=True)
@@ -25,7 +24,6 @@ class GbtHyper:
     n_estimators: int = 200
     max_depth: int = 3
     min_leaf: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate <= 1.0:
@@ -46,9 +44,7 @@ class GbtModel:
     kind = "gbt"
 
     def decision_scores(self, X) -> np.ndarray:
-        if sp.issparse(X):
-            X = X.toarray()
-        X = np.asarray(X, dtype=np.float64)
+        X = as_dense(X)
         score = np.full(X.shape[0], self.init_score)
         for tree in self.trees:
             score += self.learning_rate * tree.predict(X)
@@ -59,10 +55,7 @@ class GbtModel:
 
 
 def fit_gbt(matrix: FeatureMatrix, hyper: GbtHyper = GbtHyper()) -> GbtModel:
-    X = matrix.values
-    if sp.issparse(X):
-        X = X.toarray()
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    X = as_dense(matrix.values)
     y = np.asarray(matrix.labels, dtype=np.float64)
     if y.min() == y.max():
         raise SingleClassLabelsError("labels are single-class; cannot fit")

@@ -9,7 +9,7 @@ well-conditioned matrices produced by standardization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp

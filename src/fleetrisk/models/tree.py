@@ -11,8 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 ZERO_REDUCTION = 1e-12
+
+
+def as_dense(X) -> np.ndarray:
+    """A dense or CSR design matrix as a C-ordered float64 array."""
+    if sp.issparse(X):
+        X = X.toarray()
+    return np.ascontiguousarray(X, dtype=np.float64)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import EmptyDatasetError, NonPositiveSpanError
-from .ingest import SubWorkOrderRecord, WorkPlanClass, acquisition_year, classify_work_plan
+from .ingest import SubWorkOrderRecord, WorkPlanClass, acquisition_year, classify_work_plan, source_text
 
 PANEL_COLUMNS = (
     "asset_id",
@@ -215,23 +215,12 @@ def build_panel(records: Sequence[SubWorkOrderRecord], options: PanelOptions | N
     return panel_from_rows(rows, start_monday=start)
 
 
-def _source_text(source: str | Path | IO[str] | bytes) -> str:
-    """str is CSV content, Path is a file, matching the ingest convention."""
-    if isinstance(source, bytes):
-        return source.decode("utf-8-sig")
-    if isinstance(source, str):
-        return source
-    if hasattr(source, "read"):
-        return source.read()
-    return Path(source).read_text(encoding="utf-8")
-
-
 def load_utilization_csv(source: str | Path | IO[str] | bytes) -> dict[str, list[tuple[int, float]]]:
     """Read the sidecar utilization CSV (asset_id, week, cumulative_units).
 
     Values must be non-negative and non-decreasing per vehicle.
     """
-    reader = csv.DictReader(_source_text(source).splitlines())
+    reader = csv.DictReader(source_text(source).splitlines())
     missing = set(UTILIZATION_COLUMNS) - set(reader.fieldnames or ())
     if missing:
         raise ValueError(f"utilization CSV missing columns: {sorted(missing)}")
@@ -269,7 +258,7 @@ def write_panel_csv(panel: Panel, stream: IO[str]) -> None:
 
 
 def read_panel_csv(source: str | Path | IO[str] | bytes) -> Panel:
-    reader = csv.DictReader(_source_text(source).splitlines())
+    reader = csv.DictReader(source_text(source).splitlines())
     missing = set(PANEL_COLUMNS) - set(reader.fieldnames or ())
     if missing:
         raise ValueError(f"panel CSV missing columns: {sorted(missing)}")

@@ -12,7 +12,6 @@ import csv
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
@@ -186,37 +185,21 @@ def mel_risk(per_vehicle_breakdown_prob: Sequence[float], spec: MelSpec) -> floa
     return float(dist[spec.assigned - spec.mel + 1 :].sum())
 
 
-def write_trace_csv(trace: PolicyTrace, destination: str | Path | IO[str]) -> None:
-    close = None
-    if not hasattr(destination, "write"):
-        destination = open(destination, "w", newline="")
-        close = destination
-    try:
-        writer = csv.writer(destination, lineterminator="\n")
-        writer.writerow(
-            ["week", "chosen_asset", "score", "weeks_since_last_actual_service", "weeks_until_next_actual_service"]
-        )
-        for e in trace.entries:
-            until = "" if e.weeks_until_next_actual_service is None else e.weeks_until_next_actual_service
-            writer.writerow([e.week, e.chosen_asset, repr(e.score), e.weeks_since_last_actual_service, until])
-    finally:
-        if close is not None:
-            close.close()
+def write_trace_csv(trace: PolicyTrace, stream: IO[str]) -> None:
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(
+        ["week", "chosen_asset", "score", "weeks_since_last_actual_service", "weeks_until_next_actual_service"]
+    )
+    for e in trace.entries:
+        until = "" if e.weeks_until_next_actual_service is None else e.weeks_until_next_actual_service
+        writer.writerow([e.week, e.chosen_asset, repr(e.score), e.weeks_since_last_actual_service, until])
 
 
-def write_trace_histograms_csv(hists: TraceHistograms, destination: str | Path | IO[str]) -> None:
-    close = None
-    if not hasattr(destination, "write"):
-        destination = open(destination, "w", newline="")
-        close = destination
-    try:
-        writer = csv.writer(destination, lineterminator="\n")
-        writer.writerow(["metric", "weeks", "count"])
-        for weeks, count in hists.since_last.items():
-            writer.writerow(["since_last", weeks, count])
-        for weeks, count in hists.until_next.items():
-            writer.writerow(["until_next", weeks, count])
-        writer.writerow(["until_next_censored", "", hists.censored])
-    finally:
-        if close is not None:
-            close.close()
+def write_trace_histograms_csv(hists: TraceHistograms, stream: IO[str]) -> None:
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["metric", "weeks", "count"])
+    for weeks, count in hists.since_last.items():
+        writer.writerow(["since_last", weeks, count])
+    for weeks, count in hists.until_next.items():
+        writer.writerow(["until_next", weeks, count])
+    writer.writerow(["until_next_censored", "", hists.censored])

@@ -17,10 +17,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 from scipy.special import expit

@@ -244,7 +244,7 @@ def test_c05_all_models_beat_shuffled_controls():
     hypers = {
         "logistic": LogisticHyper(),
         "forest": ForestHyper(n_estimators=50, seed=3),
-        "gbt": GbtHyper(seed=3),
+        "gbt": GbtHyper(),
     }
     for kind, hyper in hypers.items():
         model = fit_model(kind, train_matrix, hyper)

@@ -214,3 +214,38 @@ def test_exclude_scheduled_flag_changes_panel(tmp_path):
     without = (tmp_path / "panel.csv").read_text()
     count = lambda text: sum(1 for line in text.splitlines()[1:] if line.endswith(",1"))
     assert count(with_prev) > count(without)
+
+
+def _single_error_line(capsys) -> bool:
+    err = capsys.readouterr().err.splitlines()
+    return len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--start-date", "notadate"],
+        ["train", "--model", "forest", "--n-estimators", "0"],
+        ["train", "--model", "gbt", "--learning-rate", "2"],
+        ["train", "--l2-lambda", "-1"],
+        ["tune", "--config", "GRID"],
+        ["mel", "--mel", "truck=-1"],
+        ["mel", "--mel", "truck=99"],
+    ],
+    ids=["start-date", "forest-n-estimators", "gbt-learning-rate", "l2-lambda", "tune-grid", "mel-negative", "mel-above-assigned"],
+)
+def test_bad_values_reaching_the_pipeline_are_usage_errors(trained_dir, tmp_path, capsys, argv):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"tune_grid": {"l2_lambda": [0.0001, -1.0]}}))
+    argv = [str(grid) if a == "GRID" else a for a in argv]
+    capsys.readouterr()
+    assert main([*argv, "-o", str(trained_dir)]) == 2
+    assert _single_error_line(capsys)
+
+
+def test_split_with_an_empty_side_is_data_error(tmp_path, capsys):
+    assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "10", "--n-weeks", "30"]) == 0
+    capsys.readouterr()
+    assert main(["train", "-o", str(tmp_path), "--test-fraction", "0.99"]) == 1
+    assert _single_error_line(capsys)
+    assert not (tmp_path / "model.json").exists()
