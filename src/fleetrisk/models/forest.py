@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import SingleClassLabelsError
 from ..features import Column, FeatureMatrix
-from .tree import RegressionTree, as_dense, fit_tree
+from .tree import RegressionTree, as_dense, bin_columns, check_tree_size, grow_tree, sum_leaves
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,9 @@ class ForestHyper:
     def __post_init__(self):
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
+        if self.max_features is not None and self.max_features < 1:
+            raise ValueError("max_features must be >= 1")
+        check_tree_size(self.max_depth, self.min_leaf)
 
 
 @dataclass
@@ -34,10 +37,7 @@ class ForestModel:
     kind = "forest"
 
     def predict_proba(self, X) -> np.ndarray:
-        X = as_dense(X)
-        total = np.zeros(X.shape[0])
-        for tree in self.trees:
-            total += tree.predict(X)
+        total = sum_leaves(self.trees, as_dense(X), 0.0, 1.0)
         return np.clip(total / len(self.trees), 0.0, 1.0)
 
 
@@ -45,6 +45,7 @@ def fit_random_forest(matrix: FeatureMatrix, hyper: ForestHyper = ForestHyper())
     X = as_dense(matrix.values)
     y = np.asarray(matrix.labels, dtype=np.float64)
     n, p = X.shape
+    codes = bin_columns(X)
     if y.min() == y.max():
         raise SingleClassLabelsError("labels are single-class; cannot fit")
 
@@ -59,16 +60,7 @@ def fit_random_forest(matrix: FeatureMatrix, hyper: ForestHyper = ForestHyper())
         # perturb the others
         rng = np.random.default_rng([hyper.seed, i])
         rows = rng.integers(0, n, size=n)
-        trees.append(
-            fit_tree(
-                X[rows],
-                y[rows],
-                max_depth=hyper.max_depth,
-                min_leaf=hyper.min_leaf,
-                max_features=max_features,
-                rng=rng,
-            )
-        )
+        trees.append(grow_tree(X, codes, y, rows, hyper.max_depth, hyper.min_leaf, max_features, rng))
 
     return ForestModel(
         trees=trees,

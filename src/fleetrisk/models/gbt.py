@@ -15,7 +15,7 @@ from scipy.special import expit, logit
 
 from ..errors import SingleClassLabelsError
 from ..features import Column, FeatureMatrix
-from .tree import RegressionTree, as_dense, fit_tree
+from .tree import RegressionTree, as_dense, bin_columns, check_tree_size, grow_tree, sum_leaves
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,7 @@ class GbtHyper:
             raise ValueError("learning_rate must be in (0, 1]")
         if self.n_estimators < 0:
             raise ValueError("n_estimators must be >= 0")
+        check_tree_size(self.max_depth, self.min_leaf)
 
 
 @dataclass
@@ -44,11 +45,7 @@ class GbtModel:
     kind = "gbt"
 
     def decision_scores(self, X) -> np.ndarray:
-        X = as_dense(X)
-        score = np.full(X.shape[0], self.init_score)
-        for tree in self.trees:
-            score += self.learning_rate * tree.predict(X)
-        return score
+        return sum_leaves(self.trees, as_dense(X), self.init_score, self.learning_rate)
 
     def predict_proba(self, X) -> np.ndarray:
         return expit(self.decision_scores(X))
@@ -57,16 +54,18 @@ class GbtModel:
 def fit_gbt(matrix: FeatureMatrix, hyper: GbtHyper = GbtHyper()) -> GbtModel:
     X = as_dense(matrix.values)
     y = np.asarray(matrix.labels, dtype=np.float64)
+    codes = bin_columns(X)
     if y.min() == y.max():
         raise SingleClassLabelsError("labels are single-class; cannot fit")
 
     init = float(logit(y.mean()))
+    all_rows = np.arange(len(y))
     score = np.full(len(y), init)
     trees = []
     for _ in range(hyper.n_estimators):
         residual = y - expit(score)
-        tree = fit_tree(X, residual, max_depth=hyper.max_depth, min_leaf=hyper.min_leaf)
-        score += hyper.learning_rate * tree.predict(X)
+        tree = grow_tree(X, codes, residual, all_rows, hyper.max_depth, hyper.min_leaf)
+        score = sum_leaves([tree], X, score, hyper.learning_rate)
         trees.append(tree)
 
     return GbtModel(

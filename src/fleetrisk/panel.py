@@ -9,6 +9,7 @@ the asset ID encodes one, otherwise at its first appearance.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -218,7 +219,7 @@ def build_panel(records: Sequence[SubWorkOrderRecord], options: PanelOptions | N
 def load_utilization_csv(source: str | Path | IO[str] | bytes) -> dict[str, list[tuple[int, float]]]:
     """Read the sidecar utilization CSV (asset_id, week, cumulative_units).
 
-    Values must be non-negative and non-decreasing per vehicle.
+    Values must be finite, non-negative and non-decreasing per vehicle.
     """
     reader = csv.DictReader(source_text(source).splitlines())
     missing = set(UTILIZATION_COLUMNS) - set(reader.fieldnames or ())
@@ -231,6 +232,8 @@ def load_utilization_csv(source: str | Path | IO[str] | bytes) -> dict[str, list
         series.sort()
         last = -float("inf")
         for week, value in series:
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite utilization for {asset_id} at week {week}")
             if value < 0:
                 raise ValueError(f"negative utilization for {asset_id} at week {week}")
             if value < last:

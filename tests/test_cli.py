@@ -155,6 +155,20 @@ def test_bad_utilization_sidecar_is_data_error(tmp_path):
     assert main(["panel", "-o", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_utilization_sidecar_is_data_error(tmp_path, capsys, bad):
+    assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "6", "--n-weeks", "20"]) == 0
+    sidecar = tmp_path / "utilization.csv"
+    lines = sidecar.read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + bad
+    sidecar.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "-o", str(tmp_path), "--model", "forest", "--n-estimators", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad utilization sidecar: non-finite")
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_config_file_with_flag_overrides(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"n_vehicles": 10, "n_weeks": 30, "seed": 3}))
@@ -226,13 +240,22 @@ def _single_error_line(capsys) -> bool:
     [
         ["report", "--start-date", "notadate"],
         ["train", "--model", "forest", "--n-estimators", "0"],
+        ["train", "--model", "forest", "--max-features", "0"],
+        ["train", "--model", "forest", "--min-leaf", "0"],
+        ["train", "--model", "forest", "--max-depth", "0"],
         ["train", "--model", "gbt", "--learning-rate", "2"],
+        ["train", "--model", "gbt", "--min-leaf", "0"],
+        ["train", "--model", "gbt", "--max-depth", "0"],
         ["train", "--l2-lambda", "-1"],
         ["tune", "--config", "GRID"],
         ["mel", "--mel", "truck=-1"],
         ["mel", "--mel", "truck=99"],
     ],
-    ids=["start-date", "forest-n-estimators", "gbt-learning-rate", "l2-lambda", "tune-grid", "mel-negative", "mel-above-assigned"],
+    ids=[
+        "start-date", "forest-n-estimators", "forest-max-features", "forest-min-leaf", "forest-max-depth",
+        "gbt-learning-rate", "gbt-min-leaf", "gbt-max-depth", "l2-lambda", "tune-grid", "mel-negative",
+        "mel-above-assigned",
+    ],
 )
 def test_bad_values_reaching_the_pipeline_are_usage_errors(trained_dir, tmp_path, capsys, argv):
     grid = tmp_path / "grid.json"
