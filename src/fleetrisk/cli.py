@@ -41,7 +41,7 @@ from .evaluation import (
 )
 from .features import FeatureSpec, encode, standardize, transform
 from .ingest import parse_subworkorders, write_subworkorders
-from .models import fit_model, load_model, predict_proba, save_model
+from .models import MODEL_KINDS, fit_model, load_model, predict_proba, save_model
 from .panel import PanelOptions, build_panel, load_utilization_csv, week_index, write_panel_csv
 from .policy import (
     HighestRisk,
@@ -83,7 +83,7 @@ class _Run:
         manifest = {
             "command": self.command,
             "seed": self.config.seed,
-            "config": cfg.config_to_dict(self.config),
+            "config": vars(self.config),
             "inputs": self.inputs,
             "outputs": sorted(self.outputs),
             "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -216,11 +216,11 @@ def _mel_artifacts(run: _Run, model, panel) -> None:
         rows = sorted(by_type.get(vtype, []), key=lambda r: r.asset_id)
         if not rows:
             raise FleetRiskError(f"no vehicles of type {vtype!r} in the panel")
-        if "assigned" in entry and int(entry["assigned"]) != len(rows):
-            raise FleetRiskError(
-                f"mel spec for {vtype!r} says assigned={entry['assigned']} but the panel has {len(rows)}"
-            )
         try:
+            if "assigned" in entry and int(entry["assigned"]) != len(rows):
+                raise FleetRiskError(
+                    f"mel spec for {vtype!r} says assigned={entry['assigned']} but the panel has {len(rows)}"
+                )
             spec = MelSpec(vehicle_type=vtype, mel=int(entry["mel"]), assigned=len(rows))
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad mel spec for {vtype!r}: {exc}") from exc
@@ -365,16 +365,16 @@ def _cmd_tune(run: _Run) -> int:
 
 
 _COMMANDS = {
-    "synth": _cmd_synth,
-    "ingest": _cmd_ingest,
-    "panel": _cmd_panel,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "ablate": _cmd_ablate,
-    "simulate": _cmd_simulate,
-    "mel": _cmd_mel,
-    "report": _cmd_report,
-    "tune": _cmd_tune,
+    "synth": (_cmd_synth, "generate a synthetic fleet with known hazard parameters"),
+    "ingest": (_cmd_ingest, "parse and validate a sub-work-order CSV"),
+    "panel": (_cmd_panel, "build the weekly per-vehicle panel"),
+    "train": (_cmd_train, "fit a model on the train split and save it"),
+    "eval": (_cmd_eval, "score the saved model on the test split"),
+    "ablate": (_cmd_ablate, "refit over the configured feature subsets"),
+    "simulate": (_cmd_simulate, "run the proactive-repair rollout and random baseline"),
+    "mel": (_cmd_mel, "compute below-MEL risk per vehicle type"),
+    "report": (_cmd_report, "produce the full artifact set in one run"),
+    "tune": (_cmd_tune, "grid-search hyperparameters against the split"),
 }
 
 
@@ -388,7 +388,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", dest="input_csv", help="sub-work-order CSV to read")
     parser.add_argument("--utilization", dest="utilization_csv", help="utilization sidecar CSV")
     parser.add_argument("--seed", type=int, help="master seed for all random stages")
-    parser.add_argument("--model", choices=("logistic", "forest", "gbt"), help="model kind")
+    parser.add_argument("--model", choices=MODEL_KINDS, help="model kind")
     parser.add_argument("--features", help="comma-separated feature names")
     parser.add_argument("--split", choices=("chronological", "random"), help="train/test split kind")
     parser.add_argument("--test-fraction", dest="test_fraction", type=float, help="test share in (0,1)")
@@ -407,7 +407,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--l2-lambda", dest="l2_lambda", type=float, help="logistic L2 strength")
     parser.add_argument("--max-iters", dest="max_iters", type=int, help="logistic iteration cap")
     parser.add_argument("--tol", type=float, help="logistic gradient-norm stop")
-    parser.add_argument("--solver", choices=("gd", "newton"), help="logistic solver")
+    parser.add_argument("--solver", help="logistic solver")
     parser.add_argument("--n-estimators", dest="n_estimators", type=int, help="trees in forest / boosting rounds")
     parser.add_argument("--max-depth", dest="max_depth", type=int, help="tree depth cap")
     parser.add_argument("--min-leaf", dest="min_leaf", type=int, help="min rows per leaf")
@@ -428,34 +428,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weekly breakdown-risk pipeline: ingest, panel, models, evaluation, policy.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "synth": "generate a synthetic fleet with known hazard parameters",
-        "ingest": "parse and validate a sub-work-order CSV",
-        "panel": "build the weekly per-vehicle panel",
-        "train": "fit a model on the train split and save it",
-        "eval": "score the saved model on the test split",
-        "ablate": "refit over the configured feature subsets",
-        "simulate": "run the proactive-repair rollout and random baseline",
-        "mel": "compute below-MEL risk per vehicle type",
-        "report": "produce the full artifact set in one run",
-        "tune": "grid-search hyperparameters against the split",
-    }
-    for name, desc in descriptions.items():
+    for name, (_, desc) in _COMMANDS.items():
         p = sub.add_parser(name, help=desc, description=desc)
         _add_common(p)
     return parser
 
 
-_OVERRIDE_KEYS = (
-    "input_csv", "utilization_csv", "out_dir", "seed", "model", "split", "test_fraction",
-    "include_scheduled", "start_date", "end_week", "gap_cap", "l2_lambda", "max_iters",
-    "tol", "solver", "n_estimators", "max_depth", "min_leaf", "max_features", "learning_rate",
-    "n_vehicles", "n_weeks", "beta0", "beta_age", "beta_gap", "beta_util",
-)
-
-
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    overrides = {key: getattr(args, key) for key in _OVERRIDE_KEYS}
+    """Every flag but the subcommand, --config and --mel names its config key."""
+    overrides = {key: value for key, value in vars(args).items() if key not in ("command", "config", "mel")}
     if args.features is not None:
         overrides["features"] = [f.strip() for f in args.features.split(",") if f.strip()]
     if args.mel:
@@ -484,7 +465,7 @@ def main(argv=None) -> int:
         run = _Run(args.command, config)
         if args.config:
             run.note_input(Path(args.config))
-        code = _COMMANDS[args.command](run)
+        code = _COMMANDS[args.command][0](run)
         run.write_manifest()
         return code
     except UsageError as exc:

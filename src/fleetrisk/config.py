@@ -15,7 +15,7 @@ from typing import Any
 
 from .errors import UsageError
 from .features import FEATURE_NAMES, FeatureSpec
-from .models import ForestHyper, GbtHyper, LogisticHyper
+from .models import MODEL_KINDS, MODELS
 from .synth import FleetConfig, VehicleTypeSpec
 
 
@@ -51,15 +51,16 @@ class RunConfig:
     # features / model
     features: list[str] = field(default_factory=lambda: list(DEFAULT_FEATURES))
     model: str = "logistic"
-    l2_lambda: float = 1e-4
-    max_iters: int = 500
-    tol: float = 1e-8
-    solver: str = "gd"
+    # hyperparameters: None takes the model kind's default from its Hyper class
+    l2_lambda: float | None = None
+    max_iters: int | None = None
+    tol: float | None = None
+    solver: str | None = None
     n_estimators: int | None = None
     max_depth: int | None = None
-    min_leaf: int = 5
+    min_leaf: int | None = None
     max_features: int | None = None
-    learning_rate: float = 0.1
+    learning_rate: float | None = None
     # split / policy / mel
     split: str = "chronological"
     test_fraction: float = 0.3
@@ -83,6 +84,14 @@ class RunConfig:
 
 
 _KNOWN_KEYS = {f.name for f in fields(RunConfig)}
+
+
+def _hyper_keys(kind: str) -> set[str]:
+    """The config keys a model kind takes: its Hyper fields but the derived seed."""
+    return {f.name for f in fields(MODELS[kind][1])} - {"seed"}
+
+
+_HYPER_KEYS = set().union(*map(_hyper_keys, MODEL_KINDS))
 
 
 def load_config_file(path: str | Path) -> dict[str, Any]:
@@ -114,31 +123,41 @@ def build_run_config(file_values: dict[str, Any], overrides: dict[str, Any]) -> 
     return config
 
 
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(name, str) for name in value)
+
+
 def _validate(config: RunConfig) -> None:
-    if config.model not in ("logistic", "forest", "gbt"):
+    if config.model not in MODEL_KINDS:
         raise UsageError(f"unknown model kind: {config.model!r}")
     if config.split not in ("chronological", "random"):
         raise UsageError(f"unknown split kind: {config.split!r}")
     if not 0.0 < config.test_fraction < 1.0:
         raise UsageError("test_fraction must be in (0, 1)")
+    if not _is_names(config.features):
+        raise UsageError("features must be a list of feature names")
     unknown = set(config.features) - set(FEATURE_NAMES)
     if unknown:
         raise UsageError(f"unknown feature names: {', '.join(sorted(unknown))}")
     if not config.features:
         raise UsageError("features must not be empty")
+    if not isinstance(config.ablation_subsets, list) or not all(map(_is_names, config.ablation_subsets)):
+        raise UsageError("ablation_subsets must be a list of lists of feature names")
     for subset in config.ablation_subsets:
         bad = set(subset) - set(FEATURE_NAMES)
         if bad:
             raise UsageError(f"unknown feature names in ablation subset: {', '.join(sorted(bad))}")
+    if not isinstance(config.mel_specs, list):
+        raise UsageError("mel_specs must be a list of entries")
     for entry in config.mel_specs:
         if not isinstance(entry, dict) or "vehicle_type" not in entry or "mel" not in entry:
             raise UsageError("each mel_specs entry needs vehicle_type and mel")
-    if not isinstance(config.tune_grid, dict):
-        raise UsageError("tune_grid must be an object of key -> list of values")
-    tunable = {"l2_lambda", "max_iters", "tol", "solver", "n_estimators", "max_depth", "min_leaf", "max_features", "learning_rate"}
-    bad = set(config.tune_grid) - tunable
+    grid = config.tune_grid
+    if not isinstance(grid, dict) or not all(isinstance(values, list) and values for values in grid.values()):
+        raise UsageError("tune_grid must be an object of key -> non-empty list of values")
+    bad = set(grid) - _hyper_keys(config.model)
     if bad:
-        raise UsageError(f"tune_grid keys not tunable: {', '.join(sorted(bad))}")
+        raise UsageError(f"tune_grid keys the {config.model} model does not take: {', '.join(sorted(bad))}")
 
 
 def feature_spec(config: RunConfig) -> FeatureSpec:
@@ -146,29 +165,21 @@ def feature_spec(config: RunConfig) -> FeatureSpec:
 
 
 def model_hyper(config: RunConfig):
-    """The model kind's hyperparameters; values they reject are usage errors."""
+    """The model kind's Hyper, with every hyperparameter the config sets.
+
+    A set key the kind does not take, or a value its Hyper rejects, is a
+    usage error. A forest's seed derives from the run seed.
+    """
+    hyper_class = MODELS[config.model][1]
+    taken = {f.name for f in fields(hyper_class)}
+    given = {key: getattr(config, key) for key in _HYPER_KEYS if getattr(config, key) is not None}
+    foreign = set(given) - taken
+    if foreign:
+        raise UsageError(f"the {config.model} model does not take: {', '.join(sorted(foreign))}")
+    if "seed" in taken:
+        given["seed"] = child_seed(config.seed, "model")
     try:
-        if config.model == "logistic":
-            return LogisticHyper(
-                l2_lambda=config.l2_lambda,
-                max_iters=config.max_iters,
-                tol=config.tol,
-                solver=config.solver,
-            )
-        if config.model == "forest":
-            return ForestHyper(
-                n_estimators=config.n_estimators if config.n_estimators is not None else 400,
-                max_features=config.max_features,
-                max_depth=config.max_depth if config.max_depth is not None else 12,
-                min_leaf=config.min_leaf,
-                seed=child_seed(config.seed, "model"),
-            )
-        return GbtHyper(
-            learning_rate=config.learning_rate,
-            n_estimators=config.n_estimators if config.n_estimators is not None else 200,
-            max_depth=config.max_depth if config.max_depth is not None else 3,
-            min_leaf=config.min_leaf,
-        )
+        return hyper_class(**given)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad {config.model} hyperparameter: {exc}") from exc
 
@@ -190,10 +201,3 @@ def fleet_config(config: RunConfig) -> FleetConfig:
         beta_util=config.beta_util,
         seed=child_seed(config.seed, "synth"),
     )
-
-
-def config_to_dict(config: RunConfig) -> dict[str, Any]:
-    out = {}
-    for f in fields(RunConfig):
-        out[f.name] = getattr(config, f.name)
-    return out

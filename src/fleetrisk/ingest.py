@@ -87,17 +87,14 @@ def classify_work_plan(code: str) -> WorkPlanClass:
     return WorkPlanClass.UNSCHEDULED
 
 
-def load_alias_map(source: str | Path | IO[str]) -> dict[str, str]:
-    """Read a column-alias file of ``Canonical Name=Actual Name`` lines.
+def load_alias_map(source: bytes | str | Path | IO) -> dict[str, str]:
+    """Read ``Canonical Name=Actual Name`` alias lines from a source, taken
+    as by `source_text` (a str is the content, a Path is a file).
 
     Blank lines and lines starting with ``#`` are skipped.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
     aliases: dict[str, str] = {}
-    for raw in text.splitlines():
+    for raw in source_text(source).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -147,7 +144,6 @@ def source_text(source: bytes | str | Path | IO) -> str:
 def parse_subworkorders(
     source: bytes | str | Path | IO,
     alias: dict[str, str] | None = None,
-    delimiter: str = ",",
 ) -> tuple[list[SubWorkOrderRecord], list[RowError]]:
     """Parse an export into records, collecting per-row errors.
 
@@ -157,7 +153,7 @@ def parse_subworkorders(
     of the two returned lists.
     """
     alias = alias or {}
-    reader = csv.reader(io.StringIO(source_text(source)), delimiter=delimiter)
+    reader = csv.reader(io.StringIO(source_text(source)))
     try:
         header = next(reader)
     except StopIteration:

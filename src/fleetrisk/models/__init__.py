@@ -17,24 +17,24 @@ from .logistic import LogisticHyper, LogisticModel, fit_logistic
 from .persist import load_model, model_from_dict, model_to_dict, save_model
 from .tree import RegressionTree, fit_tree
 
-MODEL_KINDS = ("logistic", "forest", "gbt")
-
-_FITTERS = {
+# kind -> (fit function, Hyper class); the Hyper classes hold every default
+MODELS = {
     "logistic": (fit_logistic, LogisticHyper),
     "forest": (fit_random_forest, ForestHyper),
     "gbt": (fit_gbt, GbtHyper),
 }
+MODEL_KINDS = tuple(MODELS)
 
 
 def default_hyper(kind: str):
-    if kind not in _FITTERS:
+    if kind not in MODELS:
         raise ValueError(f"unknown model kind {kind!r}")
-    return _FITTERS[kind][1]()
+    return MODELS[kind][1]()
 
 
 def fit_model(kind: str, matrix: FeatureMatrix, hyper=None):
     default = default_hyper(kind)  # also rejects an unknown kind
-    return _FITTERS[kind][0](matrix, default if hyper is None else hyper)
+    return MODELS[kind][0](matrix, default if hyper is None else hyper)
 
 
 def predict_proba(model, X) -> np.ndarray:
@@ -46,6 +46,7 @@ def predict_proba(model, X) -> np.ndarray:
 
 
 __all__ = [
+    "MODELS",
     "MODEL_KINDS",
     "ForestHyper",
     "ForestModel",

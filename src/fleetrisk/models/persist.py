@@ -18,17 +18,6 @@ from .tree import RegressionTree
 FORMAT_VERSION = 1
 
 
-def _columns_out(columns) -> list[dict]:
-    return [
-        {"name": c.name, "kind": c.kind, "group": c.group, "level": c.level}
-        for c in columns
-    ]
-
-
-def _columns_in(payload) -> list[Column]:
-    return [Column(name=c["name"], kind=c["kind"], group=c.get("group"), level=c.get("level")) for c in payload]
-
-
 def _tree_out(tree: RegressionTree) -> dict:
     return {
         "feature": tree.feature.tolist(),
@@ -53,7 +42,7 @@ def model_to_dict(model) -> dict:
     out = {
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
-        "columns": _columns_out(model.columns),
+        "columns": [dict(vars(c)) for c in model.columns],
         "scale": model.scale.tolist(),
         "standardized": model.standardized,
     }
@@ -79,7 +68,7 @@ def model_from_dict(payload: dict):
         raise ModelFormatError(f"unsupported format version {version!r}")
     try:
         kind = payload["kind"]
-        columns = _columns_in(payload["columns"])
+        columns = [Column(**c) for c in payload["columns"]]
         scale = np.asarray(payload["scale"], dtype=np.float64)
         standardized = bool(payload["standardized"])
         if kind == "logistic":

@@ -123,56 +123,16 @@ class GroundTruth:
 
     def to_dict(self) -> dict:
         return {
-            "beta0": self.beta0,
-            "beta_age": self.beta_age,
-            "beta_gap": self.beta_gap,
-            "beta_util": self.beta_util,
-            "seed": self.seed,
-            "n_weeks": self.n_weeks,
+            **vars(self),
             "start_monday": self.start_monday.isoformat(),
-            "vehicles": [
-                {
-                    "asset_id": v.asset_id,
-                    "type_name": v.type_name,
-                    "hazard_multiplier": v.hazard_multiplier,
-                    "unit": v.unit,
-                    "acquisition_year": v.acquisition_year,
-                    "age_anchor_week": v.age_anchor_week,
-                    "hazard": v.hazard,
-                    "breakdown_weeks": v.breakdown_weeks,
-                    "prev_weeks": v.prev_weeks,
-                    "utilization": v.utilization,
-                }
-                for v in self.vehicles
-            ],
+            "vehicles": [dict(vars(v)) for v in self.vehicles],
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "GroundTruth":
-        return cls(
-            beta0=payload["beta0"],
-            beta_age=payload["beta_age"],
-            beta_gap=payload["beta_gap"],
-            beta_util=payload["beta_util"],
-            seed=payload["seed"],
-            n_weeks=payload["n_weeks"],
-            start_monday=date.fromisoformat(payload["start_monday"]),
-            vehicles=[
-                VehicleTruth(
-                    asset_id=v["asset_id"],
-                    type_name=v["type_name"],
-                    hazard_multiplier=v["hazard_multiplier"],
-                    unit=v["unit"],
-                    acquisition_year=v["acquisition_year"],
-                    age_anchor_week=v["age_anchor_week"],
-                    hazard=list(v["hazard"]),
-                    breakdown_weeks=list(v["breakdown_weeks"]),
-                    prev_weeks=list(v["prev_weeks"]),
-                    utilization=list(v["utilization"]),
-                )
-                for v in payload["vehicles"]
-            ],
-        )
+        start_monday = date.fromisoformat(payload["start_monday"])
+        vehicles = [VehicleTruth(**v) for v in payload["vehicles"]]
+        return cls(**dict(payload, start_monday=start_monday, vehicles=vehicles))
 
     def save(self, destination: str | Path | IO[str]) -> None:
         text = json.dumps(self.to_dict())

@@ -1,10 +1,13 @@
 """End-to-end runs of the command-line pipeline and its exit codes."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from fleetrisk.cli import main
+from fleetrisk.cli import build_parser, main
+from fleetrisk.config import RunConfig
+from fleetrisk.models import MODELS
 
 SMALL = ["--n-vehicles", "18", "--n-weeks", "60"]
 
@@ -201,8 +204,13 @@ def test_bad_flag_values_are_usage_errors(tmp_path):
     assert main(["panel", "--start-date", "Jan 1", "-o", str(tmp_path)]) == 2
 
 
-def test_unknown_feature_name_is_usage_error(tmp_path):
+def test_unknown_feature_name_is_usage_error(tmp_path, capsys):
     assert main(["train", "--features", "odometer", "-o", str(tmp_path)]) == 2
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"features": "vehicle_type"}))  # a string, not a list of names
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: features must be a list of feature names\n"
 
 
 def test_tune_grid_search(tmp_path):
@@ -247,23 +255,50 @@ def _single_error_line(capsys) -> bool:
         ["train", "--model", "gbt", "--min-leaf", "0"],
         ["train", "--model", "gbt", "--max-depth", "0"],
         ["train", "--l2-lambda", "-1"],
-        ["tune", "--config", "GRID"],
+        ["tune", "--config", {"tune_grid": {"l2_lambda": [0.0001, -1.0]}}],
         ["mel", "--mel", "truck=-1"],
         ["mel", "--mel", "truck=99"],
+        ["train", "--model", "gbt", "--max-features", "1"],
+        ["train", "--model", "forest", "--learning-rate", "0.5"],
+        ["train", "--min-leaf", "3"],
+        ["train", "--model", "forest", "--solver", "newton"],
+        ["tune", "--config", {"tune_grid": {"min_leaf": [1, 5]}}],
+        ["mel", "--config", {"mel_specs": [{"vehicle_type": "truck", "mel": 1, "assigned": "x"}]}],
+        ["tune", "--config", {"tune_grid": {"l2_lambda": 0.1}}],
+        ["train", "--config", {"features": 7}],
+        ["ablate", "--config", {"ablation_subsets": [["operational_weeks"], 7]}],
+        ["mel", "--config", {"mel_specs": 5}],
     ],
     ids=[
         "start-date", "forest-n-estimators", "forest-max-features", "forest-min-leaf", "forest-max-depth",
         "gbt-learning-rate", "gbt-min-leaf", "gbt-max-depth", "l2-lambda", "tune-grid", "mel-negative",
-        "mel-above-assigned",
+        "mel-above-assigned", "gbt-max-features", "forest-learning-rate", "logistic-min-leaf", "forest-solver",
+        "logistic-tune-grid-min-leaf", "mel-assigned-not-int", "tune-grid-not-list", "features-not-list",
+        "ablation-subset-not-list", "mel-specs-not-list",
     ],
 )
 def test_bad_values_reaching_the_pipeline_are_usage_errors(trained_dir, tmp_path, capsys, argv):
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"tune_grid": {"l2_lambda": [0.0001, -1.0]}}))
-    argv = [str(grid) if a == "GRID" else a for a in argv]
+    if isinstance(argv[-1], dict):  # a --config payload
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], str(config)]
     capsys.readouterr()
     assert main([*argv, "-o", str(trained_dir)]) == 2
     assert _single_error_line(capsys)
+
+
+def test_hyperparameters_are_declared_once(tmp_path):
+    """Every Hyper field but a forest's derived seed is a config key that
+    defaults to None and a CLI flag, and a manifest records it as null."""
+    hyper_keys = {f.name for _, hyper in MODELS.values() for f in fields(hyper)} - {"seed"}
+    none_keys = {f.name for f in fields(RunConfig) if f.default is None}
+    assert none_keys - hyper_keys == {"input_csv", "utilization_csv", "start_date", "end_week"}
+    assert hyper_keys <= none_keys
+    assert hyper_keys <= set(vars(build_parser().parse_args(["train"])))
+    assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "10", "--n-weeks", "30"]) == 0
+    assert main(["train", "-o", str(tmp_path)]) == 0
+    recorded = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert {key: recorded[key] for key in hyper_keys} == dict.fromkeys(hyper_keys)
 
 
 def test_split_with_an_empty_side_is_data_error(tmp_path, capsys):

@@ -220,8 +220,11 @@ def test_classify_work_plan():
 
 def test_load_alias_map(tmp_path):
     p = tmp_path / "aliases.txt"
-    p.write_text("# mapping\nAsset Id = Serial Number\n\nApproval Dt=Appr Date\n")
-    assert load_alias_map(p) == {"Asset Id": "Serial Number", "Approval Dt": "Appr Date"}
+    text = "# mapping\nAsset Id = Serial Number\n\nApproval Dt=Appr Date\n"
+    p.write_text(text)
+    expected = {"Asset Id": "Serial Number", "Approval Dt": "Appr Date"}
+    assert load_alias_map(p) == expected
+    assert load_alias_map(text) == expected  # a str is the content, as for every reader
 
 
 def test_load_alias_map_bad_line(tmp_path):
