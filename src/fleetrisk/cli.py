@@ -155,11 +155,9 @@ def _load_saved_model(run: _Run):
     return load_model(path)
 
 
-def _split_and_fit(run: _Run, panel):
-    """Fit the configured model on the train side; returns it with the test side."""
-    train, test = split(panel, _split_spec(run))
-    model = fit_on_train(train, cfg.feature_spec(run.config), run.config.model, cfg.model_hyper(run.config))
-    return model, test
+def _fit(run: _Run, train):
+    """The configured model fitted on the train side."""
+    return fit_on_train(train, cfg.feature_spec(run.config), run.config.model, cfg.model_hyper(run.config))
 
 
 def _eval_artifacts(run: _Run, model, test_panel) -> None:
@@ -171,9 +169,9 @@ def _eval_artifacts(run: _Run, model, test_panel) -> None:
             write_histogram_csv(counts, stream)
 
 
-def _ablate_artifacts(run: _Run, panel) -> None:
+def _ablate_artifacts(run: _Run, train, test) -> None:
     subsets = [FeatureSpec.of(names) for names in run.config.ablation_subsets]
-    rows = ablation(panel, subsets, run.config.model, cfg.model_hyper(run.config), _split_spec(run))
+    rows = ablation(train, test, subsets, run.config.model, cfg.model_hyper(run.config))
     with run.open_output("ablation.csv") as stream:
         write_ablation_csv(rows, stream)
 
@@ -285,7 +283,8 @@ def _cmd_panel(run: _Run) -> int:
 
 
 def _cmd_train(run: _Run) -> int:
-    model, _test = _split_and_fit(run, _build_panel(run))
+    train, _test = split(_build_panel(run), _split_spec(run))
+    model = _fit(run, train)
     with run.open_output(MODEL_JSON) as stream:
         save_model(model, stream)
     return 0
@@ -300,8 +299,7 @@ def _cmd_eval(run: _Run) -> int:
 
 
 def _cmd_ablate(run: _Run) -> int:
-    panel = _build_panel(run)
-    _ablate_artifacts(run, panel)
+    _ablate_artifacts(run, *split(_build_panel(run), _split_spec(run)))
     return 0
 
 
@@ -324,11 +322,12 @@ def _cmd_report(run: _Run) -> int:
     records, _errors = _load_records(run)
     panel = build_panel(records, _panel_options(run))
     _labor_artifacts(run, records, panel)
-    model, test = _split_and_fit(run, panel)
+    train, test = split(panel, _split_spec(run))
+    model = _fit(run, train)
     with run.open_output(MODEL_JSON) as stream:
         save_model(model, stream)
     _eval_artifacts(run, model, test)
-    _ablate_artifacts(run, panel)
+    _ablate_artifacts(run, train, test)
     _simulate_artifacts(run, model, test)
     return 0
 

@@ -11,9 +11,10 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from types import UnionType
+from typing import Any, get_args, get_origin, get_type_hints
 
-from .errors import UsageError
+from .errors import InvalidConfigError, UsageError
 from .features import FEATURE_NAMES, FeatureSpec
 from .models import MODEL_KINDS, MODELS
 from .synth import FleetConfig, VehicleTypeSpec
@@ -73,7 +74,8 @@ class RunConfig:
     beta_age: float = 0.003
     beta_gap: float = 0.08
     beta_util: float = 0.0
-    vehicle_types: list[list] = field(
+    # each [name, hazard_multiplier, weekly_utilization_rate]
+    vehicle_types: list[tuple[str, float, float]] = field(
         default_factory=lambda: [["bus", 0.35, 30.0], ["truck", 1.0, 45.0], ["loader", 3.0, 60.0]]
     )
     units: list[str] = field(default_factory=lambda: ["82 LRS", "83 LRS"])
@@ -84,6 +86,7 @@ class RunConfig:
 
 
 _KNOWN_KEYS = {f.name for f in fields(RunConfig)}
+_KEY_TYPES = get_type_hints(RunConfig)
 
 
 def _hyper_keys(kind: str) -> set[str]:
@@ -123,41 +126,59 @@ def build_run_config(file_values: dict[str, Any], overrides: dict[str, Any]) -> 
     return config
 
 
-def _is_names(value) -> bool:
-    return isinstance(value, list) and all(isinstance(name, str) for name in value)
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has an annotated type: a bool is neither an int
+    nor a float, an int is also a float, and a tuple is a fixed-length list."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return any(_fits(value, arg) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_fits(item, args[0]) for item in value)
+    if origin is tuple:
+        return isinstance(value, list) and len(value) == len(args) and all(map(_fits, value, args))
+    if origin is dict:
+        return isinstance(value, dict) and all(_fits(v, args[1]) for v in value.values())
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+
+
+def _type_name(hint) -> str:
+    return str(hint) if get_origin(hint) else hint.__name__
 
 
 def _validate(config: RunConfig) -> None:
+    if not _fits(config.features, list[str]):
+        raise UsageError("features must be a list of feature names")
+    for key, hint in _KEY_TYPES.items():
+        value = getattr(config, key)
+        if not _fits(value, hint):
+            raise UsageError(f"{key} must be {_type_name(hint)}, got {value!r}")
     if config.model not in MODEL_KINDS:
         raise UsageError(f"unknown model kind: {config.model!r}")
     if config.split not in ("chronological", "random"):
         raise UsageError(f"unknown split kind: {config.split!r}")
     if not 0.0 < config.test_fraction < 1.0:
         raise UsageError("test_fraction must be in (0, 1)")
-    if not _is_names(config.features):
-        raise UsageError("features must be a list of feature names")
-    unknown = set(config.features) - set(FEATURE_NAMES)
-    if unknown:
-        raise UsageError(f"unknown feature names: {', '.join(sorted(unknown))}")
     if not config.features:
         raise UsageError("features must not be empty")
-    if not isinstance(config.ablation_subsets, list) or not all(map(_is_names, config.ablation_subsets)):
-        raise UsageError("ablation_subsets must be a list of lists of feature names")
-    for subset in config.ablation_subsets:
-        bad = set(subset) - set(FEATURE_NAMES)
-        if bad:
-            raise UsageError(f"unknown feature names in ablation subset: {', '.join(sorted(bad))}")
-    if not isinstance(config.mel_specs, list):
-        raise UsageError("mel_specs must be a list of entries")
+    for what, names in [("features", config.features), *(("ablation subset", s) for s in config.ablation_subsets)]:
+        try:
+            FeatureSpec.of(names)
+        except ValueError as exc:
+            raise UsageError(f"{what}: {exc}") from exc
     for entry in config.mel_specs:
-        if not isinstance(entry, dict) or "vehicle_type" not in entry or "mel" not in entry:
+        if "vehicle_type" not in entry or "mel" not in entry:
             raise UsageError("each mel_specs entry needs vehicle_type and mel")
     grid = config.tune_grid
-    if not isinstance(grid, dict) or not all(isinstance(values, list) and values for values in grid.values()):
-        raise UsageError("tune_grid must be an object of key -> non-empty list of values")
+    if not all(grid.values()):
+        raise UsageError("each tune_grid list needs at least one value")
     bad = set(grid) - _hyper_keys(config.model)
     if bad:
         raise UsageError(f"tune_grid keys the {config.model} model does not take: {', '.join(sorted(bad))}")
+    for key, values in grid.items():
+        if not _fits(values, list[_KEY_TYPES[key]]):
+            raise UsageError(f"tune_grid {key} must be a list of {_type_name(_KEY_TYPES[key])}, got {values!r}")
 
 
 def feature_spec(config: RunConfig) -> FeatureSpec:
@@ -185,19 +206,18 @@ def model_hyper(config: RunConfig):
 
 
 def fleet_config(config: RunConfig) -> FleetConfig:
-    types = []
-    for entry in config.vehicle_types:
-        if len(entry) != 3:
-            raise UsageError("each vehicle_types entry is [name, hazard_multiplier, weekly_utilization_rate]")
-        types.append(VehicleTypeSpec(str(entry[0]), float(entry[1]), float(entry[2])))
-    return FleetConfig(
-        n_vehicles=config.n_vehicles,
-        n_weeks=config.n_weeks,
-        vehicle_types=tuple(types),
-        units=tuple(config.units),
-        beta0=config.beta0,
-        beta_age=config.beta_age,
-        beta_gap=config.beta_gap,
-        beta_util=config.beta_util,
-        seed=child_seed(config.seed, "synth"),
-    )
+    types = tuple(VehicleTypeSpec(name, float(hazard), float(rate)) for name, hazard, rate in config.vehicle_types)
+    try:
+        return FleetConfig(
+            n_vehicles=config.n_vehicles,
+            n_weeks=config.n_weeks,
+            vehicle_types=types,
+            units=tuple(config.units),
+            beta0=config.beta0,
+            beta_age=config.beta_age,
+            beta_gap=config.beta_gap,
+            beta_util=config.beta_util,
+            seed=child_seed(config.seed, "synth"),
+        )
+    except InvalidConfigError as exc:
+        raise UsageError(str(exc)) from exc

@@ -153,15 +153,8 @@ class AblationRow:
     ratio: float
 
 
-def ablation(
-    panel: Panel,
-    subsets: Sequence[FeatureSpec],
-    model_kind: str,
-    hyper,
-    split_spec: SplitSpec,
-) -> list[AblationRow]:
-    """One fit per feature subset against a single shared split realization."""
-    train, test = split(panel, split_spec)
+def ablation(train: Panel, test: Panel, subsets: Sequence[FeatureSpec], model_kind: str, hyper) -> list[AblationRow]:
+    """One fit per feature subset, all on the same train and test halves."""
     out = []
     for spec in subsets:
         report = score_panel(fit_on_train(train, spec, model_kind, hyper), test)

@@ -9,7 +9,9 @@ kept sparse (CSR).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from operator import attrgetter
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,40 +22,48 @@ from .panel import Panel, PanelRow, PanelVocab
 UNKNOWN_LEVEL = "<unknown>"
 STD_EPSILON = 1e-12
 
-FEATURE_NAMES = (
-    "vehicle_id",
-    "vehicle_type",
-    "unit",
-    "operational_weeks",
-    "weeks_since_last_visit",
-    "utilization",
-)
+
+class Feature(NamedTuple):
+    """Where a feature's values come from."""
+
+    levels: str | None = None  # the PanelVocab field of its one-hot levels; None for a numeric
+    field: str | None = None  # the PanelRow field it reads, when not named like the feature
+    sparse: bool = False  # its group grows with fleet size, so a layout with it is kept CSR
+
+
+FEATURES = {
+    "vehicle_id": Feature("asset_ids", "asset_id", sparse=True),
+    "vehicle_type": Feature("vehicle_types"),
+    "unit": Feature("units"),
+    "operational_weeks": Feature(),
+    "weeks_since_last_visit": Feature(),
+    "utilization": Feature(),
+}
+FEATURE_NAMES = tuple(FEATURES)
 
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Which of the six panel features enter the design matrix."""
+    """Which panel features enter the design matrix, in FEATURE_NAMES order."""
 
-    use_vehicle_id: bool = False
-    use_vehicle_type: bool = False
-    use_unit: bool = False
-    use_operational_weeks: bool = False
-    use_weeks_since_last_visit: bool = False
-    use_utilization: bool = False
+    selected: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        unknown = set(self.selected) - set(FEATURE_NAMES)
+        if unknown:
+            raise ValueError(f"unknown feature names: {', '.join(sorted(unknown))}")
+        object.__setattr__(self, "selected", tuple(n for n in FEATURE_NAMES if n in self.selected))
 
     @classmethod
     def full(cls) -> "FeatureSpec":
-        return cls(True, True, True, True, True, True)
+        return cls(FEATURE_NAMES)
 
     @classmethod
     def of(cls, names: Sequence[str]) -> "FeatureSpec":
-        unknown = set(names) - set(FEATURE_NAMES)
-        if unknown:
-            raise ValueError(f"unknown feature names: {sorted(unknown)}")
-        return cls(**{f"use_{n}": True for n in names})
+        return cls(tuple(names))
 
     def names(self) -> tuple[str, ...]:
-        return tuple(n for n in FEATURE_NAMES if getattr(self, f"use_{n}"))
+        return self.selected
 
 
 @dataclass(frozen=True)
@@ -83,76 +93,48 @@ class FeatureMatrix:
         return self.values.shape[0]
 
 
-_CATEGORICAL = {
-    "vehicle_id": ("asset_ids", lambda r: r.asset_id),
-    "vehicle_type": ("vehicle_types", lambda r: r.vehicle_type),
-    "unit": ("units", lambda r: r.unit),
-}
-_NUMERIC = {
-    "operational_weeks": lambda r: float(r.operational_weeks),
-    "weeks_since_last_visit": lambda r: float(r.weeks_since_last_visit),
-    "utilization": lambda r: r.utilization,
-}
-
-
 def build_columns(spec: FeatureSpec, vocab: PanelVocab) -> list[Column]:
     """Column layout for a spec against a vocabulary: one-hot groups first
     (each closed by an unknown level), then the numeric features."""
     names = spec.names()
     if not names:
         raise EmptySpecError("feature spec selects no features")
-    columns: list[Column] = []
-    for name in names:
-        if name in _CATEGORICAL:
-            vocab_attr, _ = _CATEGORICAL[name]
-            for level in tuple(getattr(vocab, vocab_attr)) + (UNKNOWN_LEVEL,):
-                columns.append(Column(name=f"{name}={level}", kind="onehot", group=name, level=level))
-    for name in names:
-        if name in _NUMERIC:
-            columns.append(Column(name=name, kind="numeric"))
-    return columns
+    onehot = [n for n in names if FEATURES[n].levels]
+    return [
+        Column(name=f"{name}={level}", kind="onehot", group=name, level=level)
+        for name in onehot
+        for level in (*getattr(vocab, FEATURES[name].levels), UNKNOWN_LEVEL)
+    ] + [Column(name=name, kind="numeric") for name in names if name not in onehot]
 
 
-def _fill(rows: Sequence[PanelRow], columns: Sequence[Column], sparse: bool) -> np.ndarray | sp.csr_matrix:
+def _fill(rows: Sequence[PanelRow], columns: Sequence[Column]) -> np.ndarray | sp.csr_matrix:
+    """Rows against a column layout, built column by column: CSR when the
+    layout has a sparse group, dense otherwise. A value outside a group's
+    levels lands on its unknown level."""
     n = len(rows)
-    groups: dict[str, dict[str, int]] = {}
-    unknown_col: dict[str, int] = {}
-    numeric_cols: list[tuple[int, str]] = []
+    # feature name -> its one-hot level columns, or its numeric column
+    parts: dict[str, dict[str, int] | int] = {}
     for j, col in enumerate(columns):
         if col.kind == "onehot":
-            if col.level == UNKNOWN_LEVEL:
-                unknown_col[col.group] = j
-            else:
-                groups.setdefault(col.group, {})[col.level] = j
+            parts.setdefault(col.group, {})[col.level] = j
         else:
-            numeric_cols.append((j, col.name))
-
-    if sparse:
-        data: list[float] = []
-        row_idx: list[int] = []
-        col_idx: list[int] = []
-        for i, r in enumerate(rows):
-            for group, level_map in groups.items():
-                value = _CATEGORICAL[group][1](r)
-                j = level_map.get(value, unknown_col[group])
-                row_idx.append(i)
-                col_idx.append(j)
-                data.append(1.0)
-            for j, name in numeric_cols:
-                v = _NUMERIC[name](r)
-                if v != 0.0:
-                    row_idx.append(i)
-                    col_idx.append(j)
-                    data.append(v)
+            parts[col.name] = j
+    # one (column, value) entry per row and part, in column order
+    col_idx = np.empty((n, len(parts)), dtype=np.intp)
+    data = np.ones(col_idx.shape)
+    for k, (name, where) in enumerate(parts.items()):
+        cells = map(attrgetter(FEATURES[name].field or name), rows)
+        if isinstance(where, dict):
+            col_idx[:, k] = np.fromiter(map(where.get, cells, repeat(where[UNKNOWN_LEVEL])), dtype=np.intp, count=n)
+        else:
+            col_idx[:, k] = where
+            data[:, k] = np.fromiter(cells, dtype=np.float64, count=n)
+    keep = data != 0.0  # numeric zeros are skipped
+    row_idx, col_idx, data = np.nonzero(keep)[0], col_idx[keep], data[keep]
+    if any(FEATURES[name].sparse for name in parts):
         return sp.csr_matrix((data, (row_idx, col_idx)), shape=(n, len(columns)), dtype=np.float64)
-
-    values = np.zeros((n, len(columns)), dtype=np.float64)
-    for i, r in enumerate(rows):
-        for group, level_map in groups.items():
-            value = _CATEGORICAL[group][1](r)
-            values[i, level_map.get(value, unknown_col[group])] = 1.0
-        for j, name in numeric_cols:
-            values[i, j] = _NUMERIC[name](r)
+    values = np.zeros((n, len(columns)))
+    values[row_idx, col_idx] = data
     return values
 
 
@@ -162,13 +144,11 @@ def encode(panel: Panel, spec: FeatureSpec, vocab: PanelVocab | None = None) -> 
     Pass the training panel's vocab to encode held-out rows; values outside
     it land on the group's unknown level.
     """
-    vocab = vocab or panel.vocab
-    columns = build_columns(spec, vocab)
-    values = _fill(panel.rows, columns, sparse=spec.use_vehicle_id)
+    columns = build_columns(spec, vocab or panel.vocab)
     labels = np.fromiter((r.repair_flag for r in panel.rows), dtype=np.int8, count=len(panel.rows))
     return FeatureMatrix(
         columns=columns,
-        values=values,
+        values=_fill(panel.rows, columns),
         labels=labels,
         scale=np.ones(len(columns), dtype=np.float64),
     )
@@ -177,8 +157,7 @@ def encode(panel: Panel, spec: FeatureSpec, vocab: PanelVocab | None = None) -> 
 def transform(rows: Sequence[PanelRow], columns: Sequence[Column], scale: np.ndarray | None = None) -> np.ndarray | sp.csr_matrix:
     """Encode raw rows against a fitted column layout, applying the fitted
     per-column scale when given. Used to score new data with a saved model."""
-    sparse = any(col.group == "vehicle_id" for col in columns)
-    values = _fill(rows, columns, sparse=sparse)
+    values = _fill(rows, columns)
     if scale is not None:
         values = _scale_columns(values, 1.0 / np.asarray(scale, dtype=np.float64))
     return values

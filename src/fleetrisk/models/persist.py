@@ -100,12 +100,8 @@ def model_from_dict(payload: dict):
     raise ModelFormatError(f"unknown model kind {kind!r}")
 
 
-def save_model(model, destination: str | Path | IO[str]) -> None:
-    payload = model_to_dict(model)
-    if hasattr(destination, "write"):
-        json.dump(payload, destination)
-    else:
-        Path(destination).write_text(json.dumps(payload))
+def save_model(model, stream: IO[str]) -> None:
+    json.dump(model_to_dict(model), stream)
 
 
 def load_model(source: str | Path | IO[str]):

@@ -134,12 +134,8 @@ class GroundTruth:
         vehicles = [VehicleTruth(**v) for v in payload["vehicles"]]
         return cls(**dict(payload, start_monday=start_monday, vehicles=vehicles))
 
-    def save(self, destination: str | Path | IO[str]) -> None:
-        text = json.dumps(self.to_dict())
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            Path(destination).write_text(text)
+    def save(self, stream: IO[str]) -> None:
+        stream.write(json.dumps(self.to_dict()))
 
     @classmethod
     def load(cls, source: str | Path | IO[str]) -> "GroundTruth":

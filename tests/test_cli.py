@@ -1,9 +1,15 @@
 """End-to-end runs of the command-line pipeline and its exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetrisk.cli import build_parser, main
 from fleetrisk.config import RunConfig
@@ -268,13 +274,31 @@ def _single_error_line(capsys) -> bool:
         ["train", "--config", {"features": 7}],
         ["ablate", "--config", {"ablation_subsets": [["operational_weeks"], 7]}],
         ["mel", "--config", {"mel_specs": 5}],
+        ["train", "--config", {"test_fraction": "x"}],
+        ["synth", "--config", {"n_vehicles": "ten"}],
+        ["synth", "--config", {"n_weeks": 30.5}],
+        ["synth", "--config", {"vehicle_types": [5]}],
+        ["train", "--config", {"units": "abc"}],
+        ["train", "--config", {"gap_cap": "x"}],
+        ["train", "--config", {"seed": "x"}],
+        ["train", "--config", {"include_scheduled": "no"}],
+        ["train", "--config", {"gap_cap": None}],
+        ["train", "--config", {"n_vehicles": True}],
+        ["synth", "--n-vehicles", "0"],
+        ["synth", "--n-weeks", "1"],
+        ["synth", "--config", {"vehicle_types": [["bus", 0, 30.0]]}],
+        ["tune", "--config", {"tune_grid": {"max_iters": [2.5]}}],
+        ["tune", "--config", {"tune_grid": {"tol": [True]}}],
     ],
     ids=[
         "start-date", "forest-n-estimators", "forest-max-features", "forest-min-leaf", "forest-max-depth",
         "gbt-learning-rate", "gbt-min-leaf", "gbt-max-depth", "l2-lambda", "tune-grid", "mel-negative",
         "mel-above-assigned", "gbt-max-features", "forest-learning-rate", "logistic-min-leaf", "forest-solver",
         "logistic-tune-grid-min-leaf", "mel-assigned-not-int", "tune-grid-not-list", "features-not-list",
-        "ablation-subset-not-list", "mel-specs-not-list",
+        "ablation-subset-not-list", "mel-specs-not-list", "test-fraction-str", "n-vehicles-str", "n-weeks-float",
+        "vehicle-types-entry-not-list", "units-str", "gap-cap-str", "seed-str", "include-scheduled-str",
+        "gap-cap-null", "n-vehicles-bool", "synth-n-vehicles-0", "synth-n-weeks-1", "synth-hazard-multiplier-0",
+        "tune-grid-float-for-int", "tune-grid-bool-for-float",
     ],
 )
 def test_bad_values_reaching_the_pipeline_are_usage_errors(trained_dir, tmp_path, capsys, argv):
@@ -299,6 +323,49 @@ def test_hyperparameters_are_declared_once(tmp_path):
     assert main(["train", "-o", str(tmp_path)]) == 0
     recorded = json.loads((tmp_path / "manifest.json").read_text())["config"]
     assert {key: recorded[key] for key in hyper_keys} == dict.fromkeys(hyper_keys)
+
+
+# Per config key, values it must refuse: a wrong type, or a right type out of range.
+INVALID_CONFIG_VALUES = {
+    "test_fraction": ["x", 0, 1.5, None],
+    "n_vehicles": ["ten", 0, 2.5, True],
+    "n_weeks": [30.5, 1, "x"],
+    "vehicle_types": [[5], "bus", [["bus", 1.0]], [["bus", 0, 1.0]], [[7, 1.0, 1.0]]],
+    "units": ["abc", [], [1]],
+    "gap_cap": ["x", None, 2.5],
+    "seed": ["x", 1.5],
+    "include_scheduled": ["no", 1],
+    "start_date": [5, "notadate"],
+    "end_week": ["x", 2.5],
+    "model": ["svm", 3],
+    "split": ["weekly", None],
+    "features": ["vehicle_type", [], ["odometer"], [3]],
+    "ablation_subsets": [[["odometer"]], [7], "x"],
+    "l2_lambda": [-1, "x"],
+    "solver": ["lbfgs", 1],
+    "mel_specs": [5, [{"mel": 1}], ["truck"]],
+    "tune_grid": [{"l2_lambda": []}, {"min_leaf": [1]}, {"l2_lambda": 0.1}, [], {"max_iters": [2.5]}, {"tol": [True]}],
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(INVALID_CONFIG_VALUES)).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(INVALID_CONFIG_VALUES[key]))
+))
+def test_an_invalid_config_value_is_one_clean_error(drawn):
+    """synth then train under a small fleet config with one key made invalid:
+    the first command to fail exits 1 or 2 with one error line, and one does."""
+    key, value = drawn
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        config = Path(out) / "run.json"
+        config.write_text(json.dumps({"n_vehicles": 6, "n_weeks": 20, key: value}))
+        for command in ("synth", "train"):
+            code = main([command, "--config", str(config), "-o", out])
+            if code != 0:
+                break
+    assert code in (1, 2), (key, value)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), (key, value, lines)
 
 
 def test_split_with_an_empty_side_is_data_error(tmp_path, capsys):

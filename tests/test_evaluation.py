@@ -182,7 +182,8 @@ def test_ablation_shares_one_split():
         FeatureSpec.of(["weeks_since_last_visit", "vehicle_type"]),
         FeatureSpec.of(["weeks_since_last_visit"]),
     ]
-    rows = ablation(panel, subsets, "logistic", LogisticHyper(solver="newton"), ChronologicalSplit())
+    train, test = split(panel, ChronologicalSplit())
+    rows = ablation(train, test, subsets, "logistic", LogisticHyper(solver="newton"))
     assert [r.features for r in rows] == [
         ("vehicle_type", "weeks_since_last_visit"),
         ("weeks_since_last_visit",),
@@ -216,11 +217,10 @@ def test_write_histogram_csv():
 def test_write_ablation_csv():
     panel = grid_panel(n_assets=8, n_weeks=30)
     rows = ablation(
-        panel,
+        *split(panel, ChronologicalSplit()),
         [FeatureSpec.of(["weeks_since_last_visit"])],
         "logistic",
         LogisticHyper(solver="newton"),
-        ChronologicalSplit(),
     )
     buf = io.StringIO()
     write_ablation_csv(rows, buf)

@@ -1,5 +1,7 @@
 """Design-matrix encoding, standardization, and transform consistency."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,7 +17,11 @@ from fleetrisk.features import (
     standardize,
     transform,
 )
-from fleetrisk.panel import PanelRow, panel_from_rows
+from fleetrisk.config import DEFAULT_ABLATION_SUBSETS
+from fleetrisk.evaluation import ChronologicalSplit, split
+from fleetrisk.ingest import parse_subworkorders
+from fleetrisk.panel import PanelOptions, PanelRow, build_panel, load_utilization_csv, panel_from_rows
+from fleetrisk.synth import default_fleet_config, generate_fleet
 
 
 def make_panel(rows=None):
@@ -34,6 +40,10 @@ def test_feature_spec_of_and_names():
     assert FeatureSpec.full().names() == FEATURE_NAMES
     with pytest.raises(ValueError):
         FeatureSpec.of(["odometer"])
+    with pytest.raises(ValueError, match="odometer"):
+        FeatureSpec(("odometer",))
+    assert FeatureSpec(("utilization", "vehicle_id")).names() == ("vehicle_id", "utilization")
+    assert FeatureSpec.of(["unit", "unit"]) == FeatureSpec.of(["unit"])
 
 
 def test_empty_spec_rejected():
@@ -167,3 +177,95 @@ def test_coefficient_influence_requires_standardized_fit():
 
     with pytest.raises(NotStandardizedError):
         coefficient_influence(Unscaled())
+
+
+# The per-row encoder that one column-wise fill path replaced, kept as the
+# byte-level reference: dense, or CSR when the layout has the vehicle-ID group.
+_REFERENCE_CATEGORICAL = {
+    "vehicle_id": lambda r: r.asset_id,
+    "vehicle_type": lambda r: r.vehicle_type,
+    "unit": lambda r: r.unit,
+}
+_REFERENCE_NUMERIC = {
+    "operational_weeks": lambda r: float(r.operational_weeks),
+    "weeks_since_last_visit": lambda r: float(r.weeks_since_last_visit),
+    "utilization": lambda r: r.utilization,
+}
+
+
+def reference_fill(rows, columns):
+    n = len(rows)
+    groups = {}
+    unknown_col = {}
+    numeric_cols = []
+    for j, col in enumerate(columns):
+        if col.kind == "onehot":
+            if col.level == UNKNOWN_LEVEL:
+                unknown_col[col.group] = j
+            else:
+                groups.setdefault(col.group, {})[col.level] = j
+        else:
+            numeric_cols.append((j, col.name))
+
+    if any(col.group == "vehicle_id" for col in columns):
+        data, row_idx, col_idx = [], [], []
+        for i, r in enumerate(rows):
+            for group, level_map in groups.items():
+                j = level_map.get(_REFERENCE_CATEGORICAL[group](r), unknown_col[group])
+                row_idx.append(i)
+                col_idx.append(j)
+                data.append(1.0)
+            for j, name in numeric_cols:
+                v = _REFERENCE_NUMERIC[name](r)
+                if v != 0.0:
+                    row_idx.append(i)
+                    col_idx.append(j)
+                    data.append(v)
+        return sp.csr_matrix((data, (row_idx, col_idx)), shape=(n, len(columns)), dtype=np.float64)
+
+    values = np.zeros((n, len(columns)), dtype=np.float64)
+    for i, r in enumerate(rows):
+        for group, level_map in groups.items():
+            values[i, level_map.get(_REFERENCE_CATEGORICAL[group](r), unknown_col[group])] = 1.0
+        for j, name in numeric_cols:
+            values[i, j] = _REFERENCE_NUMERIC[name](r)
+    return values
+
+
+def assert_same_bytes(got, want):
+    assert sp.issparse(got) == sp.issparse(want)
+    if sp.issparse(want):
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def synth_halves():
+    """A seed-7 synth panel split chronologically, plus held-out rows outside
+    the train vocabulary, rows whose numerics are all zero, and a "<unknown>"
+    value that must land on the unknown level like any other stranger."""
+    config = replace(default_fleet_config(seed=7), n_vehicles=20, n_weeks=60)
+    csv_bytes, sidecar, _ = generate_fleet(config)
+    records, _ = parse_subworkorders(csv_bytes)
+    panel = build_panel(records, PanelOptions(utilization=load_utilization_csv(sidecar)))
+    train, test = split(panel, ChronologicalSplit(0.3))
+    known = test.rows[0]
+    strangers = [
+        PanelRow("ZZ-9", "crane", "99 LRS", 70, 0, 0, 0.0, 1),
+        PanelRow(known.asset_id, known.vehicle_type, known.unit, 71, 0, 0, 0.0, 0),
+        PanelRow(UNKNOWN_LEVEL, UNKNOWN_LEVEL, known.unit, 72, 3, 0, 1.5, 0),
+    ]
+    return train, test.rows + strangers
+
+
+@pytest.mark.parametrize("subset", DEFAULT_ABLATION_SUBSETS, ids="+".join)
+def test_fill_matches_the_per_row_reference_byte_for_byte(synth_halves, subset):
+    train, held_out = synth_halves
+    matrix = encode(train, FeatureSpec.of(subset))
+    assert_same_bytes(matrix.values, reference_fill(train.rows, matrix.columns))
+    assert_same_bytes(transform(held_out, matrix.columns), reference_fill(held_out, matrix.columns))

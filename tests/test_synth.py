@@ -175,7 +175,8 @@ def test_ground_truth_round_trip(tmp_path):
     back = GroundTruth.from_dict(truth.to_dict())
     assert back.to_dict() == truth.to_dict()
     path = tmp_path / "truth.json"
-    truth.save(path)
+    with open(path, "w") as stream:
+        truth.save(stream)
     assert GroundTruth.load(path).to_dict() == truth.to_dict()
     assert truth.breakdown_weeks_by_asset()[truth.vehicles[0].asset_id] == truth.vehicles[0].breakdown_weeks
 

@@ -451,7 +451,8 @@ def test_serialization_round_trip_via_path(tmp_path):
     m = forest_training_matrix(n=100, seed=10)
     model = fit_model("gbt", m, GbtHyper(n_estimators=3))
     path = tmp_path / "model.json"
-    save_model(model, path)
+    with open(path, "w") as stream:
+        save_model(model, stream)
     back = load_model(path)
     np.testing.assert_array_equal(back.predict_proba(m.values), model.predict_proba(m.values))
 
