@@ -211,7 +211,7 @@ def _mel_artifacts(run: _Run, model, panel) -> None:
     results = []
     for entry in run.config.mel_specs:
         vtype = str(entry["vehicle_type"])
-        rows = sorted(by_type.get(vtype, []), key=lambda r: r.asset_id)
+        rows = by_type.get(vtype, [])
         if not rows:
             raise FleetRiskError(f"no vehicles of type {vtype!r} in the panel")
         try:
@@ -243,9 +243,9 @@ def _labor_artifacts(run: _Run, records, panel) -> None:
         key = (r.asset_id, week_index(r.approval_date, panel.start_monday))
         totals[key] = totals.get(key, 0.0) + (r.labor_hours or 0.0)
     with run.open_output("labor_hours.csv") as stream:
-        stream.write("asset_id,week,labor_hours\n")
-        for (asset_id, week), hours in sorted(totals.items()):
-            stream.write(f"{asset_id},{week},{hours!r}\n")
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(["asset_id", "week", "labor_hours"])
+        writer.writerows([asset_id, week, repr(hours)] for (asset_id, week), hours in sorted(totals.items()))
 
 
 # ---------------------------------------------------------------------------

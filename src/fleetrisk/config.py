@@ -160,6 +160,8 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"unknown split kind: {config.split!r}")
     if not 0.0 < config.test_fraction < 1.0:
         raise UsageError("test_fraction must be in (0, 1)")
+    if config.gap_cap < 1:
+        raise UsageError(f"gap_cap must be >= 1, got {config.gap_cap}")
     if not config.features:
         raise UsageError("features must not be empty")
     for what, names in [("features", config.features), *(("ablation subset", s) for s in config.ablation_subsets)]:

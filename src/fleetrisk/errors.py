@@ -27,10 +27,6 @@ class EmptySpecError(FleetRiskError):
     pass
 
 
-class NotStandardizedError(FleetRiskError):
-    pass
-
-
 class SingleClassLabelsError(FleetRiskError):
     pass
 

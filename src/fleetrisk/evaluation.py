@@ -134,17 +134,6 @@ def score_panel(model, panel: Panel) -> EvalReport:
     return separation_ratio(preds, [r.repair_flag for r in panel.rows])
 
 
-def evaluate_split(panel: Panel, feature_spec: FeatureSpec, model_kind: str, hyper, split_spec: SplitSpec) -> tuple[EvalReport, object]:
-    """Fit on the train side, score the test side.
-
-    Returns the report along with the fitted model so callers can reuse it
-    (the policy rollout wants the exact model the report describes).
-    """
-    train, test = split(panel, split_spec)
-    model = fit_on_train(train, feature_spec, model_kind, hyper)
-    return score_panel(model, test), model
-
-
 @dataclass
 class AblationRow:
     features: tuple[str, ...]

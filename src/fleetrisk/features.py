@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EmptySpecError, NotStandardizedError
+from .errors import EmptySpecError
 from .panel import Panel, PanelRow, PanelVocab
 
 UNKNOWN_LEVEL = "<unknown>"
@@ -88,10 +88,6 @@ class FeatureMatrix:
     def width(self) -> int:
         return len(self.columns)
 
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
 
 def build_columns(spec: FeatureSpec, vocab: PanelVocab) -> list[Column]:
     """Column layout for a spec against a vocabulary: one-hot groups first
@@ -138,13 +134,10 @@ def _fill(rows: Sequence[PanelRow], columns: Sequence[Column]) -> np.ndarray | s
     return values
 
 
-def encode(panel: Panel, spec: FeatureSpec, vocab: PanelVocab | None = None) -> FeatureMatrix:
-    """Encode panel rows against a vocabulary (the panel's own by default).
-
-    Pass the training panel's vocab to encode held-out rows; values outside
-    it land on the group's unknown level.
-    """
-    columns = build_columns(spec, vocab or panel.vocab)
+def encode(panel: Panel, spec: FeatureSpec) -> FeatureMatrix:
+    """Encode panel rows against the panel's own vocabulary. Held-out rows
+    go through `transform` with the fitted column layout instead."""
+    columns = build_columns(spec, panel.vocab)
     labels = np.fromiter((r.repair_flag for r in panel.rows), dtype=np.int8, count=len(panel.rows))
     return FeatureMatrix(
         columns=columns,
@@ -215,16 +208,3 @@ def apply_scale(matrix: FeatureMatrix, scale: np.ndarray) -> FeatureMatrix:
         scale=matrix.scale * scale,
         standardized=True,
     )
-
-
-def coefficient_influence(model) -> list[tuple[str, float]]:
-    """Columns ranked by |coefficient|, descending; ties keep column order.
-
-    Only meaningful when the model was fitted on a standardized matrix.
-    """
-    if not getattr(model, "standardized", False):
-        raise NotStandardizedError("model was not fitted on a standardized matrix")
-    weights = np.asarray(model.weights, dtype=np.float64)
-    magnitude = np.abs(weights)
-    order = np.argsort(-magnitude, kind="stable")
-    return [(model.columns[j].name, float(magnitude[j])) for j in order]

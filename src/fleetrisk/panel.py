@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
@@ -63,6 +63,12 @@ class PanelVocab:
 
 @dataclass
 class Panel:
+    """Vehicle-week rows and their vocabulary.
+
+    Built only by `panel_from_rows`, so the rows are sorted by
+    (asset_id, week) with no duplicate pair, and consumers rely on that order.
+    """
+
     rows: list[PanelRow]
     vocab: PanelVocab
     start_monday: date | None = None
@@ -78,7 +84,6 @@ class PanelOptions:
     end_week: int | None = None
     gap_cap: int = 104
     utilization: Mapping[str, Sequence[tuple[int, float]]] | None = None
-    weekly_rate_by_type: Mapping[str, float] = field(default_factory=dict)
     default_weekly_rate: float = 1.0
 
 
@@ -103,27 +108,6 @@ def _qualifies(record: SubWorkOrderRecord, include_scheduled: bool) -> bool:
     if include_scheduled:
         return True
     return classify_work_plan(record.work_plan_type) is WorkPlanClass.UNSCHEDULED
-
-
-def repair_weeks(
-    records: Sequence[SubWorkOrderRecord],
-    asset_id: str,
-    include_scheduled: bool,
-    start_date: date | None = None,
-) -> set[int]:
-    """Weeks in which the vehicle has at least one qualifying record.
-
-    Week 0 is anchored at the earliest approval date across ``records``
-    unless ``start_date`` overrides it.
-    """
-    if not records:
-        return set()
-    start = monday_of(start_date or min(r.approval_date for r in records))
-    return {
-        week_index(r.approval_date, start)
-        for r in records
-        if r.asset_id == asset_id and _qualifies(r, include_scheduled)
-    }
 
 
 def build_panel(records: Sequence[SubWorkOrderRecord], options: PanelOptions | None = None) -> Panel:
@@ -179,7 +163,6 @@ def build_panel(records: Sequence[SubWorkOrderRecord], options: PanelOptions | N
         sidecar = None
         if options.utilization is not None and asset_id in options.utilization:
             sidecar = sorted(options.utilization[asset_id])
-        rate = options.weekly_rate_by_type.get(vehicle_type, options.default_weekly_rate)
 
         for w in range(start_week, end_week + 1):
             age = w - anchor
@@ -194,7 +177,7 @@ def build_panel(records: Sequence[SubWorkOrderRecord], options: PanelOptions | N
                 j = bisect_right(sidecar, (w, float("inf")))
                 util = sidecar[j - 1][1] if j > 0 else 0.0
             else:
-                util = float(age) * rate
+                util = float(age) * options.default_weekly_rate
 
             rows.append(
                 PanelRow(

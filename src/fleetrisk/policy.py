@@ -73,21 +73,20 @@ def simulate_policy(model, test_panel: Panel, policy: PolicyKind) -> PolicyTrace
     rows_by_week: dict[int, list] = {}
     flagged: dict[str, list[int]] = {}
     first_week: dict[str, int] = {}
-    for r in rows:  # rows arrive sorted by (asset, week)
+    # rows are sorted by (asset, week): each asset's first week comes first,
+    # its flagged weeks come in order, and each week's rows in asset order
+    for r in rows:
         rows_by_week.setdefault(r.week, []).append(r)
-        if r.asset_id not in first_week or r.week < first_week[r.asset_id]:
-            first_week[r.asset_id] = r.week
+        first_week.setdefault(r.asset_id, r.week)
         if r.repair_flag:
             flagged.setdefault(r.asset_id, []).append(r.week)
-    for weeks in flagged.values():
-        weeks.sort()
 
     rng = np.random.default_rng(policy.seed) if isinstance(policy, RandomUniform) else None
     last_proactive: dict[str, int] = {}
     entries: list[TraceEntry] = []
 
     for week in sorted(rows_by_week):
-        active = sorted(rows_by_week[week], key=lambda r: r.asset_id)
+        active = rows_by_week[week]
         scored_rows = []
         for r in active:
             repaired_at = last_proactive.get(r.asset_id)

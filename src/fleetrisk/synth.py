@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -68,29 +69,14 @@ class FleetConfig:
             raise InvalidConfigError("at least one vehicle type is required")
         if not self.units:
             raise InvalidConfigError("at least one unit is required")
+        for name in ("beta0", "beta_age", "beta_gap", "beta_util"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfigError(f"{name} must be finite")
         for t in self.vehicle_types:
-            if t.hazard_multiplier <= 0:
-                raise InvalidConfigError(f"hazard_multiplier for {t.name!r} must be > 0")
-            if t.weekly_utilization_rate < 0:
-                raise InvalidConfigError(f"weekly_utilization_rate for {t.name!r} must be >= 0")
-
-
-def default_fleet_config(seed: int = 0) -> FleetConfig:
-    return FleetConfig(
-        n_vehicles=60,
-        n_weeks=156,
-        vehicle_types=(
-            VehicleTypeSpec("bus", 0.35, 30.0),
-            VehicleTypeSpec("truck", 1.0, 45.0),
-            VehicleTypeSpec("loader", 3.0, 60.0),
-        ),
-        units=("82 LRS", "83 LRS"),
-        beta0=-4.2,
-        beta_age=0.003,
-        beta_gap=0.08,
-        beta_util=0.0,
-        seed=seed,
-    )
+            if not (math.isfinite(t.hazard_multiplier) and t.hazard_multiplier > 0):
+                raise InvalidConfigError(f"hazard_multiplier for {t.name!r} must be finite and > 0")
+            if not (math.isfinite(t.weekly_utilization_rate) and t.weekly_utilization_rate >= 0):
+                raise InvalidConfigError(f"weekly_utilization_rate for {t.name!r} must be finite and >= 0")
 
 
 @dataclass
@@ -117,9 +103,6 @@ class GroundTruth:
     n_weeks: int
     start_monday: date
     vehicles: list[VehicleTruth]
-
-    def breakdown_weeks_by_asset(self) -> dict[str, list[int]]:
-        return {v.asset_id: list(v.breakdown_weeks) for v in self.vehicles}
 
     def to_dict(self) -> dict:
         return {

@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from fleetrisk.cli import main
 from fleetrisk.evaluation import ChronologicalSplit, RandomRowSplit, separation_ratio, split
-from fleetrisk.features import Column, FeatureMatrix, FeatureSpec, apply_scale, encode, standardize
+from fleetrisk.features import Column, FeatureMatrix, FeatureSpec, encode, standardize, transform
 from fleetrisk.ingest import parse_subworkorders
 from fleetrisk.models import ForestHyper, GbtHyper, LogisticHyper, fit_logistic, fit_model, predict_proba
 from fleetrisk.panel import PanelOptions, PanelRow, build_panel, load_utilization_csv, panel_from_rows
@@ -39,8 +39,8 @@ def fleet_panel(config, with_utilization=False):
 def matrix_pair(panel, spec, split_spec):
     train, test = split(panel, split_spec)
     train_matrix = standardize(encode(train, spec))
-    test_matrix = apply_scale(encode(test, spec, vocab=train.vocab), train_matrix.scale)
-    return train_matrix, test_matrix
+    test_values = transform(test.rows, train_matrix.columns, train_matrix.scale)
+    return train_matrix, test_values, [r.repair_flag for r in test.rows]
 
 
 def test_c01_separation_ratio_matches_naive_two_pass():
@@ -200,9 +200,9 @@ def test_c04_vehicle_type_lifts_age_only_baseline():
         ("type+age", ["vehicle_type", "operational_weeks"]),
         ("age", ["operational_weeks"]),
     ):
-        train_matrix, test_matrix = matrix_pair(panel, FeatureSpec.of(names), split_spec)
+        train_matrix, test_values, test_labels = matrix_pair(panel, FeatureSpec.of(names), split_spec)
         model = fit_logistic(train_matrix, LogisticHyper())
-        report = separation_ratio(predict_proba(model, test_matrix.values), test_matrix.labels)
+        report = separation_ratio(predict_proba(model, test_values), test_labels)
         ratios[key] = report.ratio
 
     assert ratios["type+age"] > ratios["age"]
@@ -232,7 +232,7 @@ def test_c05_all_models_beat_shuffled_controls():
     spec = FeatureSpec.of(
         ["vehicle_type", "unit", "operational_weeks", "weeks_since_last_visit", "utilization"]
     )
-    train_matrix, test_matrix = matrix_pair(panel, spec, ChronologicalSplit(test_fraction=0.3))
+    train_matrix, test_values, test_labels = matrix_pair(panel, spec, ChronologicalSplit(test_fraction=0.3))
     shuffled = FeatureMatrix(
         columns=train_matrix.columns,
         values=train_matrix.values,
@@ -248,11 +248,9 @@ def test_c05_all_models_beat_shuffled_controls():
     }
     for kind, hyper in hypers.items():
         model = fit_model(kind, train_matrix, hyper)
-        ratio = separation_ratio(predict_proba(model, test_matrix.values), test_matrix.labels).ratio
+        ratio = separation_ratio(predict_proba(model, test_values), test_labels).ratio
         control_model = fit_model(kind, shuffled, hyper)
-        control = separation_ratio(
-            predict_proba(control_model, test_matrix.values), test_matrix.labels
-        ).ratio
+        control = separation_ratio(predict_proba(control_model, test_values), test_labels).ratio
         assert ratio > 1.2, f"{kind}: {ratio}"
         assert 0.9 <= control <= 1.1, f"{kind} control: {control}"
         assert ratio > control, kind

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line pipeline and its exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -138,6 +139,25 @@ def test_report_produces_full_artifact_set(tmp_path):
     labor = (tmp_path / "labor_hours.csv").read_text().splitlines()
     assert labor[0] == "asset_id,week,labor_hours"
     assert len(labor) > 1
+
+
+def test_labor_hours_keep_an_asset_id_with_a_comma(tmp_path):
+    assert main(["synth", "-o", str(tmp_path), *SMALL]) == 0
+    with open(tmp_path / "subworkorders.csv", newline="") as stream:
+        rows = list(csv.reader(stream))
+    column = rows[0].index("Asset Id")
+    renamed = "AF13,00000"
+    for row in rows[1:]:
+        row[column] = row[column].replace("AF1300000", renamed)
+    source = tmp_path / "renamed.csv"
+    with open(source, "w", newline="") as stream:
+        csv.writer(stream, lineterminator="\n").writerows(rows)
+    out = tmp_path / "out"
+    assert main(["report", "-o", str(out), "--input", str(source)]) == 0
+    with open(out / "labor_hours.csv", newline="") as stream:
+        labor = list(csv.reader(stream))
+    assert all(len(row) == 3 for row in labor)
+    assert renamed in {row[0] for row in labor[1:]}
 
 
 def test_ingest_splits_good_and_bad_rows(tmp_path):
@@ -289,6 +309,10 @@ def _single_error_line(capsys) -> bool:
         ["synth", "--config", {"vehicle_types": [["bus", 0, 30.0]]}],
         ["tune", "--config", {"tune_grid": {"max_iters": [2.5]}}],
         ["tune", "--config", {"tune_grid": {"tol": [True]}}],
+        ["synth", "--beta0", "nan"],
+        ["synth", "--beta-gap", "inf"],
+        ["train", "--gap-cap", "-1"],
+        ["train", "--gap-cap", "0"],
     ],
     ids=[
         "start-date", "forest-n-estimators", "forest-max-features", "forest-min-leaf", "forest-max-depth",
@@ -298,7 +322,8 @@ def _single_error_line(capsys) -> bool:
         "ablation-subset-not-list", "mel-specs-not-list", "test-fraction-str", "n-vehicles-str", "n-weeks-float",
         "vehicle-types-entry-not-list", "units-str", "gap-cap-str", "seed-str", "include-scheduled-str",
         "gap-cap-null", "n-vehicles-bool", "synth-n-vehicles-0", "synth-n-weeks-1", "synth-hazard-multiplier-0",
-        "tune-grid-float-for-int", "tune-grid-bool-for-float",
+        "tune-grid-float-for-int", "tune-grid-bool-for-float", "synth-beta0-nan", "synth-beta-gap-inf",
+        "gap-cap-negative", "gap-cap-0",
     ],
 )
 def test_bad_values_reaching_the_pipeline_are_usage_errors(trained_dir, tmp_path, capsys, argv):
@@ -330,10 +355,17 @@ INVALID_CONFIG_VALUES = {
     "test_fraction": ["x", 0, 1.5, None],
     "n_vehicles": ["ten", 0, 2.5, True],
     "n_weeks": [30.5, 1, "x"],
-    "vehicle_types": [[5], "bus", [["bus", 1.0]], [["bus", 0, 1.0]], [[7, 1.0, 1.0]]],
+    "vehicle_types": [
+        [5], "bus", [["bus", 1.0]], [["bus", 0, 1.0]], [[7, 1.0, 1.0]],
+        [["bus", float("nan"), 30.0]], [["bus", 1.0, float("inf")]],
+    ],
     "units": ["abc", [], [1]],
-    "gap_cap": ["x", None, 2.5],
+    "gap_cap": ["x", None, 2.5, -1, 0],
     "seed": ["x", 1.5],
+    "beta0": [float("nan"), float("inf")],
+    "beta_age": [float("nan"), float("inf")],
+    "beta_gap": [float("nan"), float("inf")],
+    "beta_util": [float("nan"), float("inf")],
     "include_scheduled": ["no", 1],
     "start_date": [5, "notadate"],
     "end_week": ["x", 2.5],

@@ -11,8 +11,9 @@ from fleetrisk.evaluation import (
     ChronologicalSplit,
     RandomRowSplit,
     ablation,
-    evaluate_split,
+    fit_on_train,
     report_to_dict,
+    score_panel,
     separation_ratio,
     split,
     write_ablation_csv,
@@ -163,13 +164,10 @@ def test_separation_ratio_zero_false_mean():
 
 def test_evaluate_split_end_to_end():
     panel = grid_panel(n_assets=8, n_weeks=30)
-    report, model = evaluate_split(
-        panel,
-        FeatureSpec.of(["weeks_since_last_visit", "operational_weeks"]),
-        "logistic",
-        LogisticHyper(solver="newton"),
-        ChronologicalSplit(test_fraction=0.3),
-    )
+    train, test = split(panel, ChronologicalSplit(test_fraction=0.3))
+    spec = FeatureSpec.of(["weeks_since_last_visit", "operational_weeks"])
+    model = fit_on_train(train, spec, "logistic", LogisticHyper(solver="newton"))
+    report = score_panel(model, test)
     assert report.n_test > 0
     assert report.ratio > 0
     assert model.kind == "logistic"

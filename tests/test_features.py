@@ -6,22 +6,21 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fleetrisk.errors import EmptySpecError, NotStandardizedError
+from fleetrisk.errors import EmptySpecError
 from fleetrisk.features import (
     FEATURE_NAMES,
     UNKNOWN_LEVEL,
     FeatureSpec,
     build_columns,
-    coefficient_influence,
     encode,
     standardize,
     transform,
 )
-from fleetrisk.config import DEFAULT_ABLATION_SUBSETS
+from fleetrisk.config import DEFAULT_ABLATION_SUBSETS, RunConfig, fleet_config
 from fleetrisk.evaluation import ChronologicalSplit, split
 from fleetrisk.ingest import parse_subworkorders
 from fleetrisk.panel import PanelOptions, PanelRow, build_panel, load_utilization_csv, panel_from_rows
-from fleetrisk.synth import default_fleet_config, generate_fleet
+from fleetrisk.synth import generate_fleet
 
 
 def make_panel(rows=None):
@@ -157,28 +156,6 @@ def test_transform_sparse_when_columns_include_vehicle_id():
     np.testing.assert_allclose(X.toarray(), m.values.toarray(), atol=1e-12)
 
 
-def test_coefficient_influence_orders_by_magnitude():
-    class Fitted:
-        standardized = True
-        columns = build_columns(FeatureSpec.of(["operational_weeks", "weeks_since_last_visit", "utilization"]), make_panel().vocab)
-        weights = np.array([0.5, -2.0, 0.5])
-
-    ranked = coefficient_influence(Fitted())
-    assert ranked[0] == ("weeks_since_last_visit", 2.0)
-    # tie keeps column order
-    assert [name for name, _ in ranked[1:]] == ["operational_weeks", "utilization"]
-
-
-def test_coefficient_influence_requires_standardized_fit():
-    class Unscaled:
-        standardized = False
-        columns = []
-        weights = np.array([])
-
-    with pytest.raises(NotStandardizedError):
-        coefficient_influence(Unscaled())
-
-
 # The per-row encoder that one column-wise fill path replaced, kept as the
 # byte-level reference: dense, or CSR when the layout has the vehicle-ID group.
 _REFERENCE_CATEGORICAL = {
@@ -249,7 +226,7 @@ def synth_halves():
     """A seed-7 synth panel split chronologically, plus held-out rows outside
     the train vocabulary, rows whose numerics are all zero, and a "<unknown>"
     value that must land on the unknown level like any other stranger."""
-    config = replace(default_fleet_config(seed=7), n_vehicles=20, n_weeks=60)
+    config = replace(fleet_config(RunConfig()), seed=7, n_vehicles=20, n_weeks=60)
     csv_bytes, sidecar, _ = generate_fleet(config)
     records, _ = parse_subworkorders(csv_bytes)
     panel = build_panel(records, PanelOptions(utilization=load_utilization_csv(sidecar)))

@@ -16,7 +16,6 @@ from fleetrisk.panel import (
     monday_of,
     panel_from_rows,
     read_panel_csv,
-    repair_weeks,
     week_index,
     write_panel_csv,
 )
@@ -63,18 +62,25 @@ def test_week_index_can_be_negative():
     assert week_index(date(2019, 12, 29), MONDAY) == -2
 
 
+def flagged_weeks(panel: Panel, asset):
+    return [r.week for r in by_asset(panel, asset) if r.repair_flag]
+
+
 def test_repair_weeks_filters_scheduled():
     records = [rec("A", 0), rec("A", 2, plan="PREV"), rec("A", 5), rec("B", 1)]
-    assert repair_weeks(records, "A", include_scheduled=True) == {0, 2, 5}
-    assert repair_weeks(records, "A", include_scheduled=False) == {0, 5}
-    assert repair_weeks(records, "B", include_scheduled=True) == {1}
-    assert repair_weeks([], "A", include_scheduled=True) == set()
+    with_prev = build_panel(records, PanelOptions(include_scheduled=True))
+    without = build_panel(records, PanelOptions(include_scheduled=False))
+    assert flagged_weeks(with_prev, "A") == [0, 2, 5]
+    assert flagged_weeks(without, "A") == [0, 5]
+    assert flagged_weeks(with_prev, "B") == [1]
+    with pytest.raises(EmptyDatasetError):
+        build_panel([], PanelOptions())
 
 
 def test_repair_weeks_start_date_override():
     records = [rec("A", 3)]
-    assert repair_weeks(records, "A", include_scheduled=True) == {0}
-    assert repair_weeks(records, "A", include_scheduled=True, start_date=MONDAY) == {3}
+    assert flagged_weeks(build_panel(records), "A") == [0]
+    assert flagged_weeks(build_panel(records, PanelOptions(start_date=MONDAY)), "A") == [3]
 
 
 def test_gap_counts_only_strictly_earlier_repairs():
@@ -150,13 +156,10 @@ def test_scheduled_rows_kept_but_not_flagged():
 
 
 def test_utilization_fallback_rate():
-    records = [rec("ZZ1", 0, lin="bus"), rec("ZZ2", 0, lin="truck")]
-    panel = build_panel(
-        records,
-        PanelOptions(end_week=3, weekly_rate_by_type={"bus": 30.0}, default_weekly_rate=2.0),
-    )
-    assert [r.utilization for r in by_asset(panel, "ZZ1")] == [0.0, 30.0, 60.0, 90.0]
-    assert [r.utilization for r in by_asset(panel, "ZZ2")] == [0.0, 2.0, 4.0, 6.0]
+    records = [rec("ZZ1", 0, lin="bus"), rec("ZZ2", 1, lin="truck")]
+    panel = build_panel(records, PanelOptions(end_week=3, default_weekly_rate=2.0))
+    assert [r.utilization for r in by_asset(panel, "ZZ1")] == [0.0, 2.0, 4.0, 6.0]
+    assert [r.utilization for r in by_asset(panel, "ZZ2")] == [0.0, 2.0, 4.0]
 
 
 def test_utilization_sidecar_steps_forward():

@@ -1,10 +1,12 @@
 """Synthetic fleet generation and its closure with panel ingestion."""
 
 import io
+from dataclasses import replace
 from datetime import date
 
 import pytest
 
+from fleetrisk.config import RunConfig, fleet_config
 from fleetrisk.errors import InvalidConfigError
 from fleetrisk.ingest import parse_subworkorders
 from fleetrisk.panel import PanelOptions, build_panel, load_utilization_csv
@@ -15,7 +17,6 @@ from fleetrisk.synth import (
     FleetConfig,
     GroundTruth,
     VehicleTypeSpec,
-    default_fleet_config,
     generate_fleet,
     hazard_probability,
 )
@@ -56,8 +57,13 @@ def panel_of(csv_bytes, sidecar, n_weeks):
     )
 
 
+def default_fleet(seed=0):
+    """The fleet RunConfig declares by default, with a fixed seed."""
+    return replace(fleet_config(RunConfig()), seed=seed)
+
+
 def test_default_config_shape():
-    cfg = default_fleet_config()
+    cfg = default_fleet()
     assert cfg.n_vehicles == 60
     assert cfg.n_weeks == 156
     assert len(cfg.vehicle_types) == 3
@@ -77,6 +83,14 @@ def test_config_validation():
         small_config(vehicle_types=(VehicleTypeSpec("x", 0.0, 1.0),))
     with pytest.raises(InvalidConfigError):
         small_config(vehicle_types=(VehicleTypeSpec("x", 1.0, -1.0),))
+    for value in (float("nan"), float("inf")):
+        for name in ("beta0", "beta_age", "beta_gap", "beta_util"):
+            with pytest.raises(InvalidConfigError, match=name):
+                small_config(**{name: value})
+        with pytest.raises(InvalidConfigError, match="hazard_multiplier"):
+            small_config(vehicle_types=(VehicleTypeSpec("x", value, 1.0),))
+        with pytest.raises(InvalidConfigError, match="weekly_utilization_rate"):
+            small_config(vehicle_types=(VehicleTypeSpec("x", 1.0, value),))
 
 
 def test_generated_csv_parses_cleanly():
@@ -178,7 +192,6 @@ def test_ground_truth_round_trip(tmp_path):
     with open(path, "w") as stream:
         truth.save(stream)
     assert GroundTruth.load(path).to_dict() == truth.to_dict()
-    assert truth.breakdown_weeks_by_asset()[truth.vehicles[0].asset_id] == truth.vehicles[0].breakdown_weeks
 
 
 def test_gap_feedback_caps():
@@ -223,7 +236,7 @@ def test_zero_betas_break_down_half_the_time():
 
 
 def test_default_fleet_breakdown_rate_band():
-    cfg = default_fleet_config()
+    cfg = default_fleet()
     _, _, truth = generate_fleet(cfg)
     rate = sum(len(v.breakdown_weeks) for v in truth.vehicles) / (cfg.n_vehicles * cfg.n_weeks)
     assert 0.04 < rate < 0.10

@@ -426,7 +426,7 @@ def test_predict_proba_checks_width():
     with pytest.raises(WidthMismatchError):
         predict_proba(model, m.values[:, :2])
     p = predict_proba(model, m.values)
-    assert p.shape == (m.n_rows,)
+    assert p.shape == (m.values.shape[0],)
 
 
 @pytest.mark.parametrize("kind,hyper", [
