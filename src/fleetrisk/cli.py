@@ -25,6 +25,8 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import IO
 
+import numpy as np
+
 from . import config as cfg
 from .errors import FleetRiskError, UsageError
 from .evaluation import (
@@ -70,6 +72,7 @@ class _Run:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
+        self.facts: dict[str, object] = {}  # deterministic top-level manifest entries
 
     def note_input(self, path: Path) -> None:
         self.inputs[str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -87,6 +90,7 @@ class _Run:
             "inputs": self.inputs,
             "outputs": sorted(self.outputs),
             "created_utc": datetime.now(timezone.utc).isoformat(),
+            **self.facts,
         }
         (self.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
@@ -124,7 +128,7 @@ def _panel_options(run: _Run) -> PanelOptions:
         run.note_input(sidecar)
         try:
             utilization = load_utilization_csv(sidecar)
-        except ValueError as exc:
+        except (OverflowError, ValueError) as exc:
             raise FleetRiskError(f"bad utilization sidecar: {exc}")
     return PanelOptions(
         include_scheduled=run.config.include_scheduled,
@@ -152,7 +156,9 @@ def _load_saved_model(run: _Run):
     if not path.exists():
         raise UsageError(f"no trained model at {path}; run `train` first")
     run.note_input(path)
-    return load_model(path)
+    model = load_model(path)
+    run.facts["saved_model_kind"] = model.kind
+    return model
 
 
 def _fit(run: _Run, train):
@@ -201,28 +207,25 @@ def _simulate_artifacts(run: _Run, model, test_panel) -> None:
 def _mel_artifacts(run: _Run, model, panel) -> None:
     if not run.config.mel_specs:
         raise UsageError("mel requires mel_specs in the config or --mel TYPE=COUNT flags")
-    latest: dict[str, object] = {}
-    for row in panel.rows:  # rows sorted by (asset, week): last one per asset wins
-        latest[row.asset_id] = row
-    by_type: dict[str, list] = {}
-    for row in latest.values():
-        by_type.setdefault(row.vehicle_type, []).append(row)
+    # rows are sorted by (asset, week): each vehicle's last row is its latest week
+    latest = panel.take(np.append(panel.asset[1:] != panel.asset[:-1], True))
+    types = np.array(latest.vocab.vehicle_types, dtype=object)[latest.vehicle_type]
 
     results = []
     for entry in run.config.mel_specs:
         vtype = str(entry["vehicle_type"])
-        rows = by_type.get(vtype, [])
-        if not rows:
+        fleet = latest.take(types == vtype)
+        if not len(fleet):
             raise FleetRiskError(f"no vehicles of type {vtype!r} in the panel")
         try:
-            if "assigned" in entry and int(entry["assigned"]) != len(rows):
+            if "assigned" in entry and int(entry["assigned"]) != len(fleet):
                 raise FleetRiskError(
-                    f"mel spec for {vtype!r} says assigned={entry['assigned']} but the panel has {len(rows)}"
+                    f"mel spec for {vtype!r} says assigned={entry['assigned']} but the panel has {len(fleet)}"
                 )
-            spec = MelSpec(vehicle_type=vtype, mel=int(entry["mel"]), assigned=len(rows))
+            spec = MelSpec(vehicle_type=vtype, mel=int(entry["mel"]), assigned=len(fleet))
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad mel spec for {vtype!r}: {exc}") from exc
-        probs = predict_proba(model, transform(rows, model.columns, model.scale))
+        probs = predict_proba(model, transform(fleet, model.columns, model.scale))
         results.append(
             {
                 "vehicle_type": vtype,
@@ -292,8 +295,7 @@ def _cmd_train(run: _Run) -> int:
 
 def _cmd_eval(run: _Run) -> int:
     model = _load_saved_model(run)
-    panel = _build_panel(run)
-    _train, test = split(panel, _split_spec(run))
+    _train, test = split(_build_panel(run), _split_spec(run))
     _eval_artifacts(run, model, test)
     return 0
 
@@ -305,16 +307,14 @@ def _cmd_ablate(run: _Run) -> int:
 
 def _cmd_simulate(run: _Run) -> int:
     model = _load_saved_model(run)
-    panel = _build_panel(run)
-    _train, test = split(panel, _split_spec(run))
+    _train, test = split(_build_panel(run), _split_spec(run))
     _simulate_artifacts(run, model, test)
     return 0
 
 
 def _cmd_mel(run: _Run) -> int:
     model = _load_saved_model(run)
-    panel = _build_panel(run)
-    _mel_artifacts(run, model, panel)
+    _mel_artifacts(run, model, _build_panel(run))
     return 0
 
 
@@ -333,8 +333,7 @@ def _cmd_report(run: _Run) -> int:
 
 
 def _cmd_tune(run: _Run) -> int:
-    panel = _build_panel(run)
-    train, test = split(panel, _split_spec(run))
+    train, test = split(_build_panel(run), _split_spec(run))
 
     grid = run.config.tune_grid
     keys = sorted(grid)
@@ -342,8 +341,8 @@ def _cmd_tune(run: _Run) -> int:
 
     # encode once; each grid point only refits
     matrix = standardize(encode(train, cfg.feature_spec(run.config)))
-    test_values = transform(test.rows, matrix.columns, matrix.scale)
-    test_labels = [r.repair_flag for r in test.rows]
+    test_values = transform(test, matrix.columns, matrix.scale)
+    test_labels = test.repair_flag
     results = []
     best = None
     for combo in combos:

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .features import FeatureSpec, encode, standardize, transform
 from .models import fit_model, predict_proba
-from .panel import Panel, panel_from_rows
+from .panel import Panel
 
 N_BINS = 50
 
@@ -55,33 +55,24 @@ SplitSpec = RandomRowSplit | ChronologicalSplit
 
 
 def split(panel: Panel, spec: SplitSpec) -> tuple[Panel, Panel]:
-    rows = panel.rows
-    n = len(rows)
+    """Train and test halves, each in the panel's order with its own vocab."""
+    n = len(panel)
     if isinstance(spec, RandomRowSplit):
         rng = np.random.default_rng(spec.seed)
         in_test = rng.random(n) < spec.test_fraction
     else:
-        weeks = np.fromiter((r.week for r in rows), dtype=np.int64, count=n)
-        distinct = np.unique(weeks)
+        distinct, counts = np.unique(panel.week, return_counts=True)
         if len(distinct) < 2:
             raise DegeneratePanelError("chronological split needs >= 2 distinct weeks")
-        # share of rows at or after each distinct week, scanning from the
-        # latest: the first week whose share reaches the fraction wins
-        boundary = None
-        for w in distinct[::-1]:
-            if np.count_nonzero(weeks >= w) >= spec.test_fraction * n:
-                boundary = w
-                break
-        in_test = weeks >= boundary
+        # rows at or after each distinct week: the latest week whose share
+        # reaches the fraction is the boundary
+        at_or_after = np.cumsum(counts[::-1])[::-1]
+        boundary = distinct[np.flatnonzero(at_or_after >= spec.test_fraction * n)[-1]]
+        in_test = panel.week >= boundary
     if in_test.all() or not in_test.any():
         side = "train" if in_test.all() else "test"
         raise DegeneratePanelError(f"split leaves the {side} side empty ({n} rows, test_fraction {spec.test_fraction})")
-    train = [r for r, t in zip(rows, in_test) if not t]
-    test = [r for r, t in zip(rows, in_test) if t]
-    return (
-        panel_from_rows(train, start_monday=panel.start_monday),
-        panel_from_rows(test, start_monday=panel.start_monday),
-    )
+    return panel.take(~in_test), panel.take(in_test)
 
 
 @dataclass
@@ -130,8 +121,8 @@ def fit_on_train(train: Panel, feature_spec: FeatureSpec, model_kind: str, hyper
 
 def score_panel(model, panel: Panel) -> EvalReport:
     """Separation ratio of a fitted model's predictions over a panel."""
-    preds = predict_proba(model, transform(panel.rows, model.columns, model.scale))
-    return separation_ratio(preds, [r.repair_flag for r in panel.rows])
+    preds = predict_proba(model, transform(panel, model.columns, model.scale))
+    return separation_ratio(preds, panel.repair_flag)
 
 
 @dataclass

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import EmptySpecError
-from .panel import Panel, PanelRow, PanelVocab
+from .panel import Panel, PanelVocab
 
 UNKNOWN_LEVEL = "<unknown>"
 STD_EPSILON = 1e-12
@@ -27,12 +26,12 @@ class Feature(NamedTuple):
     """Where a feature's values come from."""
 
     levels: str | None = None  # the PanelVocab field of its one-hot levels; None for a numeric
-    field: str | None = None  # the PanelRow field it reads, when not named like the feature
+    field: str | None = None  # the Panel column it reads, when not named like the feature
     sparse: bool = False  # its group grows with fleet size, so a layout with it is kept CSR
 
 
 FEATURES = {
-    "vehicle_id": Feature("asset_ids", "asset_id", sparse=True),
+    "vehicle_id": Feature("asset_ids", "asset", sparse=True),
     "vehicle_type": Feature("vehicle_types"),
     "unit": Feature("units"),
     "operational_weeks": Feature(),
@@ -103,11 +102,11 @@ def build_columns(spec: FeatureSpec, vocab: PanelVocab) -> list[Column]:
     ] + [Column(name=name, kind="numeric") for name in names if name not in onehot]
 
 
-def _fill(rows: Sequence[PanelRow], columns: Sequence[Column]) -> np.ndarray | sp.csr_matrix:
-    """Rows against a column layout, built column by column: CSR when the
-    layout has a sparse group, dense otherwise. A value outside a group's
-    levels lands on its unknown level."""
-    n = len(rows)
+def _fill(panel: Panel, columns: Sequence[Column]) -> np.ndarray | sp.csr_matrix:
+    """A panel's rows against a column layout, built column by column: CSR
+    when the layout has a sparse group, dense otherwise. A value outside a
+    group's levels lands on its unknown level."""
+    n = len(panel)
     # feature name -> its one-hot level columns, or its numeric column
     parts: dict[str, dict[str, int] | int] = {}
     for j, col in enumerate(columns):
@@ -119,12 +118,15 @@ def _fill(rows: Sequence[PanelRow], columns: Sequence[Column]) -> np.ndarray | s
     col_idx = np.empty((n, len(parts)), dtype=np.intp)
     data = np.ones(col_idx.shape)
     for k, (name, where) in enumerate(parts.items()):
-        cells = map(attrgetter(FEATURES[name].field or name), rows)
+        cells = getattr(panel, FEATURES[name].field or name)
         if isinstance(where, dict):
-            col_idx[:, k] = np.fromiter(map(where.get, cells, repeat(where[UNKNOWN_LEVEL])), dtype=np.intp, count=n)
+            # the panel's codes index its own vocab: map each of its levels to a column once
+            levels = getattr(panel.vocab, FEATURES[name].levels)
+            column_of = np.fromiter(map(where.get, levels, repeat(where[UNKNOWN_LEVEL])), dtype=np.intp, count=len(levels))
+            col_idx[:, k] = column_of[cells]
         else:
             col_idx[:, k] = where
-            data[:, k] = np.fromiter(cells, dtype=np.float64, count=n)
+            data[:, k] = cells
     keep = data != 0.0  # numeric zeros are skipped
     row_idx, col_idx, data = np.nonzero(keep)[0], col_idx[keep], data[keep]
     if any(FEATURES[name].sparse for name in parts):
@@ -138,19 +140,18 @@ def encode(panel: Panel, spec: FeatureSpec) -> FeatureMatrix:
     """Encode panel rows against the panel's own vocabulary. Held-out rows
     go through `transform` with the fitted column layout instead."""
     columns = build_columns(spec, panel.vocab)
-    labels = np.fromiter((r.repair_flag for r in panel.rows), dtype=np.int8, count=len(panel.rows))
     return FeatureMatrix(
         columns=columns,
-        values=_fill(panel.rows, columns),
-        labels=labels,
+        values=_fill(panel, columns),
+        labels=panel.repair_flag.astype(np.int8),
         scale=np.ones(len(columns), dtype=np.float64),
     )
 
 
-def transform(rows: Sequence[PanelRow], columns: Sequence[Column], scale: np.ndarray | None = None) -> np.ndarray | sp.csr_matrix:
-    """Encode raw rows against a fitted column layout, applying the fitted
-    per-column scale when given. Used to score new data with a saved model."""
-    values = _fill(rows, columns)
+def transform(panel: Panel, columns: Sequence[Column], scale: np.ndarray | None = None) -> np.ndarray | sp.csr_matrix:
+    """Encode a panel's rows against a fitted column layout, applying the
+    fitted per-column scale when given. Used to score new data with a saved model."""
+    values = _fill(panel, columns)
     if scale is not None:
         values = _scale_columns(values, 1.0 / np.asarray(scale, dtype=np.float64))
     return values

@@ -9,26 +9,17 @@ the asset ID encodes one, otherwise at its first appearance.
 from __future__ import annotations
 
 import csv
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date, timedelta
+from functools import cached_property
+from itertools import compress, repeat, zip_longest
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import EmptyDatasetError, NonPositiveSpanError
 from .ingest import SubWorkOrderRecord, WorkPlanClass, acquisition_year, classify_work_plan, source_text
-
-PANEL_COLUMNS = (
-    "asset_id",
-    "vehicle_type",
-    "unit",
-    "week",
-    "operational_weeks",
-    "weeks_since_last_visit",
-    "utilization",
-    "repair_flag",
-)
 
 UTILIZATION_COLUMNS = ("asset_id", "week", "cumulative_units")
 
@@ -42,8 +33,9 @@ def week_index(d: date, start_monday: date) -> int:
     return (monday_of(d) - start_monday).days // 7
 
 
-@dataclass(frozen=True)
-class PanelRow:
+class PanelRow(NamedTuple):
+    """One vehicle-week, for hand-built panels and the `Panel.rows` view."""
+
     asset_id: str
     vehicle_type: str
     unit: str
@@ -54,6 +46,9 @@ class PanelRow:
     repair_flag: int
 
 
+PANEL_COLUMNS = PanelRow._fields
+
+
 @dataclass(frozen=True)
 class PanelVocab:
     asset_ids: tuple[str, ...]
@@ -61,20 +56,76 @@ class PanelVocab:
     units: tuple[str, ...]
 
 
-@dataclass
-class Panel:
-    """Vehicle-week rows and their vocabulary.
+# code column -> the PanelVocab field its codes index
+CODED = {"asset": "asset_ids", "vehicle_type": "vehicle_types", "unit": "units"}
+NUMERIC = ("week", "operational_weeks", "weeks_since_last_visit", "utilization", "repair_flag")
 
-    Built only by `panel_from_rows`, so the rows are sorted by
-    (asset_id, week) with no duplicate pair, and consumers rely on that order.
+
+@dataclass(eq=False)
+class Panel:
+    """Vehicle-week rows as columns, sorted by (asset_id, week) with no
+    duplicate pair; consumers rely on that order.
+
+    `asset`, `vehicle_type` and `unit` are integer codes into the matching
+    `vocab` field, which holds exactly the sorted levels the rows contain.
+    The other columns hold the PANEL_COLUMNS of the same names.
     """
 
-    rows: list[PanelRow]
     vocab: PanelVocab
+    asset: np.ndarray
+    vehicle_type: np.ndarray
+    unit: np.ndarray
+    week: np.ndarray
+    operational_weeks: np.ndarray
+    weeks_since_last_visit: np.ndarray
+    utilization: np.ndarray
+    repair_flag: np.ndarray
     start_monday: date | None = None
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.week)
+
+    def take(self, index) -> Panel:
+        """The rows at `index` (a boolean mask or ascending positions), with
+        the vocab cut to the levels they contain."""
+        return _panel(self.vocab, {name: getattr(self, name)[index] for name in (*CODED, *NUMERIC)}, self.start_monday)
+
+    def lists(self) -> list[list]:
+        """The PANEL_COLUMNS as Python lists, with names in place of codes."""
+        names = [np.array(getattr(self.vocab, field), dtype=object)[getattr(self, code)].tolist() for code, field in CODED.items()]
+        return names + [getattr(self, name).tolist() for name in NUMERIC]
+
+    @cached_property
+    def rows(self) -> list[PanelRow]:
+        """The rows as `PanelRow`s, for tests and small callers."""
+        return list(map(PanelRow._make, zip(*self.lists())))
+
+
+def _panel(vocab: PanelVocab, columns: dict[str, np.ndarray], start_monday: date | None) -> Panel:
+    """A panel over ordered columns, its vocab cut to the levels they contain."""
+    levels = {}
+    for code, field in CODED.items():
+        present = np.bincount(columns[code], minlength=len(getattr(vocab, field))) > 0
+        columns[code] = (np.cumsum(present) - 1)[columns[code]]
+        levels[field] = tuple(compress(getattr(vocab, field), present))
+    return Panel(PanelVocab(**levels), start_monday=start_monday, **columns)
+
+
+def _codes(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct values and each value's index among them."""
+    levels = tuple(sorted(set(values)))
+    index = dict(zip(levels, range(len(levels))))
+    return levels, np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
+
+
+class Utilization(NamedTuple):
+    """Sidecar readings as columns sorted by (asset, week); `asset` holds
+    codes into `asset_ids`."""
+
+    asset_ids: tuple[str, ...]
+    asset: np.ndarray
+    week: np.ndarray
+    value: np.ndarray
 
 
 @dataclass
@@ -83,31 +134,24 @@ class PanelOptions:
     start_date: date | None = None
     end_week: int | None = None
     gap_cap: int = 104
-    utilization: Mapping[str, Sequence[tuple[int, float]]] | None = None
+    utilization: Utilization | None = None
     default_weekly_rate: float = 1.0
 
 
 def panel_from_rows(rows: Iterable[PanelRow], start_monday: date | None = None) -> Panel:
-    """Sort rows into canonical (asset_id, week) order and rebuild the vocab."""
-    ordered = sorted(rows, key=lambda r: (r.asset_id, r.week))
-    seen: set[tuple[str, int]] = set()
-    for r in ordered:
-        key = (r.asset_id, r.week)
-        if key in seen:
-            raise ValueError(f"duplicate panel row for {key}")
-        seen.add(key)
-    vocab = PanelVocab(
-        asset_ids=tuple(sorted({r.asset_id for r in ordered})),
-        vehicle_types=tuple(sorted({r.vehicle_type for r in ordered})),
-        units=tuple(sorted({r.unit for r in ordered})),
-    )
-    return Panel(rows=ordered, vocab=vocab, start_monday=start_monday)
-
-
-def _qualifies(record: SubWorkOrderRecord, include_scheduled: bool) -> bool:
-    if include_scheduled:
-        return True
-    return classify_work_plan(record.work_plan_type) is WorkPlanClass.UNSCHEDULED
+    """Sort hand-built rows into (asset_id, week) order and build their vocab."""
+    rows = sorted(rows, key=lambda r: (r.asset_id, r.week))
+    values = list(zip(*rows)) or [()] * len(PANEL_COLUMNS)
+    vocab, columns = {}, {}
+    for (code, field), names in zip(CODED.items(), values):
+        vocab[field], columns[code] = _codes(names)
+    for name, column in zip(NUMERIC, values[len(CODED):]):
+        columns[name] = np.array(column, dtype=np.float64 if name == "utilization" else np.int64)
+    repeated = np.flatnonzero((columns["asset"][1:] == columns["asset"][:-1]) & (np.diff(columns["week"]) == 0))
+    if repeated.size:
+        r = rows[repeated[0]]
+        raise ValueError(f"duplicate panel row for {(r.asset_id, r.week)}")
+    return Panel(PanelVocab(**vocab), start_monday=start_monday, **columns)
 
 
 def build_panel(records: Sequence[SubWorkOrderRecord], options: PanelOptions | None = None) -> Panel:
@@ -123,124 +167,112 @@ def build_panel(records: Sequence[SubWorkOrderRecord], options: PanelOptions | N
     if not records:
         raise EmptyDatasetError("no records to build a panel from")
 
-    start = monday_of(options.start_date or min(r.approval_date for r in records))
+    day = np.fromiter((r.approval_date.toordinal() for r in records), dtype=np.int64, count=len(records))
+    start = monday_of(options.start_date or date.fromordinal(int(day.min())))
+    week = (day - start.toordinal()) // 7  # week_index of each record
+    end_week = options.end_week if options.end_week is not None else int(week.max())
 
-    by_asset: dict[str, list[SubWorkOrderRecord]] = {}
-    for r in records:
-        by_asset.setdefault(r.asset_id, []).append(r)
-
-    record_weeks = [week_index(r.approval_date, start) for r in records]
-    end_week = options.end_week if options.end_week is not None else max(record_weeks)
-
-    rows: list[PanelRow] = []
-    min_start_week: int | None = None
-    for asset_id in sorted(by_asset):
-        recs = by_asset[asset_id]
-        first_record_week = min(week_index(r.approval_date, start) for r in recs)
-        acq = acquisition_year(asset_id)
-        if acq is not None:
-            anchor = min(week_index(date(acq, 1, 1), start), first_record_week)
-        else:
-            anchor = first_record_week
-        start_week = max(0, anchor)
-        if min_start_week is None or start_week < min_start_week:
-            min_start_week = start_week
-        if start_week > end_week:
-            continue
-
-        vehicle_type = recs[0].lin_tamcn
-        unit = recs[0].equipment_pool
-        flagged = sorted(
-            {
-                week_index(r.approval_date, start)
-                for r in recs
-                if _qualifies(r, options.include_scheduled)
-            }
-        )
-        flagged = [w for w in flagged if start_week <= w <= end_week]
-        flag_set = set(flagged)
-
-        sidecar = None
-        if options.utilization is not None and asset_id in options.utilization:
-            sidecar = sorted(options.utilization[asset_id])
-
-        for w in range(start_week, end_week + 1):
-            age = w - anchor
-            i = bisect_right(flagged, w - 1)
-            if i == 0:
-                gap = w - start_week
-            else:
-                gap = w - flagged[i - 1] - 1
-            gap = min(gap, options.gap_cap)
-
-            if sidecar is not None:
-                j = bisect_right(sidecar, (w, float("inf")))
-                util = sidecar[j - 1][1] if j > 0 else 0.0
-            else:
-                util = float(age) * options.default_weekly_rate
-
-            rows.append(
-                PanelRow(
-                    asset_id=asset_id,
-                    vehicle_type=vehicle_type,
-                    unit=unit,
-                    week=w,
-                    operational_weeks=age,
-                    weeks_since_last_visit=gap,
-                    utilization=util,
-                    repair_flag=1 if w in flag_set else 0,
-                )
-            )
-
-    if not rows:
+    # per vehicle, in asset_id order: its first record and first record week
+    asset_ids, asset = _codes([r.asset_id for r in records])
+    by_asset = np.argsort(asset, kind="stable")
+    starts = np.searchsorted(asset[by_asset], np.arange(len(asset_ids)))
+    first = by_asset[starts]
+    first_week = np.minimum.reduceat(week[by_asset], starts)
+    anchor = np.array([
+        w if (year := acquisition_year(a)) is None else min(week_index(date(year, 1, 1), start), w)
+        for a, w in zip(asset_ids, first_week.tolist())
+    ], dtype=np.int64)
+    start_week = np.maximum(anchor, 0)
+    if not (start_week <= end_week).any():
         raise NonPositiveSpanError(
-            f"panel end week {end_week} precedes every vehicle's start week ({min_start_week})"
+            f"panel end week {end_week} precedes every vehicle's start week ({start_week.min()})"
         )
-    return panel_from_rows(rows, start_monday=start)
+
+    # each vehicle's rows are start_week..end_week; a vehicle past the end gets none
+    counts = np.maximum(end_week + 1 - start_week, 0)
+    first_row = np.cumsum(counts) - counts
+    vehicle = np.repeat(np.arange(len(asset_ids)), counts)
+    row = np.arange(counts.sum())
+    row_week = row - (first_row - start_week)[vehicle]
+
+    # flags, then each row's gap since the row after the last earlier flag in its vehicle
+    qualifying = np.fromiter(
+        (classify_work_plan(r.work_plan_type) is WorkPlanClass.UNSCHEDULED for r in records), dtype=bool, count=len(records)
+    ) | options.include_scheduled
+    hit = qualifying & (week >= start_week[asset]) & (week <= end_week)
+    repair_flag = np.zeros(len(row), dtype=np.int64)
+    repair_flag[(first_row - start_week)[asset[hit]] + week[hit]] = 1
+    flag_rows = np.flatnonzero(repair_flag)
+    after_flag = np.concatenate(([0], flag_rows + 1))[np.searchsorted(flag_rows, row)]
+    gap = np.minimum(row - np.maximum(after_flag, first_row[vehicle]), options.gap_cap)
+
+    age = row_week - anchor[vehicle]
+    utilization = age.astype(np.float64) * options.default_weekly_rate
+    sidecar = options.utilization
+    if sidecar is not None:  # a listed vehicle reads its latest reading at or before each week, else 0
+        bounds = np.searchsorted(sidecar.asset, np.arange(len(sidecar.asset_ids) + 1))
+        readings = {a: slice(lo, hi) for a, lo, hi in zip(sidecar.asset_ids, bounds, bounds[1:])}
+        for v in np.flatnonzero(counts).tolist():
+            if asset_ids[v] in readings:
+                mine, rows = readings[asset_ids[v]], slice(first_row[v], first_row[v] + counts[v])
+                j = np.searchsorted(sidecar.week[mine], row_week[rows], side="right")
+                utilization[rows] = np.where(j > 0, sidecar.value[mine][j - 1], 0.0)
+
+    vehicle_types, type_code = _codes([records[i].lin_tamcn for i in first])
+    units, unit_code = _codes([records[i].equipment_pool for i in first])
+    columns = dict(
+        asset=vehicle, vehicle_type=type_code[vehicle], unit=unit_code[vehicle], week=row_week, operational_weeks=age,
+        weeks_since_last_visit=gap, utilization=utilization, repair_flag=repair_flag,
+    )
+    return _panel(PanelVocab(asset_ids, vehicle_types, units), columns, start)
 
 
-def load_utilization_csv(source: str | Path | IO[str] | bytes) -> dict[str, list[tuple[int, float]]]:
+def load_utilization_csv(source: str | Path | IO[str] | bytes) -> Utilization:
     """Read the sidecar utilization CSV (asset_id, week, cumulative_units).
 
-    Values must be finite, non-negative and non-decreasing per vehicle.
+    Values must be finite, non-negative and non-decreasing per vehicle, with
+    one reading per vehicle and week.
     """
-    reader = csv.DictReader(source_text(source).splitlines())
-    missing = set(UTILIZATION_COLUMNS) - set(reader.fieldnames or ())
+    text = source_text(source)
+    lines = text.splitlines()
+    header = next(csv.reader(lines[:1]), [])
+    missing = set(UTILIZATION_COLUMNS) - set(header)
     if missing:
         raise ValueError(f"utilization CSV missing columns: {sorted(missing)}")
-    out: dict[str, list[tuple[int, float]]] = {}
-    for row in reader:
-        out.setdefault(row["asset_id"], []).append((int(row["week"]), float(row["cumulative_units"])))
-    for asset_id, series in out.items():
-        series.sort()
-        last = -float("inf")
-        for week, value in series:
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite utilization for {asset_id} at week {week}")
-            if value < 0:
-                raise ValueError(f"negative utilization for {asset_id} at week {week}")
-            if value < last:
-                raise ValueError(f"utilization decreases for {asset_id} at week {week}")
-            last = value
-    return out
+    body = list(filter(None, lines[1:]))  # a blank line holds no reading
+    if '"' not in text and set(map(str.count, body, repeat(","))) <= {len(header) - 1}:
+        cells = ",".join(body).split(",")
+        columns = [cells[i :: len(header)] for i in range(len(header))]
+    else:  # quoted or ragged rows: csv splits them, and a short row reads "" past its end
+        columns = [column[1:] for column in zip_longest(header, *csv.reader(body), fillvalue="")]
+    position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+    asset_ids, asset = _codes(columns[position["asset_id"]])
+    week = np.fromiter(map(int, columns[position["week"]]), dtype=np.int64, count=len(asset))
+    value = np.fromiter(map(float, columns[position["cumulative_units"]]), dtype=np.float64, count=len(asset))
+    order = np.lexsort((week, asset))
+    asset, week, value = asset[order], week[order], value[order]
+
+    same = np.concatenate(([False], asset[1:] == asset[:-1]))  # the row before is the same vehicle's
+    problems = (
+        (~np.isfinite(value), "non-finite utilization"),
+        (value < 0, "negative utilization"),
+        (same & (week == np.roll(week, 1)), "duplicate utilization"),
+        (same & (value < np.roll(value, 1)), "utilization decreases"),
+    )
+    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in problems]))
+    if bad.size:
+        i = bad[0]
+        problem = next(message for mask, message in problems if mask[i])
+        raise ValueError(f"{problem} for {asset_ids[asset[i]]} at week {week[i]}")
+    return Utilization(asset_ids, asset, week, value)
 
 
 def write_panel_csv(panel: Panel, stream: IO[str]) -> None:
+    columns = panel.lists()
+    columns[PANEL_COLUMNS.index("utilization")] = map(repr, columns[PANEL_COLUMNS.index("utilization")])
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(PANEL_COLUMNS)
-    for r in panel.rows:
-        writer.writerow(
-            [
-                r.asset_id,
-                r.vehicle_type,
-                r.unit,
-                r.week,
-                r.operational_weeks,
-                r.weeks_since_last_visit,
-                repr(r.utilization),
-                r.repair_flag,
-            ]
-        )
+    writer.writerows(zip(*columns))
 
 
 def read_panel_csv(source: str | Path | IO[str] | bytes) -> Panel:
@@ -248,17 +280,5 @@ def read_panel_csv(source: str | Path | IO[str] | bytes) -> Panel:
     missing = set(PANEL_COLUMNS) - set(reader.fieldnames or ())
     if missing:
         raise ValueError(f"panel CSV missing columns: {sorted(missing)}")
-    rows = [
-        PanelRow(
-            asset_id=row["asset_id"],
-            vehicle_type=row["vehicle_type"],
-            unit=row["unit"],
-            week=int(row["week"]),
-            operational_weeks=int(row["operational_weeks"]),
-            weeks_since_last_visit=int(row["weeks_since_last_visit"]),
-            utilization=float(row["utilization"]),
-            repair_flag=int(row["repair_flag"]),
-        )
-        for row in reader
-    ]
-    return panel_from_rows(rows)
+    types = dict(zip(PANEL_COLUMNS, (str, str, str, int, int, int, float, int)))
+    return panel_from_rows(PanelRow(**{name: t(row[name]) for name, t in types.items()}) for row in reader)

@@ -9,7 +9,6 @@ gaps to actual service always come from the untouched panel.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import IO, Sequence
@@ -66,61 +65,50 @@ class PolicyTrace:
 
 
 def simulate_policy(model, test_panel: Panel, policy: PolicyKind) -> PolicyTrace:
-    rows = test_panel.rows
-    if not rows:
+    if not len(test_panel):
         raise EmptyTestRangeError("test panel has no rows")
-
-    rows_by_week: dict[int, list] = {}
-    flagged: dict[str, list[int]] = {}
-    first_week: dict[str, int] = {}
-    # rows are sorted by (asset, week): each asset's first week comes first,
-    # its flagged weeks come in order, and each week's rows in asset order
-    for r in rows:
-        rows_by_week.setdefault(r.week, []).append(r)
-        first_week.setdefault(r.asset_id, r.week)
-        if r.repair_flag:
-            flagged.setdefault(r.asset_id, []).append(r.week)
+    asset, week = test_panel.asset, test_panel.week
+    # rows are sorted by (asset, week): a stable sort by week keeps each
+    # week's rows in asset order, and an asset's flagged rows come in order
+    by_week = np.argsort(week, kind="stable")
+    weeks, starts = np.unique(week[by_week], return_index=True)
+    first_week = week[np.searchsorted(asset, np.arange(len(test_panel.vocab.asset_ids)))]
+    flagged = np.flatnonzero(test_panel.repair_flag)
 
     rng = np.random.default_rng(policy.seed) if isinstance(policy, RandomUniform) else None
-    last_proactive: dict[str, int] = {}
+    repaired_at = np.full(len(first_week), -np.inf)  # each vehicle's last proactive repair week
     entries: list[TraceEntry] = []
 
-    for week in sorted(rows_by_week):
-        active = rows_by_week[week]
-        scored_rows = []
-        for r in active:
-            repaired_at = last_proactive.get(r.asset_id)
-            if repaired_at is not None:
-                # serviced at `repaired_at`: gap runs from there unless an
-                # actual visit since then is more recent
-                gap = min(r.weeks_since_last_visit, week - repaired_at - 1)
-                r = replace(r, weeks_since_last_visit=gap)
-            scored_rows.append(r)
-        X = transform(scored_rows, model.columns, model.scale)
+    for w, rows in zip(weeks.tolist(), np.split(by_week, starts[1:])):
+        a = asset[rows]
+        # a vehicle repaired at `repaired_at` was serviced then: its gap runs
+        # from there unless an actual visit since then is more recent
+        gap = np.minimum(test_panel.weeks_since_last_visit[rows], w - repaired_at[a] - 1)
+        X = transform(replace(test_panel.take(rows), weeks_since_last_visit=gap), model.columns, model.scale)
         scores = predict_proba(model, X)
 
         if rng is None:
             chosen = int(np.argmax(scores))  # first max = smallest asset id
         else:
-            chosen = int(rng.integers(0, len(active)))
-        asset = active[chosen].asset_id
+            chosen = int(rng.integers(0, len(rows)))
+        row, vehicle = rows[chosen], a[chosen]
 
-        asset_flags = flagged.get(asset, [])
-        i = bisect_left(asset_flags, week)
-        since = week - asset_flags[i - 1] if i > 0 else week - first_week[asset]
-        j = bisect_right(asset_flags, week)
-        until = asset_flags[j] - week if j < len(asset_flags) else None
+        # the vehicle's flagged rows before and after the chosen one
+        i = np.searchsorted(flagged, row)
+        before = flagged[i - 1] if i > 0 and asset[flagged[i - 1]] == vehicle else None
+        j = np.searchsorted(flagged, row, side="right")
+        after = flagged[j] if j < len(flagged) and asset[flagged[j]] == vehicle else None
 
         entries.append(
             TraceEntry(
-                week=week,
-                chosen_asset=asset,
+                week=w,
+                chosen_asset=test_panel.vocab.asset_ids[vehicle],
                 score=float(scores[chosen]),
-                weeks_since_last_actual_service=since,
-                weeks_until_next_actual_service=until,
+                weeks_since_last_actual_service=w - int(first_week[vehicle] if before is None else week[before]),
+                weeks_until_next_actual_service=None if after is None else int(week[after]) - w,
             )
         )
-        last_proactive[asset] = week
+        repaired_at[vehicle] = w
 
     return PolicyTrace(entries=entries)
 

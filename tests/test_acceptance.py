@@ -39,8 +39,8 @@ def fleet_panel(config, with_utilization=False):
 def matrix_pair(panel, spec, split_spec):
     train, test = split(panel, split_spec)
     train_matrix = standardize(encode(train, spec))
-    test_values = transform(test.rows, train_matrix.columns, train_matrix.scale)
-    return train_matrix, test_values, [r.repair_flag for r in test.rows]
+    test_values = transform(test, train_matrix.columns, train_matrix.scale)
+    return train_matrix, test_values, test.repair_flag
 
 
 def test_c01_separation_ratio_matches_naive_two_pass():

@@ -184,6 +184,40 @@ def test_bad_utilization_sidecar_is_data_error(tmp_path):
     assert main(["panel", "-o", str(tmp_path)]) == 1
 
 
+def test_duplicate_utilization_reading_is_data_error(tmp_path, capsys):
+    assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "6", "--n-weeks", "20", "--seed", "7"]) == 0
+    sidecar = tmp_path / "utilization.csv"
+    assert sidecar.read_text().splitlines()[1].startswith("AF1300000,0,")
+    sidecar.write_text(sidecar.read_text() + "AF1300000,0,0.5\n")
+    capsys.readouterr()
+    assert main(["panel", "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bad utilization sidecar: duplicate utilization for AF1300000 at week 0"
+    ]
+    assert not (tmp_path / "panel.csv").exists()
+
+
+def test_short_utilization_row_is_data_error(tmp_path, capsys):
+    assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "4", "--n-weeks", "10"]) == 0
+    sidecar = tmp_path / "utilization.csv"
+    sidecar.write_text(sidecar.read_text() + "AF1300000,11\n")
+    capsys.readouterr()
+    assert main(["panel", "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bad utilization sidecar: could not convert string to float: ''"
+    ]
+
+
+def test_manifest_records_the_kind_of_the_loaded_model(tmp_path):
+    assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "8", "--n-weeks", "30"]) == 0
+    assert main(["train", "-o", str(tmp_path), "--model", "forest", "--n-estimators", "2"]) == 0
+    assert "saved_model_kind" not in json.loads((tmp_path / "manifest.json").read_text())
+    for argv in (["eval"], ["eval", "--model", "gbt"], ["simulate"], ["mel", "--mel", "truck=1"]):
+        assert main([*argv, "-o", str(tmp_path)]) == 0, argv
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["saved_model_kind"] == "forest", argv
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_utilization_sidecar_is_data_error(tmp_path, capsys, bad):
     assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "6", "--n-weeks", "20"]) == 0

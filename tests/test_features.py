@@ -104,7 +104,7 @@ def test_out_of_vocab_lands_on_unknown():
     spec = FeatureSpec.of(["vehicle_type"])
     cols = build_columns(spec, panel.vocab)
     new_row = PanelRow("C9", "crane", "82 LRS", 5, 1, 1, 0.0, 0)
-    X = transform([new_row], cols)
+    X = transform(panel_from_rows([new_row]), cols)
     np.testing.assert_array_equal(X, [[0.0, 0.0, 1.0]])
 
 
@@ -144,14 +144,14 @@ def test_standardize_sparse_stays_sparse():
 def test_transform_with_scale_matches_standardized_training_matrix():
     panel = make_panel()
     m = standardize(encode(panel, FeatureSpec.of(["vehicle_type", "operational_weeks"])))
-    X = transform(panel.rows, m.columns, m.scale)
+    X = transform(panel, m.columns, m.scale)
     np.testing.assert_allclose(X, m.values, atol=1e-12)
 
 
 def test_transform_sparse_when_columns_include_vehicle_id():
     panel = make_panel()
     m = standardize(encode(panel, FeatureSpec.full()))
-    X = transform(panel.rows, m.columns, m.scale)
+    X = transform(panel, m.columns, m.scale)
     assert sp.issparse(X)
     np.testing.assert_allclose(X.toarray(), m.values.toarray(), atol=1e-12)
 
@@ -237,7 +237,7 @@ def synth_halves():
         PanelRow(known.asset_id, known.vehicle_type, known.unit, 71, 0, 0, 0.0, 0),
         PanelRow(UNKNOWN_LEVEL, UNKNOWN_LEVEL, known.unit, 72, 3, 0, 1.5, 0),
     ]
-    return train, test.rows + strangers
+    return train, panel_from_rows(test.rows + strangers)
 
 
 @pytest.mark.parametrize("subset", DEFAULT_ABLATION_SUBSETS, ids="+".join)
@@ -245,4 +245,4 @@ def test_fill_matches_the_per_row_reference_byte_for_byte(synth_halves, subset):
     train, held_out = synth_halves
     matrix = encode(train, FeatureSpec.of(subset))
     assert_same_bytes(matrix.values, reference_fill(train.rows, matrix.columns))
-    assert_same_bytes(transform(held_out, matrix.columns), reference_fill(held_out, matrix.columns))
+    assert_same_bytes(transform(held_out, matrix.columns), reference_fill(held_out.rows, matrix.columns))

@@ -1,8 +1,10 @@
 """Golden artifacts: every CLI command's outputs pinned by SHA-256.
 
-The pipeline runs on a small seed-7 fleet: synth, ingest, panel, report
-with each model kind (and a forest with one-row leaves and a deeper GBT),
-train followed by eval, simulate and mel for a logistic model and for a
+The pipeline runs on a small seed-7 fleet: synth, ingest, panel (also
+with scheduled visits excluded, a gap cap and an end week; with a start
+date before the first approval; and with no utilization sidecar), report
+with each model kind (and a forest with one-row leaves, a deeper GBT and
+a random split), train followed by eval, simulate and mel for a logistic model and for a
 forest, and a two-point tune. Each command's outputs, as listed in its manifest, must
 hash to the recorded values, so a refactor that moves any byte of any
 artifact (a tree threshold, the last digit of a ratio) fails here.
@@ -23,6 +25,9 @@ GOLDEN = {
     "ingest/row_errors.csv": "76b0425701d089ebeda4a24a13dad7cf2e5a1f732c629cf13ab7f1659a8e0915",
     "mel-forest/mel_risk.json": "574c33262fa6d61de90f4499bdcef7fea311531ecdd4cf95f8e61331e0f503de",
     "mel/mel_risk.json": "0837412bcbc72be8e732b0cde60091ee6fbbc963694be62ec62bad3f825a5644",
+    "panel-early-start/panel.csv": "598102c9d665730818e307e5b54a40926b1dba93e7bec030d6477721b55d448d",
+    "panel-no-sidecar/panel.csv": "6d521cda7d1606045facc5a37cd6fde4fd0f9f261d33b58b19f7068fb1e78be7",
+    "panel-options/panel.csv": "0485afea285356802522f7b5172e2e46ba0d2af0ceba1da4aaa7998f2e061b5c",
     "panel/panel.csv": "dc4f7dcb0ede504cf01abb6aa9edcb5f88d56400fea7bd23e968eb121340830f",
     "report-forest-leaf1/ablation.csv": "3b4c36b2ce8aed89186fd28655b85ff76aa1e13c0cb2583b9fa637829c918b6f",
     "report-forest-leaf1/eval_report.json": "549ad52014478a2edfc72d7c963cb062de4e540be1e6bb3f7a534e97f2304d31",
@@ -74,6 +79,16 @@ GOLDEN = {
     "report-logistic/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "report-logistic/policy_summary.json": "68e04c136023707be9d6a369832f34217dbacc4108917f463a6601a77c547d03",
     "report-logistic/policy_trace.csv": "c0d3c2e10c4c3f8d20dd1d6825772dd28f62e45c0cde9d2a0fbba10bb363bd41",
+    "report-random/ablation.csv": "01189737dd64bce40b9f267297ec138f39b0874ed7873dfb44034ef1d8537671",
+    "report-random/eval_report.json": "78164f9f2af30778f2ec34c70ec4ecea3748cd4e821a24dee65fd5f6ae999a05",
+    "report-random/histogram_false.csv": "e09ea39f2eb72557893822d58d7c120ef835d489ad2a61e6efc2598607eb9ab3",
+    "report-random/histogram_true.csv": "fdbd3fb04cba3443c575da2bb45a25de164f404ef8f37b6a5ad20daf836c1020",
+    "report-random/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
+    "report-random/model.json": "5bd05ddc02162f695e725efe370620c0faab075a5cb776fc668c5e3a71941a8f",
+    "report-random/policy_hist_proactive.csv": "2a9c758b01c16d6dd73f96ac4a7376de08993da6e102271cf85be705bb7d02f9",
+    "report-random/policy_hist_random.csv": "7d172b88f9775c6228b672a016f427b53d1b2839a87d4869b713bd6c7953a0a2",
+    "report-random/policy_summary.json": "067b0241250f19c44779b7e3d7b50750443a52cfa0d86198e85239cf87cdcbe8",
+    "report-random/policy_trace.csv": "06804e8ea728ae7f40d93278d3de13acd22a78da9c72dbec31ec729dd6fe1126",
     "simulate/policy_hist_proactive.csv": "6e1239ccd739ce9ae0d245ac04f2d96b3875f06f690055ca086639c11d055711",
     "simulate/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "simulate/policy_summary.json": "68e04c136023707be9d6a369832f34217dbacc4108917f463a6601a77c547d03",
@@ -97,6 +112,11 @@ def _steps(root):
         ("synth", ["synth", "-o", str(fleet), "--seed", "7", "--n-vehicles", "12", "--n-weeks", "52"]),
         ("ingest", ["ingest", "-o", str(root / "ingest"), *data]),
         ("panel", ["panel", "-o", str(root / "panel"), *data]),
+        ("panel-options", [
+            "panel", "-o", str(root / "panel-options"), "--exclude-scheduled", "--gap-cap", "6", "--end-week", "40", *data,
+        ]),
+        ("panel-early-start", ["panel", "-o", str(root / "panel-early-start"), "--start-date", "2014-11-05", *data]),
+        ("panel-no-sidecar", ["panel", "-o", str(root / "panel-no-sidecar"), "--input", str(fleet / "subworkorders.csv")]),
         ("report-logistic", ["report", "-o", str(root / "report-logistic"), *seeded]),
         ("report-forest", ["report", "-o", str(root / "report-forest"), "--model", "forest", *trees, *seeded]),
         ("report-gbt", ["report", "-o", str(root / "report-gbt"), "--model", "gbt", *trees, *seeded]),
@@ -107,6 +127,7 @@ def _steps(root):
         ("report-gbt-deep", [
             "report", "-o", str(root / "report-gbt-deep"), "--model", "gbt", *trees, "--max-depth", "5", *seeded,
         ]),
+        ("report-random", ["report", "-o", str(root / "report-random"), "--split", "random", *seeded]),
         ("train-forest", ["train", "-o", str(root / "forest"), "--model", "forest", *trees, *seeded]),
         ("mel-forest", ["mel", "-o", str(root / "forest"), "--mel", "truck=2", *seeded]),
         ("train", ["train", "-o", str(root / "scored"), *seeded]),

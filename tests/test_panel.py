@@ -1,16 +1,25 @@
 """Weekly panel construction: week indexing, anchors, gaps, utilization."""
 
+import csv
 import io
+from bisect import bisect_right
+from dataclasses import replace
 from datetime import date, datetime, timedelta
 
+import numpy as np
 import pytest
 
+from fleetrisk.config import RunConfig, fleet_config
 from fleetrisk.errors import EmptyDatasetError, NonPositiveSpanError
-from fleetrisk.ingest import SubWorkOrderRecord
+from fleetrisk.evaluation import ChronologicalSplit, RandomRowSplit, split
+from fleetrisk.ingest import SubWorkOrderRecord, WorkPlanClass, acquisition_year, classify_work_plan, parse_subworkorders
 from fleetrisk.panel import (
+    CODED,
+    NUMERIC,
     Panel,
     PanelOptions,
     PanelRow,
+    PanelVocab,
     build_panel,
     load_utilization_csv,
     monday_of,
@@ -19,6 +28,7 @@ from fleetrisk.panel import (
     week_index,
     write_panel_csv,
 )
+from fleetrisk.synth import generate_fleet
 
 MONDAY = date(2020, 1, 6)
 
@@ -41,6 +51,12 @@ def rec(asset, week=0, plan="UM", lin="truck", pool="82 LRS", day_offset=0):
         estbd_datetime=datetime(approval.year, approval.month, approval.day, 8, 0),
         work_plan_type=plan,
     )
+
+
+def sidecar(series):
+    """A loaded utilization sidecar holding {asset_id: [(week, value), ...]}."""
+    lines = [f"{a},{w},{v!r}" for a, readings in series.items() for w, v in readings]
+    return load_utilization_csv("\n".join(["asset_id,week,cumulative_units", *lines]))
 
 
 def by_asset(panel: Panel, asset):
@@ -164,8 +180,7 @@ def test_utilization_fallback_rate():
 
 def test_utilization_sidecar_steps_forward():
     records = [rec("ZZ1", 0)]
-    sidecar = {"ZZ1": [(1, 10.0), (3, 25.0)]}
-    panel = build_panel(records, PanelOptions(end_week=4, utilization=sidecar))
+    panel = build_panel(records, PanelOptions(end_week=4, utilization=sidecar({"ZZ1": [(1, 10.0), (3, 25.0)]})))
     assert [r.utilization for r in panel.rows] == [0.0, 10.0, 10.0, 25.0, 25.0]
 
 
@@ -173,7 +188,7 @@ def test_sidecar_only_applies_to_listed_assets():
     records = [rec("ZZ1", 0), rec("ZZ2", 0)]
     panel = build_panel(
         records,
-        PanelOptions(end_week=1, utilization={"ZZ1": [(0, 5.0)]}, default_weekly_rate=3.0),
+        PanelOptions(end_week=1, utilization=sidecar({"ZZ1": [(0, 5.0)]}), default_weekly_rate=3.0),
     )
     assert [r.utilization for r in by_asset(panel, "ZZ1")] == [5.0, 5.0]
     assert [r.utilization for r in by_asset(panel, "ZZ2")] == [0.0, 3.0]
@@ -239,7 +254,10 @@ def test_panel_csv_round_trip():
 def test_load_utilization_csv():
     text = "asset_id,week,cumulative_units\nA,2,5.5\nA,0,1.0\nB,0,0.0\n"
     out = load_utilization_csv(text)
-    assert out == {"A": [(0, 1.0), (2, 5.5)], "B": [(0, 0.0)]}
+    assert out.asset_ids == ("A", "B")
+    assert [(out.asset_ids[a], w, v) for a, w, v in zip(out.asset, out.week, out.value)] == [
+        ("A", 0, 1.0), ("A", 2, 5.5), ("B", 0, 0.0)
+    ]
 
 
 def test_load_utilization_csv_rejects_bad_series():
@@ -249,3 +267,184 @@ def test_load_utilization_csv_rejects_bad_series():
         load_utilization_csv("asset_id,week,cumulative_units\nA,0,5\nA,1,4\n")
     with pytest.raises(ValueError):
         load_utilization_csv("asset_id,week\nA,0\n")
+
+
+def test_load_utilization_csv_reads_quoted_and_ragged_files_like_plain_ones():
+    plain = load_utilization_csv("asset_id,week,cumulative_units,note\nB,1,2.5,x\n\nA,0,1.0,y\n")
+    quoted = load_utilization_csv('asset_id,week,cumulative_units,note\n"B",1,2.5\nA,"0",1.0,y,extra\n')
+    assert quoted.asset_ids == plain.asset_ids == ("A", "B")
+    for name in ("asset", "week", "value"):
+        assert getattr(quoted, name).tobytes() == getattr(plain, name).tobytes()
+    with pytest.raises(ValueError, match="could not convert"):
+        load_utilization_csv("asset_id,week,cumulative_units\nA,0\n")
+
+
+def test_load_utilization_csv_rejects_a_repeated_week():
+    with pytest.raises(ValueError, match="duplicate utilization for A at week 3"):
+        load_utilization_csv("asset_id,week,cumulative_units\nA,3,1.0\nB,3,1.0\nA,3,1.0\n")
+
+
+# The per-row builder that the columnar `build_panel` replaced, kept as the
+# byte-level reference. `utilization` is {asset_id: [(week, value), ...]}.
+def reference_build(records, options, utilization=None):
+    start = monday_of(options.start_date or min(r.approval_date for r in records))
+
+    by_asset = {}
+    for r in records:
+        by_asset.setdefault(r.asset_id, []).append(r)
+
+    record_weeks = [week_index(r.approval_date, start) for r in records]
+    end_week = options.end_week if options.end_week is not None else max(record_weeks)
+
+    rows = []
+    for asset_id in sorted(by_asset):
+        recs = by_asset[asset_id]
+        first_record_week = min(week_index(r.approval_date, start) for r in recs)
+        acq = acquisition_year(asset_id)
+        if acq is not None:
+            anchor = min(week_index(date(acq, 1, 1), start), first_record_week)
+        else:
+            anchor = first_record_week
+        start_week = max(0, anchor)
+        if start_week > end_week:
+            continue
+
+        vehicle_type = recs[0].lin_tamcn
+        unit = recs[0].equipment_pool
+        flagged = sorted(
+            {
+                week_index(r.approval_date, start)
+                for r in recs
+                if options.include_scheduled
+                or classify_work_plan(r.work_plan_type) is WorkPlanClass.UNSCHEDULED
+            }
+        )
+        flagged = [w for w in flagged if start_week <= w <= end_week]
+        flag_set = set(flagged)
+
+        sidecar = None
+        if utilization is not None and asset_id in utilization:
+            sidecar = sorted(utilization[asset_id])
+
+        for w in range(start_week, end_week + 1):
+            age = w - anchor
+            i = bisect_right(flagged, w - 1)
+            if i == 0:
+                gap = w - start_week
+            else:
+                gap = w - flagged[i - 1] - 1
+            gap = min(gap, options.gap_cap)
+
+            if sidecar is not None:
+                j = bisect_right(sidecar, (w, float("inf")))
+                util = sidecar[j - 1][1] if j > 0 else 0.0
+            else:
+                util = float(age) * options.default_weekly_rate
+
+            rows.append(
+                PanelRow(
+                    asset_id=asset_id,
+                    vehicle_type=vehicle_type,
+                    unit=unit,
+                    week=w,
+                    operational_weeks=age,
+                    weeks_since_last_visit=gap,
+                    utilization=util,
+                    repair_flag=1 if w in flag_set else 0,
+                )
+            )
+    return rows, start
+
+
+def assert_panel_holds(panel, rows, start_monday):
+    """Every column of `panel` equals the rows' values byte for byte."""
+    assert panel.start_monday == start_monday
+    assert panel.vocab == PanelVocab(
+        *(tuple(sorted({getattr(r, name) for r in rows})) for name in ("asset_id", "vehicle_type", "unit"))
+    )
+    for k, name in enumerate(("asset_id", "vehicle_type", "unit")):
+        assert panel.lists()[k] == [getattr(r, name) for r in rows], name
+    for name in NUMERIC:
+        column = getattr(panel, name)
+        assert column.tobytes() == np.array([getattr(r, name) for r in rows], dtype=column.dtype).tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def synth_fleet():
+    """A seed-7 synth fleet: its records and its sidecar, as CSV text and as
+    {asset_id: [(week, value), ...]}."""
+    config = replace(fleet_config(RunConfig()), seed=7, n_vehicles=30, n_weeks=80)
+    csv_bytes, sidecar, _ = generate_fleet(config)
+    records, errors = parse_subworkorders(csv_bytes)
+    assert errors == []
+    series = {}
+    for row in csv.DictReader(sidecar.splitlines()):
+        series.setdefault(row["asset_id"], []).append((int(row["week"]), float(row["cumulative_units"])))
+    return records, series
+
+
+def _late_starters(records):
+    """Every third vehicle renamed to an ID with no acquisition year and its
+    records before week 20 dropped, so it starts at its first later record."""
+    assets = sorted({r.asset_id for r in records})
+    renamed = {a: f"TRUCK-{a}" for a in assets[::3]}
+    first = min(r.approval_date for r in records)
+    return [
+        replace(r, asset_id=renamed.get(r.asset_id, r.asset_id))
+        for r in records
+        if r.asset_id not in renamed or (r.approval_date - first).days >= 20 * 7
+    ]
+
+
+def _drop(series, asset):
+    return {a: readings for a, readings in series.items() if a != asset}
+
+
+def _late_readings(series, asset, from_week):
+    return {a: [(w, v) for w, v in readings if a != asset or w >= from_week] for a, readings in series.items()}
+
+
+BUILD_CASES = {
+    "defaults": (lambda recs: recs, {}, lambda s: s),
+    "unscheduled-only": (lambda recs: recs, {"include_scheduled": False}, lambda s: s),
+    "late-start-date": (lambda recs: recs, {"start_date": date(2015, 6, 3)}, lambda s: s),
+    "end-week-before-some-starts": (_late_starters, {"end_week": 25}, lambda s: s),
+    "gap-cap-1": (lambda recs: recs, {"gap_cap": 1, "include_scheduled": False}, lambda s: s),
+    "sidecar-lacks-an-asset": (lambda recs: recs, {}, lambda s: _drop(s, sorted(s)[4])),
+    "sidecar-starts-late": (_late_starters, {}, lambda s: _late_readings(s, sorted(s)[1], 9)),
+    "no-sidecar": (_late_starters, {"default_weekly_rate": 1.7}, None),
+}
+
+
+@pytest.mark.parametrize("case", BUILD_CASES)
+def test_build_panel_matches_the_per_row_reference_byte_for_byte(synth_fleet, case):
+    change_records, settings, change_series = BUILD_CASES[case]
+    records, series = synth_fleet
+    records = change_records(records)
+    series = change_series(series) if change_series else None
+    options = PanelOptions(**settings)
+    rows, start = reference_build(records, options, series)
+    if series is not None:
+        options.utilization = sidecar(series)
+    panel = build_panel(records, options)
+    if case == "end-week-before-some-starts":
+        assert {r.asset_id for r in rows} < {r.asset_id for r in records}
+    assert_panel_holds(panel, rows, start)
+
+
+@pytest.mark.parametrize("spec", [ChronologicalSplit(0.3), RandomRowSplit(0.3, seed=5)], ids=["chronological", "random"])
+def test_split_halves_equal_panels_built_from_their_rows(synth_fleet, spec):
+    records, series = synth_fleet
+    panel = build_panel(records, PanelOptions(utilization=sidecar(series)))
+    train, test = split(panel, spec)
+    if isinstance(spec, RandomRowSplit):
+        in_test = np.random.default_rng(spec.seed).random(len(panel)) < spec.test_fraction
+    else:
+        in_test = panel.week >= test.week.min()
+    for half, keep in ((train, ~in_test), (test, in_test)):
+        rows = [r for r, k in zip(panel.rows, keep) if k]
+        again = panel_from_rows(rows, start_monday=panel.start_monday)
+        assert again.vocab == half.vocab and again.start_monday == half.start_monday
+        for name in (*CODED, *NUMERIC):
+            assert getattr(again, name).tobytes() == getattr(half, name).tobytes(), name
+        assert_panel_holds(half, rows, panel.start_monday)

@@ -176,9 +176,9 @@ def test_sidecar_is_loadable_and_increasing():
     cfg = small_config()
     _, sidecar, truth = generate_fleet(cfg)
     series = load_utilization_csv(sidecar)
-    assert len(series) == cfg.n_vehicles
+    assert len(series.asset_ids) == cfg.n_vehicles
     for v in truth.vehicles:
-        values = [u for _, u in series[v.asset_id]]
+        values = series.value[series.asset == series.asset_ids.index(v.asset_id)].tolist()
         assert len(values) == cfg.n_weeks
         assert values == v.utilization
         assert all(b > a for a, b in zip(values, values[1:]))
