@@ -72,7 +72,7 @@ class _Run:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
-        self.facts: dict[str, object] = {}  # deterministic top-level manifest entries
+        self.saved_model_kind: str | None = None  # set by eval, simulate and mel
 
     def note_input(self, path: Path) -> None:
         self.inputs[str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -90,8 +90,9 @@ class _Run:
             "inputs": self.inputs,
             "outputs": sorted(self.outputs),
             "created_utc": datetime.now(timezone.utc).isoformat(),
-            **self.facts,
         }
+        if self.saved_model_kind is not None:
+            manifest["saved_model_kind"] = self.saved_model_kind
         (self.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
@@ -157,7 +158,7 @@ def _load_saved_model(run: _Run):
         raise UsageError(f"no trained model at {path}; run `train` first")
     run.note_input(path)
     model = load_model(path)
-    run.facts["saved_model_kind"] = model.kind
+    run.saved_model_kind = model.kind
     return model
 
 
@@ -295,7 +296,8 @@ def _cmd_train(run: _Run) -> int:
 
 def _cmd_eval(run: _Run) -> int:
     model = _load_saved_model(run)
-    _train, test = split(_build_panel(run), _split_spec(run))
+    panel = _build_panel(run)
+    _train, test = split(panel, _split_spec(run))
     _eval_artifacts(run, model, test)
     return 0
 
@@ -307,14 +309,16 @@ def _cmd_ablate(run: _Run) -> int:
 
 def _cmd_simulate(run: _Run) -> int:
     model = _load_saved_model(run)
-    _train, test = split(_build_panel(run), _split_spec(run))
+    panel = _build_panel(run)
+    _train, test = split(panel, _split_spec(run))
     _simulate_artifacts(run, model, test)
     return 0
 
 
 def _cmd_mel(run: _Run) -> int:
     model = _load_saved_model(run)
-    _mel_artifacts(run, model, _build_panel(run))
+    panel = _build_panel(run)
+    _mel_artifacts(run, model, panel)
     return 0
 
 
@@ -333,7 +337,8 @@ def _cmd_report(run: _Run) -> int:
 
 
 def _cmd_tune(run: _Run) -> int:
-    train, test = split(_build_panel(run), _split_spec(run))
+    panel = _build_panel(run)
+    train, test = split(panel, _split_spec(run))
 
     grid = run.config.tune_grid
     keys = sorted(grid)

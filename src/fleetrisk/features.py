@@ -9,7 +9,6 @@ kept sparse (CSR).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -122,8 +121,7 @@ def _fill(panel: Panel, columns: Sequence[Column]) -> np.ndarray | sp.csr_matrix
         if isinstance(where, dict):
             # the panel's codes index its own vocab: map each of its levels to a column once
             levels = getattr(panel.vocab, FEATURES[name].levels)
-            column_of = np.fromiter(map(where.get, levels, repeat(where[UNKNOWN_LEVEL])), dtype=np.intp, count=len(levels))
-            col_idx[:, k] = column_of[cells]
+            col_idx[:, k] = np.array([where.get(level, where[UNKNOWN_LEVEL]) for level in levels], dtype=np.intp)[cells]
         else:
             col_idx[:, k] = where
             data[:, k] = cells

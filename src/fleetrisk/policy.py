@@ -87,10 +87,8 @@ def simulate_policy(model, test_panel: Panel, policy: PolicyKind) -> PolicyTrace
         X = transform(replace(test_panel.take(rows), weeks_since_last_visit=gap), model.columns, model.scale)
         scores = predict_proba(model, X)
 
-        if rng is None:
-            chosen = int(np.argmax(scores))  # first max = smallest asset id
-        else:
-            chosen = int(rng.integers(0, len(rows)))
+        # highest risk takes the first max, which is the smallest asset id
+        chosen = int(np.argmax(scores)) if rng is None else int(rng.integers(0, len(rows)))
         row, vehicle = rows[chosen], a[chosen]
 
         # the vehicle's flagged rows before and after the chosen one

@@ -208,6 +208,17 @@ def test_short_utilization_row_is_data_error(tmp_path, capsys):
     ]
 
 
+def test_header_only_sidecar_leaves_every_vehicle_on_the_default_rate(tmp_path):
+    assert main(["synth", "-o", str(tmp_path), *SMALL]) == 0
+    sidecar = tmp_path / "utilization.csv"
+    sidecar.unlink()
+    assert main(["panel", "-o", str(tmp_path)]) == 0
+    without = (tmp_path / "panel.csv").read_bytes()
+    sidecar.write_text("asset_id,week,cumulative_units\n")
+    assert main(["panel", "-o", str(tmp_path)]) == 0
+    assert (tmp_path / "panel.csv").read_bytes() == without
+
+
 def test_manifest_records_the_kind_of_the_loaded_model(tmp_path):
     assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "8", "--n-weeks", "30"]) == 0
     assert main(["train", "-o", str(tmp_path), "--model", "forest", "--n-estimators", "2"]) == 0

@@ -260,6 +260,12 @@ def test_load_utilization_csv():
     ]
 
 
+def test_load_utilization_csv_reads_a_header_only_file_as_no_readings():
+    out = load_utilization_csv("asset_id,week,cumulative_units\n")
+    assert out.asset_ids == ()
+    assert len(out.asset) == len(out.week) == len(out.value) == 0
+
+
 def test_load_utilization_csv_rejects_bad_series():
     with pytest.raises(ValueError):
         load_utilization_csv("asset_id,week,cumulative_units\nA,0,-1\n")
