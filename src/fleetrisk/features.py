@@ -87,6 +87,21 @@ class FeatureMatrix:
         return len(self.columns)
 
 
+@dataclass
+class Fitted:
+    """What every fitted model keeps of its training matrix: the column
+    layout and scale that held-out rows are encoded with."""
+
+    columns: list[Column]
+    scale: np.ndarray
+    standardized: bool
+
+    @classmethod
+    def of(cls, matrix: FeatureMatrix, **params):
+        """A model of this class on `matrix`'s layout, with its own fitted params."""
+        return cls(list(matrix.columns), np.asarray(matrix.scale, dtype=np.float64), matrix.standardized, **params)
+
+
 def build_columns(spec: FeatureSpec, vocab: PanelVocab) -> list[Column]:
     """Column layout for a spec against a vocabulary: one-hot groups first
     (each closed by an unknown level), then the numeric features."""

@@ -17,11 +17,15 @@ from .logistic import LogisticHyper, LogisticModel, fit_logistic
 from .persist import load_model, model_from_dict, model_to_dict, save_model
 from .tree import RegressionTree, fit_tree
 
-# kind -> (fit function, Hyper class); the Hyper classes hold every default
+# kind -> (fit function, Hyper class, model class); the Hyper classes hold
+# every default and each model class names its kind
 MODELS = {
-    "logistic": (fit_logistic, LogisticHyper),
-    "forest": (fit_random_forest, ForestHyper),
-    "gbt": (fit_gbt, GbtHyper),
+    model.kind: (fit, hyper, model)
+    for fit, hyper, model in (
+        (fit_logistic, LogisticHyper, LogisticModel),
+        (fit_random_forest, ForestHyper, ForestModel),
+        (fit_gbt, GbtHyper, GbtModel),
+    )
 }
 MODEL_KINDS = tuple(MODELS)
 

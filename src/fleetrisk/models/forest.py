@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SingleClassLabelsError
-from ..features import Column, FeatureMatrix
+from ..features import FeatureMatrix, Fitted
 from .tree import RegressionTree, as_dense, bin_columns, check_tree_size, grow_tree, sum_leaves
 
 
@@ -28,11 +28,8 @@ class ForestHyper:
 
 
 @dataclass
-class ForestModel:
+class ForestModel(Fitted):
     trees: list[RegressionTree]
-    columns: list[Column]
-    scale: np.ndarray
-    standardized: bool
 
     kind = "forest"
 
@@ -62,9 +59,4 @@ def fit_random_forest(matrix: FeatureMatrix, hyper: ForestHyper = ForestHyper())
         rows = rng.integers(0, n, size=n)
         trees.append(grow_tree(X, codes, y, rows, hyper.max_depth, hyper.min_leaf, max_features, rng))
 
-    return ForestModel(
-        trees=trees,
-        columns=list(matrix.columns),
-        scale=np.asarray(matrix.scale, dtype=np.float64),
-        standardized=matrix.standardized,
-    )
+    return ForestModel.of(matrix, trees=trees)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from ..errors import SingleClassLabelsError
-from ..features import Column, FeatureMatrix
+from ..features import FeatureMatrix, Fitted
 from .tree import RegressionTree, as_dense, bin_columns, check_tree_size, grow_tree, sum_leaves
 
 
@@ -34,13 +34,10 @@ class GbtHyper:
 
 
 @dataclass
-class GbtModel:
+class GbtModel(Fitted):
     init_score: float
     learning_rate: float
     trees: list[RegressionTree]
-    columns: list[Column]
-    scale: np.ndarray
-    standardized: bool
 
     kind = "gbt"
 
@@ -68,11 +65,4 @@ def fit_gbt(matrix: FeatureMatrix, hyper: GbtHyper = GbtHyper()) -> GbtModel:
         score = sum_leaves([tree], X, score, hyper.learning_rate)
         trees.append(tree)
 
-    return GbtModel(
-        init_score=init,
-        learning_rate=hyper.learning_rate,
-        trees=trees,
-        columns=list(matrix.columns),
-        scale=np.asarray(matrix.scale, dtype=np.float64),
-        standardized=matrix.standardized,
-    )
+    return GbtModel.of(matrix, init_score=init, learning_rate=hyper.learning_rate, trees=trees)

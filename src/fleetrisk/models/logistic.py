@@ -9,14 +9,14 @@ well-conditioned matrices produced by standardization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
 from ..errors import NonFiniteFeatureError, SingleClassLabelsError
-from ..features import Column, FeatureMatrix
+from ..features import FeatureMatrix, Fitted
 
 BACKTRACK_SHRINK = 0.5
 ARMIJO_SLOPE = 1e-4
@@ -37,14 +37,12 @@ class LogisticHyper:
 
 
 @dataclass
-class LogisticModel:
+class LogisticModel(Fitted):
     weights: np.ndarray    # per-column coefficients
     intercept: float
-    columns: list[Column]
-    scale: np.ndarray
-    standardized: bool
-    n_iters: int = 0
-    converged: bool = False
+    # how the fit went; not saved with the model
+    n_iters: int = field(default=0, metadata={"fit_stat": True})
+    converged: bool = field(default=False, metadata={"fit_stat": True})
 
     kind = "logistic"
 
@@ -129,15 +127,7 @@ def fit_logistic(matrix: FeatureMatrix, hyper: LogisticHyper = LogisticHyper()) 
         gw, gb = grads(z)
         converged = float(np.sqrt(gw @ gw + gb * gb)) <= hyper.tol
 
-    return LogisticModel(
-        weights=w,
-        intercept=b,
-        columns=list(matrix.columns),
-        scale=np.asarray(matrix.scale, dtype=np.float64),
-        standardized=matrix.standardized,
-        n_iters=n_iters,
-        converged=converged,
-    )
+    return LogisticModel.of(matrix, weights=w, intercept=b, n_iters=n_iters, converged=converged)
 
 
 def _newton_step(X, z, w, b, gw, gb, lam, n):

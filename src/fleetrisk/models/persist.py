@@ -1,8 +1,14 @@
-"""Model serialization: JSON in, JSON out, bit-exact floats via repr."""
+"""Model serialization: JSON in, JSON out, bit-exact floats via repr.
+
+A model is written as its format version and kind, then its dataclass
+fields in order, NaN as null; fit statistics are left out. Loading reads
+each field back by its annotation.
+"""
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import IO
 
@@ -10,94 +16,62 @@ import numpy as np
 
 from ..errors import ModelFormatError
 from ..features import Column
-from .forest import ForestModel
-from .gbt import GbtModel
-from .logistic import LogisticModel
 from .tree import RegressionTree
 
 FORMAT_VERSION = 1
 
 
-def _tree_out(tree: RegressionTree) -> dict:
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "value": [None if np.isnan(v) else v for v in tree.value.tolist()],
-    }
+def _saved_fields(cls) -> list:
+    return [f for f in fields(cls) if not f.metadata.get("fit_stat")]
 
 
-def _tree_in(payload: dict) -> RegressionTree:
-    return RegressionTree(
-        feature=np.asarray(payload["feature"], dtype=np.int32),
-        threshold=np.asarray(payload["threshold"], dtype=np.float64),
-        left=np.asarray(payload["left"], dtype=np.int32),
-        right=np.asarray(payload["right"], dtype=np.int32),
-        value=np.asarray([np.nan if v is None else v for v in payload["value"]], dtype=np.float64),
-    )
+def _to_json(value):
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in _saved_fields(value)}
+    if isinstance(value, list):
+        return [_to_json(v) for v in value]
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and np.isnan(value).any():
+            value = np.where(np.isnan(value), None, value)
+        return value.tolist()
+    if isinstance(value, float) and np.isnan(value):
+        return None
+    return value
+
+
+# field annotation -> reader of its JSON value
+_READERS = {
+    "list[Column]": lambda value: [Column(**c) for c in value],
+    "np.ndarray": lambda value: np.asarray(value, dtype=np.float64),  # null -> NaN
+    "bool": bool,
+    "float": float,
+    "list[RegressionTree]": lambda value: [_from_json(RegressionTree, t) for t in value],
+}
+
+
+def _from_json(cls, payload: dict):
+    return cls(**{f.name: _READERS[f.type](payload[f.name]) for f in _saved_fields(cls)})
 
 
 def model_to_dict(model) -> dict:
-    out = {
-        "format_version": FORMAT_VERSION,
-        "kind": model.kind,
-        "columns": [dict(vars(c)) for c in model.columns],
-        "scale": model.scale.tolist(),
-        "standardized": model.standardized,
-    }
-    if model.kind == "logistic":
-        out["weights"] = model.weights.tolist()
-        out["intercept"] = model.intercept
-    elif model.kind == "forest":
-        out["trees"] = [_tree_out(t) for t in model.trees]
-    elif model.kind == "gbt":
-        out["init_score"] = model.init_score
-        out["learning_rate"] = model.learning_rate
-        out["trees"] = [_tree_out(t) for t in model.trees]
-    else:
-        raise ModelFormatError(f"unknown model kind {model.kind!r}")
-    return out
+    return {"format_version": FORMAT_VERSION, "kind": model.kind, **_to_json(model)}
 
 
 def model_from_dict(payload: dict):
+    from . import MODEL_KINDS, MODELS  # the package imports this module, so look the registry up late
+
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ModelFormatError("not a model payload")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format version {version!r}")
+    kind = payload["kind"]
+    if kind not in MODEL_KINDS:
+        raise ModelFormatError(f"unknown model kind {kind!r}")
     try:
-        kind = payload["kind"]
-        columns = [Column(**c) for c in payload["columns"]]
-        scale = np.asarray(payload["scale"], dtype=np.float64)
-        standardized = bool(payload["standardized"])
-        if kind == "logistic":
-            return LogisticModel(
-                weights=np.asarray(payload["weights"], dtype=np.float64),
-                intercept=float(payload["intercept"]),
-                columns=columns,
-                scale=scale,
-                standardized=standardized,
-            )
-        if kind == "forest":
-            return ForestModel(
-                trees=[_tree_in(t) for t in payload["trees"]],
-                columns=columns,
-                scale=scale,
-                standardized=standardized,
-            )
-        if kind == "gbt":
-            return GbtModel(
-                init_score=float(payload["init_score"]),
-                learning_rate=float(payload["learning_rate"]),
-                trees=[_tree_in(t) for t in payload["trees"]],
-                columns=columns,
-                scale=scale,
-                standardized=standardized,
-            )
+        return _from_json(MODELS[kind][2], payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model payload: {exc}") from exc
-    raise ModelFormatError(f"unknown model kind {kind!r}")
 
 
 def save_model(model, stream: IO[str]) -> None:

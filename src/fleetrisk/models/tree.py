@@ -51,6 +51,16 @@ class RegressionTree:
     right: np.ndarray      # int32, -1 at leaves
     value: np.ndarray      # float64, leaf mean (nan at internal nodes)
 
+    def __post_init__(self):
+        # a tree read back from JSON arrives as float arrays
+        self.threshold = np.asarray(self.threshold, dtype=np.float64)
+        self.value = np.asarray(self.value, dtype=np.float64)
+        index = [np.asarray(a) for a in (self.feature, self.left, self.right)]
+        with np.errstate(invalid="ignore"):
+            self.feature, self.left, self.right = (a.astype(np.int32) for a in index)
+        if not all(map(np.array_equal, (self.feature, self.left, self.right), index)):
+            raise ValueError("tree node and feature indices must be 32-bit integers")
+
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
@@ -239,13 +249,7 @@ def grow_tree(
         stack.append((rc, rows[~go_left], depth + 1))
         stack.append((lc, rows[go_left], depth + 1))
 
-    return RegressionTree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value, dtype=np.float64),
-    )
+    return RegressionTree(feature, threshold, left, right, value)
 
 
 def fit_tree(

@@ -384,7 +384,7 @@ def test_bad_values_reaching_the_pipeline_are_usage_errors(trained_dir, tmp_path
 def test_hyperparameters_are_declared_once(tmp_path):
     """Every Hyper field but a forest's derived seed is a config key that
     defaults to None and a CLI flag, and a manifest records it as null."""
-    hyper_keys = {f.name for _, hyper in MODELS.values() for f in fields(hyper)} - {"seed"}
+    hyper_keys = {f.name for _, hyper, _ in MODELS.values() for f in fields(hyper)} - {"seed"}
     none_keys = {f.name for f in fields(RunConfig) if f.default is None}
     assert none_keys - hyper_keys == {"input_csv", "utilization_csv", "start_date", "end_week"}
     assert hyper_keys <= none_keys

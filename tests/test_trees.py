@@ -445,6 +445,10 @@ def test_serialization_round_trip(kind, hyper):
     assert back.columns == model.columns
     np.testing.assert_array_equal(back.scale, model.scale)
     np.testing.assert_array_equal(back.predict_proba(m.values), model.predict_proba(m.values))
+    # a loaded model saves to the same bytes: key order, dtypes and NaN <-> null survive
+    again = io.StringIO()
+    save_model(back, again)
+    assert again.getvalue() == buf.getvalue()
 
 
 def test_serialization_round_trip_via_path(tmp_path):
