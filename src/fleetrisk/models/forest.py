@@ -33,6 +33,10 @@ class ForestModel(Fitted):
 
     kind = "forest"
 
+    def __post_init__(self):
+        if not self.trees:
+            raise ValueError("a forest averages its trees, so it needs at least one")
+
     def predict_proba(self, X) -> np.ndarray:
         total = sum_leaves(self.trees, as_dense(X), 0.0, 1.0)
         return np.clip(total / len(self.trees), 0.0, 1.0)

@@ -2,7 +2,7 @@
 
 A model is written as its format version and kind, then its dataclass
 fields in order, NaN as null; fit statistics are left out. Loading reads
-each field back by its annotation.
+each field back by its annotation and rejects what no fit produces.
 """
 
 from __future__ import annotations
@@ -53,6 +53,37 @@ def _from_json(cls, payload: dict):
     return cls(**{f.name: _READERS[f.type](payload[f.name]) for f in _saved_fields(cls)})
 
 
+def _check_tree(tree: RegressionTree, width: int) -> None:
+    n = tree.n_nodes
+    if n == 0 or any(a.shape != (n,) for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.value)):
+        raise ValueError("a tree needs five equally long node arrays with at least one node")
+    split = tree.feature >= 0
+    node, left, right = np.flatnonzero(split), tree.left[split], tree.right[split]
+    # children come after their parent, so every walk ends at a leaf
+    if not np.all((tree.feature[split] < width) & (left > node) & (right > node) & (left < n) & (right < n)):
+        raise ValueError(f"a tree split needs a feature below {width} and later nodes as children")
+    if not (np.all(np.isfinite(tree.threshold[split])) and np.all(np.isfinite(tree.value[~split]))):
+        raise ValueError("a tree needs finite thresholds and leaf values")
+
+
+def _check(model) -> None:
+    """Reject what parsed but no fit produces: an array whose length is not
+    the model's width, a non-finite or non-positive number where a fit
+    gives a finite or positive one, or a tree that cannot be walked."""
+    width = len(model.columns)
+    for f in _saved_fields(model):
+        value = getattr(model, f.name)
+        if f.type == "np.ndarray" and (value.shape != (width,) or not np.all(np.isfinite(value))):
+            raise ValueError(f"{f.name} needs {width} finite numbers, one per column")
+        if f.type == "float" and not np.isfinite(value):
+            raise ValueError(f"{f.name} must be finite")
+        if f.type == "list[RegressionTree]":
+            for tree in value:
+                _check_tree(tree, width)
+    if not np.all(model.scale > 0):
+        raise ValueError("scale must be positive")
+
+
 def model_to_dict(model) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": model.kind, **_to_json(model)}
 
@@ -69,9 +100,11 @@ def model_from_dict(payload: dict):
     if kind not in MODEL_KINDS:
         raise ModelFormatError(f"unknown model kind {kind!r}")
     try:
-        return _from_json(MODELS[kind][2], payload)
+        model = _from_json(MODELS[kind][2], payload)
+        _check(model)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model payload: {exc}") from exc
+    return model
 
 
 def save_model(model, stream: IO[str]) -> None:

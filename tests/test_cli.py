@@ -229,6 +229,19 @@ def test_manifest_records_the_kind_of_the_loaded_model(tmp_path):
         assert manifest["saved_model_kind"] == "forest", argv
 
 
+def test_eval_on_a_forest_with_no_trees_is_data_error(tmp_path, capsys):
+    assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "8", "--n-weeks", "30"]) == 0
+    assert main(["train", "-o", str(tmp_path), "--model", "forest", "--n-estimators", "2"]) == 0
+    model_json = tmp_path / "model.json"
+    model_json.write_text(json.dumps({**json.loads(model_json.read_text()), "trees": []}))
+    capsys.readouterr()
+    assert main(["eval", "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: malformed model payload: a forest averages its trees, so it needs at least one"
+    ]
+    assert not (tmp_path / "eval_report.json").exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_utilization_sidecar_is_data_error(tmp_path, capsys, bad):
     assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "6", "--n-weeks", "20"]) == 0

@@ -480,6 +480,61 @@ def test_load_rejects_malformed_payloads(tmp_path):
     with pytest.raises(ModelFormatError):
         model_from_dict(payload)
 
+    # payloads that parse but that no fit produces
+    m = forest_training_matrix(n=120, seed=12)
+    saved = {kind: json.dumps(model_to_dict(fit_model(kind, m, hyper))) for kind, hyper in SMALL_HYPERS.items()}
+    accepted = []
+    for name, kind, mutate in INCONSISTENT:
+        payload = json.loads(saved[kind])
+        mutate(payload)
+        try:
+            model_from_dict(payload)
+            accepted.append(name)
+        except ModelFormatError:
+            pass
+    assert accepted == []
+
+
+SMALL_HYPERS = {
+    "logistic": LogisticHyper(max_iters=50),
+    "forest": ForestHyper(n_estimators=2, seed=1),
+    "gbt": GbtHyper(n_estimators=2),
+}
+
+
+def _tree_edit(field, at, value):
+    """Set `field` of the first tree's first split (at="split") or first
+    leaf (at="leaf") to `value`; "self" stands for that node's own index."""
+
+    def mutate(payload):
+        tree = payload["trees"][0]
+        node = next(i for i, f in enumerate(tree["feature"]) if (f >= 0) == (at == "split"))
+        tree[field][node] = node if value == "self" else value
+
+    return mutate
+
+
+# (what is wrong, model kind, mutation of a saved payload)
+INCONSISTENT = [
+    ("short weights", "logistic", lambda p: p.update(weights=p["weights"][:-1])),
+    ("short scale", "logistic", lambda p: p.update(scale=p["scale"][:-1])),
+    ("null scale", "logistic", lambda p: p.update(scale=[None, *p["scale"][1:]])),
+    ("zero scale", "logistic", lambda p: p.update(scale=[0.0, *p["scale"][1:]])),
+    ("nested weights", "logistic", lambda p: p.update(weights=[[w] for w in p["weights"]])),
+    ("infinite intercept", "logistic", lambda p: p.update(intercept=float("inf"))),
+    ("no trees", "forest", lambda p: p.update(trees=[])),
+    ("self-looping node", "forest", _tree_edit("left", "split", "self")),
+    ("child past the last node", "forest", _tree_edit("right", "split", 10**6)),
+    ("feature past the width", "forest", _tree_edit("feature", "split", 999)),
+    ("fractional feature", "forest", _tree_edit("feature", "split", 1.5)),
+    ("null threshold", "forest", _tree_edit("threshold", "split", None)),
+    ("null leaf value", "forest", _tree_edit("value", "leaf", None)),
+    ("short value array", "forest", lambda p: p["trees"][0]["value"].pop()),
+    ("tree with no nodes", "forest", lambda p: p["trees"][0].update(feature=[], threshold=[], left=[], right=[], value=[])),
+    ("NaN learning rate", "gbt", lambda p: p.update(learning_rate=float("nan"))),
+    ("self-looping boosted node", "gbt", _tree_edit("right", "split", "self")),
+]
+
 
 def test_tree_nan_values_survive_json():
     m = forest_training_matrix(n=120, seed=12)
