@@ -47,10 +47,7 @@ class LogisticModel(Fitted):
     kind = "logistic"
 
     def decision_scores(self, X) -> np.ndarray:
-        z = X @ self.weights
-        if sp.issparse(X):
-            z = np.asarray(z).ravel()
-        return z + self.intercept
+        return X @ self.weights + self.intercept
 
     def predict_proba(self, X) -> np.ndarray:
         return expit(self.decision_scores(X))
@@ -72,10 +69,7 @@ def fit_logistic(matrix: FeatureMatrix, hyper: LogisticHyper = LogisticHyper()) 
     y = np.asarray(matrix.labels, dtype=np.float64)
     n, p = X.shape
 
-    if sp.issparse(X):
-        if not np.all(np.isfinite(X.data)):
-            raise NonFiniteFeatureError("design matrix contains non-finite values")
-    elif not np.all(np.isfinite(X)):
+    if not np.all(np.isfinite(X.data if sp.issparse(X) else X)):
         raise NonFiniteFeatureError("design matrix contains non-finite values")
     if y.min() == y.max():
         raise SingleClassLabelsError("labels are single-class; cannot fit")
@@ -87,10 +81,7 @@ def fit_logistic(matrix: FeatureMatrix, hyper: LogisticHyper = LogisticHyper()) 
 
     def grads(z):
         r = (expit(z) - y) / n
-        gw = X.T @ r
-        if sp.issparse(X):
-            gw = np.asarray(gw).ravel()
-        return gw + lam * w, float(r.sum())
+        return X.T @ r + lam * w, float(r.sum())
 
     n_iters = 0
     converged = False
@@ -114,10 +105,7 @@ def fit_logistic(matrix: FeatureMatrix, hyper: LogisticHyper = LogisticHyper()) 
         for _ in range(60):
             w_try = w + step * step_w
             b_try = b + step * step_b
-            z_try = X @ w_try
-            if sp.issparse(X):
-                z_try = np.asarray(z_try).ravel()
-            z_try = z_try + b_try
+            z_try = X @ w_try + b_try
             obj_try = _objective(z_try, y, w_try, lam)
             if obj_try <= obj + ARMIJO_SLOPE * step * descent:
                 break
@@ -141,7 +129,7 @@ def _newton_step(X, z, w, b, gw, gb, lam, n):
         H = X.T @ (X * d[:, None])
     H_full = np.empty((p + 1, p + 1))
     H_full[:p, :p] = H + lam * np.eye(p)
-    Xd_sum = np.asarray(X.T @ d).ravel()
+    Xd_sum = X.T @ d
     H_full[:p, p] = Xd_sum
     H_full[p, :p] = Xd_sum
     H_full[p, p] = d.sum()
