@@ -410,7 +410,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--l2-lambda", dest="l2_lambda", type=float, help="logistic L2 strength")
     parser.add_argument("--max-iters", dest="max_iters", type=int, help="logistic iteration cap")
     parser.add_argument("--tol", type=float, help="logistic gradient-norm stop")
-    parser.add_argument("--solver", help="logistic solver")
+    parser.add_argument("--solver", help="logistic solver: newton (default) or gd")
     parser.add_argument("--n-estimators", dest="n_estimators", type=int, help="trees in forest / boosting rounds")
     parser.add_argument("--max-depth", dest="max_depth", type=int, help="tree depth cap")
     parser.add_argument("--min-leaf", dest="min_leaf", type=int, help="min rows per leaf")

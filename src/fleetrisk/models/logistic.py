@@ -1,10 +1,10 @@
 """L2-regularized logistic regression, fitted by full-batch descent.
 
 The objective is mean negative log-likelihood plus (lambda/2)||w||^2 with
-the intercept left out of the penalty. Gradient descent with a
-backtracking line search is the default solver; "newton" switches to
-damped Newton steps, which converge in a handful of iterations on the
-well-conditioned matrices produced by standardization.
+the intercept left out of the penalty. Each step is backtracked until it
+decreases the objective enough. The default solver takes damped Newton
+steps, which converge in a handful of iterations on the well-conditioned
+matrices produced by standardization; "gd" takes plain gradient steps.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class LogisticHyper:
     l2_lambda: float = 1e-4
     max_iters: int = 500
     tol: float = 1e-8
-    solver: str = "gd"  # "gd" | "newton"
+    solver: str = "newton"  # "newton" | "gd"
 
     def __post_init__(self):
         if self.l2_lambda < 0:

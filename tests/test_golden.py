@@ -18,13 +18,13 @@ from pathlib import Path
 from fleetrisk.cli import main
 
 GOLDEN = {
-    "eval/eval_report.json": "c66efe1135673d1963a2eb4027fc8a394f739bfdf021693495138d61e7fb4d36",
-    "eval/histogram_false.csv": "447ecbc3648cb8a48cee833b4653ed7d8197ac9997082e237f5996c4b5c69a9a",
-    "eval/histogram_true.csv": "181af0e4590cb38893af4432dd03f84038e8cbada334027aec7f3ceae9bc992b",
+    "eval/eval_report.json": "b8f2ed4d3a4538ebd2b1cc22cdbd2b02e482e627ff8e571ef25aed13dea9ad9a",
+    "eval/histogram_false.csv": "c4baa2951180524997501ccd280b294075708903d6154de0bac4f88f5edb1caf",
+    "eval/histogram_true.csv": "72cbda638f3589bf11c3a53a64b7f435809d9db91e2562fbf1d78bfe5e866a8a",
     "ingest/records.csv": "363365d1aaa837c7df06b973ee714e32697a610272aac84a6ae5852f4064158a",
     "ingest/row_errors.csv": "76b0425701d089ebeda4a24a13dad7cf2e5a1f732c629cf13ab7f1659a8e0915",
     "mel-forest/mel_risk.json": "574c33262fa6d61de90f4499bdcef7fea311531ecdd4cf95f8e61331e0f503de",
-    "mel/mel_risk.json": "0837412bcbc72be8e732b0cde60091ee6fbbc963694be62ec62bad3f825a5644",
+    "mel/mel_risk.json": "8db80fdb1cc9bb2b2b38d76210ac979f7cb34a705ad01104654d11c9ab6f11d8",
     "panel-early-start/panel.csv": "598102c9d665730818e307e5b54a40926b1dba93e7bec030d6477721b55d448d",
     "panel-no-sidecar/panel.csv": "6d521cda7d1606045facc5a37cd6fde4fd0f9f261d33b58b19f7068fb1e78be7",
     "panel-options/panel.csv": "0485afea285356802522f7b5172e2e46ba0d2af0ceba1da4aaa7998f2e061b5c",
@@ -69,37 +69,37 @@ GOLDEN = {
     "report-gbt/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "report-gbt/policy_summary.json": "cbc1f1d84eea55934afc2d62efa81009b2d3ad308ab5b59ee5c8c4af46a4a578",
     "report-gbt/policy_trace.csv": "001b2a6c6a66c264297f30cf174ef21e3fa78d6fa83a6578b3d81049b954f47b",
-    "report-logistic/ablation.csv": "1bb192a92052228486b9181a200bad8303440b67cca5dfcbaa2468dec876495f",
-    "report-logistic/eval_report.json": "c66efe1135673d1963a2eb4027fc8a394f739bfdf021693495138d61e7fb4d36",
-    "report-logistic/histogram_false.csv": "447ecbc3648cb8a48cee833b4653ed7d8197ac9997082e237f5996c4b5c69a9a",
-    "report-logistic/histogram_true.csv": "181af0e4590cb38893af4432dd03f84038e8cbada334027aec7f3ceae9bc992b",
+    "report-logistic/ablation.csv": "9b7339ed8032c4aa782d116f7bb6779cf4122adcd7ebe588907afa54389a7dc8",
+    "report-logistic/eval_report.json": "b8f2ed4d3a4538ebd2b1cc22cdbd2b02e482e627ff8e571ef25aed13dea9ad9a",
+    "report-logistic/histogram_false.csv": "c4baa2951180524997501ccd280b294075708903d6154de0bac4f88f5edb1caf",
+    "report-logistic/histogram_true.csv": "72cbda638f3589bf11c3a53a64b7f435809d9db91e2562fbf1d78bfe5e866a8a",
     "report-logistic/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
-    "report-logistic/model.json": "5333b8bb92a68c3615ae946ffe9f996fa63f7b7406c2beecb97ada4721b0bcfd",
-    "report-logistic/policy_hist_proactive.csv": "6e1239ccd739ce9ae0d245ac04f2d96b3875f06f690055ca086639c11d055711",
+    "report-logistic/model.json": "d04c6487cd0f83862883dc740a4ee062b718bdbd8973a76a802d25aca4759017",
+    "report-logistic/policy_hist_proactive.csv": "89ecf41b7d639f086c60c64b5969534712df9e3d1e87149c9b5c3ba8ae934c2f",
     "report-logistic/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
-    "report-logistic/policy_summary.json": "68e04c136023707be9d6a369832f34217dbacc4108917f463a6601a77c547d03",
-    "report-logistic/policy_trace.csv": "c0d3c2e10c4c3f8d20dd1d6825772dd28f62e45c0cde9d2a0fbba10bb363bd41",
-    "report-random/ablation.csv": "01189737dd64bce40b9f267297ec138f39b0874ed7873dfb44034ef1d8537671",
-    "report-random/eval_report.json": "78164f9f2af30778f2ec34c70ec4ecea3748cd4e821a24dee65fd5f6ae999a05",
-    "report-random/histogram_false.csv": "e09ea39f2eb72557893822d58d7c120ef835d489ad2a61e6efc2598607eb9ab3",
-    "report-random/histogram_true.csv": "fdbd3fb04cba3443c575da2bb45a25de164f404ef8f37b6a5ad20daf836c1020",
+    "report-logistic/policy_summary.json": "984dacf0f8d68fccbb19fb923b74424addb0322ce4b3fe4a1ef0d9edbb1e6855",
+    "report-logistic/policy_trace.csv": "9589b0ff56d9f8f68b2903f414df27ffc6e8cb21500baf1bdb652b1b92a6e9ec",
+    "report-random/ablation.csv": "4fc743162288b547daa104819735a3f9d014fc5312b68f88eab120e70df6d21d",
+    "report-random/eval_report.json": "b1b37eabfa267e074634b1b20695e7d007918b4a92942525cab42f6d808c623b",
+    "report-random/histogram_false.csv": "2ae29047f8bbbecae80dfafa88ce68bd500b22672dc750318a6230fc18083588",
+    "report-random/histogram_true.csv": "5581182225e9ce5ddc1986402c8bcb101afb0ecddef1c91b64d416a9ea5b3778",
     "report-random/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
-    "report-random/model.json": "5bd05ddc02162f695e725efe370620c0faab075a5cb776fc668c5e3a71941a8f",
-    "report-random/policy_hist_proactive.csv": "2a9c758b01c16d6dd73f96ac4a7376de08993da6e102271cf85be705bb7d02f9",
+    "report-random/model.json": "7d08bdd394cf23ea7195f70f608ae02427fc54344f69234ed6e26d21122c26b6",
+    "report-random/policy_hist_proactive.csv": "71ee3f00cc9b4906e551432b26d60ec84125eb8247dc492488da2fe0bfb7cfc2",
     "report-random/policy_hist_random.csv": "7d172b88f9775c6228b672a016f427b53d1b2839a87d4869b713bd6c7953a0a2",
-    "report-random/policy_summary.json": "067b0241250f19c44779b7e3d7b50750443a52cfa0d86198e85239cf87cdcbe8",
-    "report-random/policy_trace.csv": "06804e8ea728ae7f40d93278d3de13acd22a78da9c72dbec31ec729dd6fe1126",
-    "simulate/policy_hist_proactive.csv": "6e1239ccd739ce9ae0d245ac04f2d96b3875f06f690055ca086639c11d055711",
+    "report-random/policy_summary.json": "13e5e3343f0038ab30910132bce1206e9d3d7e94783068c941629b33896d920f",
+    "report-random/policy_trace.csv": "786a8a639644739b2bd24d3f33fc1dc24b38fbfdaf95a369ef7bdc1e8603dd80",
+    "simulate/policy_hist_proactive.csv": "89ecf41b7d639f086c60c64b5969534712df9e3d1e87149c9b5c3ba8ae934c2f",
     "simulate/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
-    "simulate/policy_summary.json": "68e04c136023707be9d6a369832f34217dbacc4108917f463a6601a77c547d03",
-    "simulate/policy_trace.csv": "c0d3c2e10c4c3f8d20dd1d6825772dd28f62e45c0cde9d2a0fbba10bb363bd41",
+    "simulate/policy_summary.json": "984dacf0f8d68fccbb19fb923b74424addb0322ce4b3fe4a1ef0d9edbb1e6855",
+    "simulate/policy_trace.csv": "9589b0ff56d9f8f68b2903f414df27ffc6e8cb21500baf1bdb652b1b92a6e9ec",
     "synth/ground_truth.json": "9c741c3525e315483e6049f73d77e1ded7588ef793612b47b554bc4eeedfbb46",
     "synth/subworkorders.csv": "363365d1aaa837c7df06b973ee714e32697a610272aac84a6ae5852f4064158a",
     "synth/utilization.csv": "500c405b36d10382860c2cb6eaf81849a91ed7126e92ae30ab59bc1c487d9a63",
     "train-forest/model.json": "ac6c3b4ec35e67e8286f72ecc9edebd977a665ea1e36f36dee2f8c6921e62d6c",
-    "train/model.json": "5333b8bb92a68c3615ae946ffe9f996fa63f7b7406c2beecb97ada4721b0bcfd",
-    "tune/tune_best.json": "27da75f6ce44f8682af9f7b30501d40e88bf2dd7b6cf5d145ef3be0d3c6b0aa5",
-    "tune/tune_results.csv": "5be783f30c0b44105396aa77aa37ce3b0b1a215d70c054dd6f3ff4c25f5d6870",
+    "train/model.json": "d04c6487cd0f83862883dc740a4ee062b718bdbd8973a76a802d25aca4759017",
+    "tune/tune_best.json": "051867ffc4cd313621ebb66e2739536c961fdf069e4357c430cb32b79925ee18",
+    "tune/tune_results.csv": "c6305d47c535cfaf5949f3fa54c4b16df0cd9378944ee2de475d109170ea00aa",
 }
 
 
