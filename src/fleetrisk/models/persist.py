@@ -21,8 +21,8 @@ from .tree import RegressionTree
 FORMAT_VERSION = 1
 
 
-def _saved_fields(cls) -> list:
-    return [f for f in fields(cls) if not f.metadata.get("fit_stat")]
+def _saved_fields(class_or_instance) -> list:
+    return [f for f in fields(class_or_instance) if not f.metadata.get("fit_stat")]
 
 
 def _to_json(value):
