@@ -27,6 +27,10 @@ class EmptySpecError(FleetRiskError):
     pass
 
 
+class UnknownColumnError(FleetRiskError):
+    pass
+
+
 class SingleClassLabelsError(FleetRiskError):
     pass
 

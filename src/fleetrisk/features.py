@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EmptySpecError
+from .errors import EmptySpecError, UnknownColumnError
 from .panel import Panel, PanelVocab
 
 UNKNOWN_LEVEL = "<unknown>"
@@ -119,11 +119,15 @@ def build_columns(spec: FeatureSpec, vocab: PanelVocab) -> list[Column]:
 def _fill(panel: Panel, columns: Sequence[Column]) -> np.ndarray | sp.csr_matrix:
     """A panel's rows against a column layout, built column by column: CSR
     when the layout has a sparse group, dense otherwise. A value outside a
-    group's levels lands on its unknown level."""
+    group's levels lands on its unknown level. A column that names no
+    feature of its kind raises UnknownColumnError."""
     n = len(panel)
     # feature name -> its one-hot level columns, or its numeric column
     parts: dict[str, dict[str, int] | int] = {}
     for j, col in enumerate(columns):
+        feature = FEATURES.get(col.group if col.kind == "onehot" else col.name)
+        if feature is None or col.kind != ("onehot" if feature.levels else "numeric"):
+            raise UnknownColumnError(f"column {col.name!r} of kind {col.kind!r} is not a panel feature")
         if col.kind == "onehot":
             parts.setdefault(col.group, {})[col.level] = j
         else:

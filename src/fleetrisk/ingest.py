@@ -170,6 +170,7 @@ def parse_subworkorders(
     records: list[SubWorkOrderRecord] = []
     errors: list[RowError] = []
     seen_pairs: set[tuple[str, str]] = set()
+    last_required = max(position[c] for c in REQUIRED_COLUMNS)
 
     for row in reader:
         line = reader.line_num
@@ -180,7 +181,7 @@ def parse_subworkorders(
             idx = position[name]
             return row[idx].strip() if idx < len(row) else ""
 
-        if len(row) <= max(position[c] for c in REQUIRED_COLUMNS):
+        if len(row) <= last_required:
             errors.append(RowError(line, "", "row has fewer cells than the header"))
             continue
 

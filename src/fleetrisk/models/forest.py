@@ -1,7 +1,14 @@
-"""Random forest: bagged regression trees averaged into a probability."""
+"""Random forest: bagged regression trees averaged into a probability.
+
+Each tree draws its bootstrap sample from its own stream, so the trees are
+grown across the usable cores in forked worker processes, with results
+identical to growing them one after another.
+"""
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +49,31 @@ class ForestModel(Fitted):
         return np.clip(total / len(self.trees), 0.0, 1.0)
 
 
+# the inputs of the forest a pool worker grows trees for: fork hands the
+# initializer's arguments to the worker without pickling them
+_worker_inputs = None
+
+
+def _start_worker(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _grow(i: int, inputs=None) -> RegressionTree:
+    """Tree i of the forest on `inputs`, which are (X, codes, y, hyper,
+    max_features); by default those the pool worker was started with."""
+    X, codes, y, hyper, max_features = inputs or _worker_inputs
+    # spawn-style per-tree stream: reordering or dropping trees cannot
+    # perturb the others
+    rng = np.random.default_rng([hyper.seed, i])
+    rows = rng.integers(0, len(y), size=len(y))
+    return grow_tree(X, codes, y, rows, hyper.max_depth, hyper.min_leaf, max_features, rng)
+
+
 def fit_random_forest(matrix: FeatureMatrix, hyper: ForestHyper = ForestHyper()) -> ForestModel:
     X = as_dense(matrix.values)
     y = np.asarray(matrix.labels, dtype=np.float64)
-    n, p = X.shape
+    p = X.shape[1]
     codes = bin_columns(X)
     if y.min() == y.max():
         raise SingleClassLabelsError("labels are single-class; cannot fit")
@@ -55,12 +83,13 @@ def fit_random_forest(matrix: FeatureMatrix, hyper: ForestHyper = ForestHyper())
         max_features = max(1, int(np.floor(np.sqrt(p))))
     max_features = min(max_features, p)
 
-    trees = []
-    for i in range(hyper.n_estimators):
-        # spawn-style per-tree stream: reordering or dropping trees cannot
-        # perturb the others
-        rng = np.random.default_rng([hyper.seed, i])
-        rows = rng.integers(0, n, size=n)
-        trees.append(grow_tree(X, codes, y, rows, hyper.max_depth, hyper.min_leaf, max_features, rng))
-
+    inputs = (X, codes, y, hyper, max_features)
+    # one worker per usable core; without affinity or fork (not Linux) the trees grow in process
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cores, hyper.n_estimators)
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with multiprocessing.get_context("fork").Pool(workers, _start_worker, inputs) as pool:
+            trees = pool.map(_grow, range(hyper.n_estimators), chunksize=1)
+    else:
+        trees = [_grow(i, inputs) for i in range(hyper.n_estimators)]
     return ForestModel.of(matrix, trees=trees)

@@ -135,6 +135,10 @@ class PanelOptions:
     utilization: Utilization | None = None
     default_weekly_rate: float = 1.0
 
+    def __post_init__(self):
+        if self.gap_cap < 1:
+            raise ValueError(f"gap_cap must be >= 1, got {self.gap_cap}")
+
 
 def panel_from_rows(rows: Iterable[PanelRow], start_monday: date | None = None) -> Panel:
     """Sort hand-built rows into (asset_id, week) order and build their vocab."""

@@ -242,6 +242,28 @@ def test_eval_on_a_forest_with_no_trees_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "eval_report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"name": "bogus"}, "error: column 'bogus' of kind 'numeric' is not a panel feature"),
+        ({"kind": "weird"}, "error: column 'utilization' of kind 'weird' is not a panel feature"),
+    ],
+    ids=["name", "kind"],
+)
+def test_eval_on_a_model_with_an_unknown_column_is_data_error(tmp_path, capsys, edit, message):
+    assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "12", "--n-weeks", "40"]) == 0
+    assert main(["train", "-o", str(tmp_path), "--model", "forest", "--n-estimators", "2"]) == 0
+    model_json = tmp_path / "model.json"
+    payload = json.loads(model_json.read_text())
+    assert payload["columns"][-1]["name"] == "utilization"
+    payload["columns"][-1].update(edit)
+    model_json.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["eval", "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not (tmp_path / "eval_report.json").exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_utilization_sidecar_is_data_error(tmp_path, capsys, bad):
     assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "6", "--n-weeks", "20"]) == 0

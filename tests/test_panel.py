@@ -126,6 +126,12 @@ def test_gap_capped():
     assert gaps[6:20] == [5] * 14
 
 
+@pytest.mark.parametrize("gap_cap", [0, -1])
+def test_panel_options_reject_a_gap_cap_below_one(gap_cap):
+    with pytest.raises(ValueError, match="gap_cap must be >= 1"):
+        PanelOptions(gap_cap=gap_cap)
+
+
 def test_age_anchored_at_acquisition_year():
     # AF15 -> Jan 1 2015, whose Monday (2014-12-29) is 262 weeks before MONDAY.
     records = [rec("AF150001", 0), rec("AF150001", 4)]

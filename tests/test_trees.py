@@ -1,8 +1,12 @@
 """Tree growth against brute-force split search, plus forest, boosting,
 dispatch, and model serialization."""
 
+import gc
 import io
 import json
+import multiprocessing.pool
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from fleetrisk.models import (
     predict_proba,
     save_model,
 )
+from fleetrisk.models import forest as forest_module
 from fleetrisk.models.tree import ZERO_REDUCTION, RegressionTree
 
 
@@ -322,6 +327,64 @@ def test_forest_separates_classes_on_train():
     p = f.predict_proba(m.values)
     y = np.asarray(m.labels)
     assert p[y == 1].mean() > p[y == 0].mean()
+
+
+def count_pools(monkeypatch, cores):
+    """Pretend the process may use `cores` cores; returns the worker count of each pool a fit starts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    started = []
+
+    class CountedPool(multiprocessing.pool.Pool):
+        def __init__(self, processes=None, *args, **kwargs):
+            started.append(processes)
+            super().__init__(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", CountedPool)
+    return started
+
+
+@pytest.mark.parametrize(
+    "n_estimators, max_features",
+    [(7, 2), (6, 4), (1, 2)],
+    ids=["subsampled-7-trees-on-2-workers", "all-features", "one-tree"],
+)
+def test_forest_trees_from_the_pool_equal_the_in_process_trees(monkeypatch, n_estimators, max_features):
+    m = forest_training_matrix()
+    hyper = ForestHyper(n_estimators=n_estimators, max_features=max_features, seed=3)
+    started = count_pools(monkeypatch, cores=1)
+    serial = fit_random_forest(m, hyper)
+    assert started == []
+    started = count_pools(monkeypatch, cores=2)
+    pooled = fit_random_forest(m, hyper)
+    assert started == ([2] if n_estimators > 1 else [])
+    assert [tree_bytes(t) for t in pooled.trees] == [tree_bytes(t) for t in serial.trees]
+
+
+def test_forest_on_one_core_starts_no_pool(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started on one usable core")
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+    assert len(fit_random_forest(forest_training_matrix(), ForestHyper(n_estimators=5)).trees) == 5
+
+
+def test_a_failing_tree_fails_the_forest_and_leaves_no_worker(monkeypatch):
+    started = count_pools(monkeypatch, cores=2)
+
+    def broken(*args):
+        raise ValueError("tree failed")
+
+    monkeypatch.setattr(forest_module, "grow_tree", broken)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="tree failed"):
+            fit_random_forest(forest_training_matrix(), ForestHyper(n_estimators=4))
+        gc.collect()
+    assert started == [2]
+    assert multiprocessing.active_children() == []
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_forest_single_class_rejected():
