@@ -15,7 +15,6 @@ labeled child seeds.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import itertools
 import json
@@ -42,7 +41,7 @@ from .evaluation import (
     write_histogram_csv,
 )
 from .features import FeatureSpec, encode, standardize, transform
-from .ingest import parse_subworkorders, write_subworkorders
+from .ingest import parse_subworkorders, write_csv, write_subworkorders
 from .models import MODEL_KINDS, fit_model, load_model, predict_proba, save_model
 from .panel import PanelOptions, build_panel, load_utilization_csv, week_index, write_panel_csv
 from .policy import (
@@ -81,6 +80,11 @@ class _Run:
         """Open an artifact for writing and list it in the manifest."""
         self.outputs.append(name)
         return open(self.out_dir / name, "w", encoding="utf-8", newline="")
+
+    def write_json(self, name: str, payload) -> None:
+        """Write a JSON report artifact: indented, keys sorted."""
+        with self.open_output(name) as stream:
+            json.dump(payload, stream, indent=2, sort_keys=True)
 
     def write_manifest(self) -> None:
         manifest = {
@@ -201,8 +205,7 @@ def _simulate_artifacts(run: _Run, model, test_panel) -> None:
             "mean_weeks_since_last_actual_service": trace.mean_weeks_since(),
             "mean_weeks_until_next_actual_service": trace.mean_weeks_until(),
         }
-    with run.open_output("policy_summary.json") as stream:
-        json.dump(summary, stream, indent=2, sort_keys=True)
+    run.write_json("policy_summary.json", summary)
 
 
 def _mel_artifacts(run: _Run, model, panel) -> None:
@@ -214,17 +217,17 @@ def _mel_artifacts(run: _Run, model, panel) -> None:
 
     results = []
     for entry in run.config.mel_specs:
-        vtype = str(entry["vehicle_type"])
+        vtype = entry["vehicle_type"]  # config._validate checked each entry's types
         fleet = latest.take(types == vtype)
         if not len(fleet):
             raise FleetRiskError(f"no vehicles of type {vtype!r} in the panel")
+        if entry.get("assigned", len(fleet)) != len(fleet):
+            raise FleetRiskError(
+                f"mel spec for {vtype!r} says assigned={entry['assigned']} but the panel has {len(fleet)}"
+            )
         try:
-            if "assigned" in entry and int(entry["assigned"]) != len(fleet):
-                raise FleetRiskError(
-                    f"mel spec for {vtype!r} says assigned={entry['assigned']} but the panel has {len(fleet)}"
-                )
-            spec = MelSpec(vehicle_type=vtype, mel=int(entry["mel"]), assigned=len(fleet))
-        except (TypeError, ValueError) as exc:
+            spec = MelSpec(vehicle_type=vtype, mel=entry["mel"], assigned=len(fleet))
+        except ValueError as exc:
             raise UsageError(f"bad mel spec for {vtype!r}: {exc}") from exc
         probs = predict_proba(model, transform(fleet, model.columns, model.scale))
         results.append(
@@ -235,8 +238,7 @@ def _mel_artifacts(run: _Run, model, panel) -> None:
                 "risk": mel_risk(probs, spec),
             }
         )
-    with run.open_output("mel_risk.json") as stream:
-        json.dump({"specs": results}, stream, indent=2, sort_keys=True)
+    run.write_json("mel_risk.json", {"specs": results})
 
 
 def _labor_artifacts(run: _Run, records, panel) -> None:
@@ -247,9 +249,7 @@ def _labor_artifacts(run: _Run, records, panel) -> None:
         key = (r.asset_id, week_index(r.approval_date, panel.start_monday))
         totals[key] = totals.get(key, 0.0) + (r.labor_hours or 0.0)
     with run.open_output("labor_hours.csv") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["asset_id", "week", "labor_hours"])
-        writer.writerows([asset_id, week, repr(hours)] for (asset_id, week), hours in sorted(totals.items()))
+        write_csv(stream, ["asset_id", "week", "labor_hours"], ((*key, hours) for key, hours in sorted(totals.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +272,7 @@ def _cmd_ingest(run: _Run) -> int:
     with run.open_output("records.csv") as stream:
         write_subworkorders(records, stream)
     with run.open_output("row_errors.csv") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["line", "field", "reason"])
-        for e in errors:
-            writer.writerow([e.line, e.field, e.reason])
+        write_csv(stream, ["line", "field", "reason"], (vars(e).values() for e in errors))
     return 0
 
 
@@ -355,15 +352,12 @@ def _cmd_tune(run: _Run) -> int:
         trial = replace(run.config, **overrides)
         model = fit_model(trial.model, matrix, cfg.model_hyper(trial))
         report = separation_ratio(predict_proba(model, test_values), test_labels)
-        results.append([json.dumps(overrides, sort_keys=True), repr(report.ratio), repr(report.mean_pred_true), repr(report.mean_pred_false)])
+        results.append([json.dumps(overrides, sort_keys=True), report.ratio, report.mean_pred_true, report.mean_pred_false])
         if best is None or report.ratio > best[1]:
             best = (overrides, report.ratio)
     with run.open_output("tune_results.csv") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["params", "ratio", "mean_pred_true", "mean_pred_false"])
-        writer.writerows(results)
-    with run.open_output("tune_best.json") as stream:
-        json.dump({"params": best[0], "ratio": best[1]}, stream, indent=2, sort_keys=True)
+        write_csv(stream, ["params", "ratio", "mean_pred_true", "mean_pred_false"], results)
+    run.write_json("tune_best.json", {"params": best[0], "ratio": best[1]})
     return 0
 
 

@@ -172,6 +172,9 @@ def _validate(config: RunConfig) -> None:
     for entry in config.mel_specs:
         if "vehicle_type" not in entry or "mel" not in entry:
             raise UsageError("each mel_specs entry needs vehicle_type and mel")
+        for key, hint in (("vehicle_type", str), ("mel", int), ("assigned", int)):
+            if key in entry and not _fits(entry[key], hint):
+                raise UsageError(f"mel_specs {key} must be {hint.__name__}, got {entry[key]!r}")
     grid = config.tune_grid
     if not all(grid.values()):
         raise UsageError("each tune_grid list needs at least one value")

@@ -8,7 +8,6 @@ model pushes mass toward the true breakdowns.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -21,6 +20,7 @@ from .errors import (
     ZeroFalseMeanError,
 )
 from .features import FeatureSpec, encode, standardize, transform
+from .ingest import write_csv
 from .models import fit_model, predict_proba
 from .panel import Panel
 
@@ -167,15 +167,13 @@ def write_eval_report(report: EvalReport, stream: IO[str]) -> None:
 
 def write_histogram_csv(counts: np.ndarray, stream: IO[str]) -> None:
     """Per-bin CSV: bin_low, bin_high, count over 50 uniform bins on [0,1]."""
-    edges = np.linspace(0.0, 1.0, N_BINS + 1)
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["bin_low", "bin_high", "count"])
-    for i, count in enumerate(counts):
-        writer.writerow([f"{edges[i]:.2f}", f"{edges[i + 1]:.2f}", int(count)])
+    edges = [f"{edge:.2f}" for edge in np.linspace(0.0, 1.0, N_BINS + 1)]
+    write_csv(stream, ["bin_low", "bin_high", "count"], zip(edges, edges[1:], map(int, counts)))
 
 
 def write_ablation_csv(rows: Sequence[AblationRow], stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["features", "mean_pred_true", "mean_pred_false", "ratio"])
-    for row in rows:
-        writer.writerow(["+".join(row.features), repr(row.mean_pred_true), repr(row.mean_pred_false), repr(row.ratio)])
+    write_csv(
+        stream,
+        ["features", "mean_pred_true", "mean_pred_false", "ratio"],
+        (["+".join(row.features), row.mean_pred_true, row.mean_pred_false, row.ratio] for row in rows),
+    )

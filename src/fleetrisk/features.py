@@ -120,7 +120,8 @@ def _fill(panel: Panel, columns: Sequence[Column]) -> np.ndarray | sp.csr_matrix
     """A panel's rows against a column layout, built column by column: CSR
     when the layout has a sparse group, dense otherwise. A value outside a
     group's levels lands on its unknown level. A column that names no
-    feature of its kind raises UnknownColumnError."""
+    feature of its kind, or a group without its unknown level, raises
+    UnknownColumnError."""
     n = len(panel)
     # feature name -> its one-hot level columns, or its numeric column
     parts: dict[str, dict[str, int] | int] = {}
@@ -138,6 +139,8 @@ def _fill(panel: Panel, columns: Sequence[Column]) -> np.ndarray | sp.csr_matrix
     for k, (name, where) in enumerate(parts.items()):
         cells = getattr(panel, FEATURES[name].field or name)
         if isinstance(where, dict):
+            if UNKNOWN_LEVEL not in where:
+                raise UnknownColumnError(f"one-hot group {name!r} has no {UNKNOWN_LEVEL!r} column")
             # the panel's codes index its own vocab: map each of its levels to a column once
             levels = getattr(panel.vocab, FEATURES[name].levels)
             col_idx[:, k] = np.array([where.get(level, where[UNKNOWN_LEVEL]) for level in levels], dtype=np.intp)[cells]

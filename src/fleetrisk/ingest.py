@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from datetime import date, datetime
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 from .errors import MissingColumnError
 
@@ -141,6 +141,15 @@ def source_text(source: bytes | str | Path | IO) -> str:
     return source
 
 
+def write_csv(stream: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write one CSV artifact: the header row, then `rows`. This is every
+    artifact's dialect: "\n" line ends, quoting only where a cell needs it,
+    an empty cell for None and a float (numpy's included) as its repr."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def parse_subworkorders(
     source: bytes | str | Path | IO,
     alias: dict[str, str] | None = None,
@@ -259,22 +268,20 @@ def write_subworkorders(records: Iterable[SubWorkOrderRecord], stream: IO[str]) 
     Dates go out as ISO-8601, so a parse -> write -> parse round trip
     reproduces the records exactly.
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(list(REQUIRED_COLUMNS) + [LABOR_COLUMN])
-    for r in records:
-        writer.writerow(
-            [
-                r.work_order_id,
-                r.sub_work_order_id,
-                r.approval_date.isoformat(),
-                r.asset_id,
-                r.closed_date.isoformat() if r.closed_date is not None else "",
-                r.item_desc,
-                r.lin_tamcn,
-                r.equipment_pool,
-                r.maint_team,
-                r.estbd_datetime.strftime("%Y-%m-%d %H:%M:%S"),
-                r.work_plan_type,
-                "" if r.labor_hours is None else repr(r.labor_hours),
-            ]
-        )
+    write_csv(stream, REQUIRED_COLUMNS + (LABOR_COLUMN,), (
+        [
+            r.work_order_id,
+            r.sub_work_order_id,
+            r.approval_date.isoformat(),
+            r.asset_id,
+            r.closed_date.isoformat() if r.closed_date is not None else "",
+            r.item_desc,
+            r.lin_tamcn,
+            r.equipment_pool,
+            r.maint_team,
+            r.estbd_datetime.strftime("%Y-%m-%d %H:%M:%S"),
+            r.work_plan_type,
+            r.labor_hours,
+        ]
+        for r in records
+    ))

@@ -19,7 +19,7 @@ from typing import IO, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyDatasetError, NonPositiveSpanError
-from .ingest import SubWorkOrderRecord, WorkPlanClass, acquisition_year, classify_work_plan, source_text
+from .ingest import SubWorkOrderRecord, WorkPlanClass, acquisition_year, classify_work_plan, source_text, write_csv
 
 UTILIZATION_COLUMNS = ("asset_id", "week", "cumulative_units")
 
@@ -271,11 +271,7 @@ def load_utilization_csv(source: str | Path | IO[str] | bytes) -> Utilization:
 
 
 def write_panel_csv(panel: Panel, stream: IO[str]) -> None:
-    columns = panel.lists()
-    columns[PANEL_COLUMNS.index("utilization")] = map(repr, columns[PANEL_COLUMNS.index("utilization")])
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(PANEL_COLUMNS)
-    writer.writerows(zip(*columns))
+    write_csv(stream, PANEL_COLUMNS, zip(*panel.lists()))
 
 
 def read_panel_csv(source: str | Path | IO[str] | bytes) -> Panel:

@@ -8,15 +8,15 @@ gaps to actual service always come from the untouched panel.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import IO, Sequence
 
 import numpy as np
 
 from .errors import EmptyTestRangeError, LengthMismatchError
 from .features import transform
+from .ingest import write_csv
 from .models import predict_proba
 from .panel import Panel
 
@@ -171,20 +171,13 @@ def mel_risk(per_vehicle_breakdown_prob: Sequence[float], spec: MelSpec) -> floa
 
 
 def write_trace_csv(trace: PolicyTrace, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(
-        ["week", "chosen_asset", "score", "weeks_since_last_actual_service", "weeks_until_next_actual_service"]
-    )
-    for e in trace.entries:
-        until = "" if e.weeks_until_next_actual_service is None else e.weeks_until_next_actual_service
-        writer.writerow([e.week, e.chosen_asset, repr(e.score), e.weeks_since_last_actual_service, until])
+    """One row per week; the columns are TraceEntry's fields, in order."""
+    write_csv(stream, [f.name for f in fields(TraceEntry)], (vars(e).values() for e in trace.entries))
 
 
 def write_trace_histograms_csv(hists: TraceHistograms, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["metric", "weeks", "count"])
-    for weeks, count in hists.since_last.items():
-        writer.writerow(["since_last", weeks, count])
-    for weeks, count in hists.until_next.items():
-        writer.writerow(["until_next", weeks, count])
-    writer.writerow(["until_next_censored", "", hists.censored])
+    write_csv(stream, ["metric", "weeks", "count"], [
+        *(["since_last", weeks, count] for weeks, count in hists.since_last.items()),
+        *(["until_next", weeks, count] for weeks, count in hists.until_next.items()),
+        ["until_next_censored", "", hists.censored],
+    ])

@@ -14,7 +14,6 @@ panel's derived start date to the configured start Monday.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -27,8 +26,8 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import InvalidConfigError
-from .ingest import SubWorkOrderRecord, write_subworkorders
-from .panel import monday_of, week_index
+from .ingest import SubWorkOrderRecord, write_csv, write_subworkorders
+from .panel import UTILIZATION_COLUMNS, monday_of, week_index
 
 
 def _at_eight(day: date) -> datetime:
@@ -148,8 +147,6 @@ def generate_fleet(config: FleetConfig) -> tuple[bytes, str, GroundTruth]:
     start_year = START_MONDAY.year
     records: list[SubWorkOrderRecord] = []
     vehicles: list[VehicleTruth] = []
-    sidecar_rows: list[tuple[str, int, float]] = []
-    wo_serial = 0
 
     for v in range(config.n_vehicles):
         vtype = config.vehicle_types[v % len(config.vehicle_types)]
@@ -185,48 +182,29 @@ def generate_fleet(config: FleetConfig) -> tuple[bytes, str, GroundTruth]:
                 breakdown_weeks.append(w)
                 last_breakdown = w
 
-        labor = np.round(rng.uniform(0.5, 8.0, len(breakdown_weeks)), 1)
-        for k, w in enumerate(breakdown_weeks):
+        labor = np.round(rng.uniform(0.5, 8.0, len(breakdown_weeks)), 1).tolist()
+        # (week, days to close, description, work plan code, labor hours): breakdowns, then preventive visits
+        orders = [(w, 2, "UNSCHEDULED BREAKDOWN REPAIR", UNSCHEDULED_CODE, h) for w, h in zip(breakdown_weeks, labor)]
+        orders += [(w, 0, "SCHEDULED PREVENTIVE SERVICE", "PREV", 2.0) for w in prev_weeks]
+        for w, days_to_close, desc, plan, hours in orders:
             day = START_MONDAY + timedelta(weeks=w)
-            wo_serial += 1
             records.append(
                 SubWorkOrderRecord(
-                    work_order_id=f"W{wo_serial:07d}",
+                    work_order_id=f"W{len(records) + 1:07d}",
                     sub_work_order_id="1",
                     approval_date=day,
-                    closed_date=day + timedelta(days=2),
+                    closed_date=day + timedelta(days=days_to_close),
                     asset_id=asset_id,
-                    item_desc="UNSCHEDULED BREAKDOWN REPAIR",
+                    item_desc=desc,
                     lin_tamcn=vtype.name,
                     equipment_pool=unit,
                     maint_team=f"{vtype.name.upper()} SHOP",
                     estbd_datetime=_at_eight(day),
-                    work_plan_type=UNSCHEDULED_CODE,
-                    labor_hours=float(labor[k]),
-                )
-            )
-        for w in prev_weeks:
-            day = START_MONDAY + timedelta(weeks=w)
-            wo_serial += 1
-            records.append(
-                SubWorkOrderRecord(
-                    work_order_id=f"W{wo_serial:07d}",
-                    sub_work_order_id="1",
-                    approval_date=day,
-                    closed_date=day,
-                    asset_id=asset_id,
-                    item_desc="SCHEDULED PREVENTIVE SERVICE",
-                    lin_tamcn=vtype.name,
-                    equipment_pool=unit,
-                    maint_team=f"{vtype.name.upper()} SHOP",
-                    estbd_datetime=_at_eight(day),
-                    work_plan_type="PREV",
-                    labor_hours=2.0,
+                    work_plan_type=plan,
+                    labor_hours=hours,
                 )
             )
 
-        for w in range(config.n_weeks):
-            sidecar_rows.append((asset_id, w, float(utilization[w])))
         vehicles.append(
             VehicleTruth(
                 asset_id=asset_id,
@@ -238,7 +216,7 @@ def generate_fleet(config: FleetConfig) -> tuple[bytes, str, GroundTruth]:
                 hazard=hazard,
                 breakdown_weeks=breakdown_weeks,
                 prev_weeks=prev_weeks,
-                utilization=[float(u) for u in utilization],
+                utilization=utilization.tolist(),
             )
         )
 
@@ -247,10 +225,7 @@ def generate_fleet(config: FleetConfig) -> tuple[bytes, str, GroundTruth]:
     csv_bytes = buffer.getvalue().encode("utf-8")
 
     sidecar = io.StringIO()
-    writer = csv.writer(sidecar, lineterminator="\n")
-    writer.writerow(["asset_id", "week", "cumulative_units"])
-    for asset_id, w, value in sidecar_rows:
-        writer.writerow([asset_id, w, repr(value)])
+    write_csv(sidecar, UTILIZATION_COLUMNS, ((v.asset_id, w, u) for v in vehicles for w, u in enumerate(v.utilization)))
 
     truth = GroundTruth(
         beta0=config.beta0,

@@ -243,20 +243,21 @@ def test_eval_on_a_forest_with_no_trees_is_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "edit, message",
+    "column, edit, message",
     [
-        ({"name": "bogus"}, "error: column 'bogus' of kind 'numeric' is not a panel feature"),
-        ({"kind": "weird"}, "error: column 'utilization' of kind 'weird' is not a panel feature"),
+        ("utilization", {"name": "bogus"}, "error: column 'bogus' of kind 'numeric' is not a panel feature"),
+        ("utilization", {"kind": "weird"}, "error: column 'utilization' of kind 'weird' is not a panel feature"),
+        ("unit=<unknown>", {"level": "zzz"}, "error: one-hot group 'unit' has no '<unknown>' column"),
     ],
-    ids=["name", "kind"],
+    ids=["name", "kind", "unknown-level"],
 )
-def test_eval_on_a_model_with_an_unknown_column_is_data_error(tmp_path, capsys, edit, message):
+def test_eval_on_a_model_with_an_unknown_column_is_data_error(tmp_path, capsys, column, edit, message):
     assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "12", "--n-weeks", "40"]) == 0
     assert main(["train", "-o", str(tmp_path), "--model", "forest", "--n-estimators", "2"]) == 0
     model_json = tmp_path / "model.json"
     payload = json.loads(model_json.read_text())
-    assert payload["columns"][-1]["name"] == "utilization"
-    payload["columns"][-1].update(edit)
+    (target,) = [c for c in payload["columns"] if c["name"] == column]
+    target.update(edit)
     model_json.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["eval", "-o", str(tmp_path)]) == 1
@@ -455,7 +456,12 @@ INVALID_CONFIG_VALUES = {
     "ablation_subsets": [[["odometer"]], [7], "x"],
     "l2_lambda": [-1, "x"],
     "solver": ["lbfgs", 1],
-    "mel_specs": [5, [{"mel": 1}], ["truck"]],
+    "mel_specs": [
+        5, [{"mel": 1}], ["truck"],
+        [{"vehicle_type": "truck", "mel": 2.7}], [{"vehicle_type": "truck", "mel": True}],
+        [{"vehicle_type": "truck", "mel": "2"}], [{"vehicle_type": "truck", "mel": 1, "assigned": 4.9}],
+        [{"vehicle_type": 7, "mel": 1}],
+    ],
     "tune_grid": [{"l2_lambda": []}, {"min_leaf": [1]}, {"l2_lambda": 0.1}, [], {"max_iters": [2.5]}, {"tol": [True]}],
 }
 

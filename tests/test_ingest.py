@@ -1,8 +1,10 @@
 """Row-level parsing and validation of the sub-work-order export."""
 
+import csv
 import io
 from datetime import date, datetime
 
+import numpy as np
 import pytest
 
 from fleetrisk.errors import MissingColumnError
@@ -15,6 +17,7 @@ from fleetrisk.ingest import (
     classify_work_plan,
     load_alias_map,
     parse_subworkorders,
+    write_csv,
     write_subworkorders,
 )
 
@@ -254,3 +257,31 @@ def test_write_then_parse_round_trip():
     records, errors = parse_subworkorders(buf.getvalue())
     assert errors == []
     assert records == [rec]
+
+
+FLOATS = [0.1 + 0.2, 5e-324, 1e300]
+
+
+def test_write_csv_floats_read_back_bit_for_bit():
+    buf = io.StringIO()
+    write_csv(buf, ["python", "numpy"], [[x, np.float64(x)] for x in FLOATS])
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert rows[0] == ["python", "numpy"]
+    for x, (python, numpy) in zip(FLOATS, rows[1:]):
+        assert python == numpy == repr(x)
+        assert float(python).hex() == float(numpy).hex() == x.hex()
+
+
+def test_write_csv_none_is_an_empty_cell():
+    buf = io.StringIO()
+    write_csv(buf, ["a", "b", "c"], [[1, None, 2]])
+    assert buf.getvalue() == "a,b,c\n1,,2\n"
+
+
+def test_write_csv_quotes_what_needs_it_and_ends_every_line_in_newline():
+    cells = ["AF13,00000", 'say "hi"', "two\nlines", "plain"]
+    buf = io.StringIO()
+    write_csv(buf, ["id", "quote", "newline", "plain"], [cells, cells])
+    text = buf.getvalue()
+    assert list(csv.reader(io.StringIO(text))) == [["id", "quote", "newline", "plain"], cells, cells]
+    assert text == "id,quote,newline,plain\n" + '"AF13,00000","say ""hi""","two\nlines",plain\n' * 2
