@@ -34,13 +34,13 @@ from .evaluation import (
     ablation,
     fit_on_train,
     score_panel,
-    separation_ratio,
     split,
+    train_matrix,
     write_ablation_csv,
     write_eval_report,
     write_histogram_csv,
 )
-from .features import FeatureSpec, encode, standardize, transform
+from .features import FeatureSpec, transform
 from .ingest import parse_subworkorders, write_csv, write_subworkorders
 from .models import MODEL_KINDS, fit_model, load_model, predict_proba, save_model
 from .panel import PanelOptions, build_panel, load_utilization_csv, week_index, write_panel_csv
@@ -342,16 +342,13 @@ def _cmd_tune(run: _Run) -> int:
     combos = list(itertools.product(*(grid[k] for k in keys))) if keys else [()]
 
     # encode once; each grid point only refits
-    matrix = standardize(encode(train, cfg.feature_spec(run.config)))
-    test_values = transform(test, matrix.columns, matrix.scale)
-    test_labels = test.repair_flag
+    matrix = train_matrix(train, cfg.feature_spec(run.config))
     results = []
     best = None
     for combo in combos:
         overrides = dict(zip(keys, combo))
         trial = replace(run.config, **overrides)
-        model = fit_model(trial.model, matrix, cfg.model_hyper(trial))
-        report = separation_ratio(predict_proba(model, test_values), test_labels)
+        report = score_panel(fit_model(trial.model, matrix, cfg.model_hyper(trial)), test)
         results.append([json.dumps(overrides, sort_keys=True), report.ratio, report.mean_pred_true, report.mean_pred_false])
         if best is None or report.ratio > best[1]:
             best = (overrides, report.ratio)

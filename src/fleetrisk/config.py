@@ -162,9 +162,9 @@ def _validate(config: RunConfig) -> None:
         raise UsageError("test_fraction must be in (0, 1)")
     if config.gap_cap < 1:
         raise UsageError(f"gap_cap must be >= 1, got {config.gap_cap}")
-    if not config.features:
-        raise UsageError("features must not be empty")
     for what, names in [("features", config.features), *(("ablation subset", s) for s in config.ablation_subsets)]:
+        if not names:
+            raise UsageError(f"{what} must not be empty")
         try:
             FeatureSpec.of(names)
         except ValueError as exc:
@@ -172,6 +172,9 @@ def _validate(config: RunConfig) -> None:
     for entry in config.mel_specs:
         if "vehicle_type" not in entry or "mel" not in entry:
             raise UsageError("each mel_specs entry needs vehicle_type and mel")
+        unknown = set(entry) - {"vehicle_type", "mel", "assigned"}
+        if unknown:
+            raise UsageError(f"unknown mel_specs keys: {', '.join(sorted(unknown))}")
         for key, hint in (("vehicle_type", str), ("mel", int), ("assigned", int)):
             if key in entry and not _fits(entry[key], hint):
                 raise UsageError(f"mel_specs {key} must be {hint.__name__}, got {entry[key]!r}")

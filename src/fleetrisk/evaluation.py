@@ -19,7 +19,7 @@ from .errors import (
     SingleClassLabelsError,
     ZeroFalseMeanError,
 )
-from .features import FeatureSpec, encode, standardize, transform
+from .features import FeatureMatrix, FeatureSpec, build_columns, encode, standardize, transform
 from .ingest import write_csv
 from .models import fit_model, predict_proba
 from .panel import Panel
@@ -113,10 +113,14 @@ def separation_ratio(preds: Sequence[float], labels: Sequence[int]) -> EvalRepor
     )
 
 
+def train_matrix(train: Panel, feature_spec: FeatureSpec) -> FeatureMatrix:
+    """encode -> standardize: the matrix a model fits on, with the layout and scale it keeps."""
+    return standardize(encode(train, feature_spec))
+
+
 def fit_on_train(train: Panel, feature_spec: FeatureSpec, model_kind: str, hyper):
-    """encode -> standardize -> fit. The model carries the train panel's
-    column layout and scale, which score_panel applies to held-out rows."""
-    return fit_model(model_kind, standardize(encode(train, feature_spec)), hyper)
+    """train_matrix -> fit. score_panel applies the model's layout and scale to held-out rows."""
+    return fit_model(model_kind, train_matrix(train, feature_spec), hyper)
 
 
 def score_panel(model, panel: Panel) -> EvalReport:
@@ -134,18 +138,17 @@ class AblationRow:
 
 
 def ablation(train: Panel, test: Panel, subsets: Sequence[FeatureSpec], model_kind: str, hyper) -> list[AblationRow]:
-    """One fit per feature subset, all on the same train and test halves."""
+    """One fit per feature subset, all on the same train and test halves. The
+    train half is encoded once, over the union of the subsets; each fit takes
+    its subset's columns, the bytes `fit_on_train` would encode for it."""
+    if not subsets:
+        return []
+    full = train_matrix(train, FeatureSpec.of([name for spec in subsets for name in spec.names()]))
     out = []
     for spec in subsets:
-        report = score_panel(fit_on_train(train, spec, model_kind, hyper), test)
-        out.append(
-            AblationRow(
-                features=spec.names(),
-                mean_pred_true=report.mean_pred_true,
-                mean_pred_false=report.mean_pred_false,
-                ratio=report.ratio,
-            )
-        )
+        model = fit_model(model_kind, full.select(build_columns(spec, train.vocab)), hyper)
+        report = score_panel(model, test)
+        out.append(AblationRow(spec.names(), report.mean_pred_true, report.mean_pred_false, report.ratio))
     return out
 
 

@@ -1,14 +1,15 @@
-"""Design-matrix encoding: one-hot categoricals and std-scaled numerics.
+"""Design-matrix encoding: one-hot categoricals and numerics, every
+column divided by its own population std.
 
 Categorical groups carry an explicit "<unknown>" level so rows from
 outside the training vocabulary still encode to a valid one-hot. The
 vehicle-ID group grows with fleet size, so matrices that include it are
-kept sparse (CSR).
+kept sparse (CSR). A column's scale depends on its own values alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -86,6 +87,14 @@ class FeatureMatrix:
     def width(self) -> int:
         return len(self.columns)
 
+    def select(self, columns: Sequence[Column]) -> "FeatureMatrix":
+        """These of its columns, with their scale, stored as `encode` stores
+        that layout: the bytes of encoding (and standardizing) their features alone."""
+        where = {col: j for j, col in enumerate(self.columns)}
+        idx = [where[col] for col in columns]
+        values = _stored(sp.csr_matrix(self.values)[:, idx], columns)
+        return replace(self, columns=list(columns), values=values, scale=self.scale[idx])
+
 
 @dataclass
 class Fitted:
@@ -116,10 +125,17 @@ def build_columns(spec: FeatureSpec, vocab: PanelVocab) -> list[Column]:
     ] + [Column(name=name, kind="numeric") for name in names if name not in onehot]
 
 
+def _stored(values: sp.csr_matrix, columns: Sequence[Column]) -> np.ndarray | sp.csr_matrix:
+    """A layout's values as kept: CSR when it has a sparse group, dense otherwise."""
+    if any(col.kind == "onehot" and FEATURES[col.group].sparse for col in columns):
+        return values
+    return values.toarray()
+
+
 def _fill(panel: Panel, columns: Sequence[Column]) -> np.ndarray | sp.csr_matrix:
-    """A panel's rows against a column layout, built column by column: CSR
-    when the layout has a sparse group, dense otherwise. A value outside a
-    group's levels lands on its unknown level. A column that names no
+    """A panel's rows against a column layout, built column by column and
+    kept as `_stored` says. A value outside a group's levels lands on its
+    unknown level. A column that names no
     feature of its kind, or a group without its unknown level, raises
     UnknownColumnError."""
     n = len(panel)
@@ -149,11 +165,7 @@ def _fill(panel: Panel, columns: Sequence[Column]) -> np.ndarray | sp.csr_matrix
             data[:, k] = cells
     keep = data != 0.0  # numeric zeros are skipped
     row_idx, col_idx, data = np.nonzero(keep)[0], col_idx[keep], data[keep]
-    if any(FEATURES[name].sparse for name in parts):
-        return sp.csr_matrix((data, (row_idx, col_idx)), shape=(n, len(columns)), dtype=np.float64)
-    values = np.zeros((n, len(columns)))
-    values[row_idx, col_idx] = data
-    return values
+    return _stored(sp.csr_matrix((data, (row_idx, col_idx)), shape=(n, len(columns)), dtype=np.float64), columns)
 
 
 def encode(panel: Panel, spec: FeatureSpec) -> FeatureMatrix:
@@ -169,52 +181,35 @@ def encode(panel: Panel, spec: FeatureSpec) -> FeatureMatrix:
 
 
 def transform(panel: Panel, columns: Sequence[Column], scale: np.ndarray | None = None) -> np.ndarray | sp.csr_matrix:
-    """Encode a panel's rows against a fitted column layout, applying the
+    """Encode a panel's rows against a fitted column layout, divided by the
     fitted per-column scale when given. Used to score new data with a saved model."""
     values = _fill(panel, columns)
     if scale is not None:
-        values = _scale_columns(values, 1.0 / np.asarray(scale, dtype=np.float64))
+        values = _scale_columns(values, np.asarray(scale, dtype=np.float64))
     return values
 
 
-def _scale_columns(values: np.ndarray | sp.csr_matrix, factor: np.ndarray) -> np.ndarray | sp.csr_matrix:
-    """Multiply each column by its factor; CSR in, CSR out."""
+def _scale_columns(values: np.ndarray | sp.csr_matrix, divisor: np.ndarray) -> np.ndarray | sp.csr_matrix:
+    """Divide each stored value by its column's divisor; CSR in, CSR out."""
     if sp.issparse(values):
-        return sp.csr_matrix(values @ sp.diags(factor))
-    return values * factor
-
-
-def _column_std(values: np.ndarray | sp.csr_matrix) -> np.ndarray:
-    if sp.issparse(values):
-        mean = np.asarray(values.mean(axis=0)).ravel()
-        mean_sq = np.asarray(values.multiply(values).mean(axis=0)).ravel()
-        var = np.maximum(mean_sq - mean**2, 0.0)
-        return np.sqrt(var)
-    return values.std(axis=0)
+        return sp.csr_matrix((values.data / divisor[values.indices], values.indices, values.indptr), shape=values.shape)
+    return values / divisor
 
 
 def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
-    """Divide each column by its population standard deviation.
-
-    Columns with std <= 1e-12 are left alone (scale 1), so the operation
-    is idempotent and constant columns survive unchanged.
-    """
-    std = _column_std(matrix.values)
+    """Divide each column by its population standard deviation, taken in
+    two passes over that column's values in row order, whatever the other
+    columns and the storage: `transform` with the resulting scale gives
+    the same bytes. Columns with std <= 1e-12 keep scale 1."""
+    csr = sp.csr_matrix(matrix.values)
+    n, width = csr.shape
+    # the stored entries of each column, summed in row order; the rest are zeros
+    mean = np.bincount(csr.indices, csr.data, minlength=width) / n
+    dev = csr.data - mean[csr.indices]
+    zeros = n - np.bincount(csr.indices, minlength=width)
+    std = np.sqrt((np.bincount(csr.indices, dev**2, minlength=width) + zeros * mean**2) / n)
     divisor = np.where(std > STD_EPSILON, std, 1.0)
-    # Dense training columns are divided exactly; held-out rows are scaled by
-    # the reciprocal (see transform). The two can differ in the last bit, and
-    # fitted models depend on both, so each keeps its arithmetic.
-    if sp.issparse(matrix.values):
-        values = _scale_columns(matrix.values, 1.0 / divisor)
-    else:
-        values = matrix.values / divisor
-    return FeatureMatrix(
-        columns=list(matrix.columns),
-        values=values,
-        labels=matrix.labels,
-        scale=matrix.scale * divisor,
-        standardized=True,
-    )
+    return replace(matrix, values=_scale_columns(matrix.values, divisor), scale=matrix.scale * divisor, standardized=True)
 
 
 def apply_scale(matrix: FeatureMatrix, scale: np.ndarray) -> FeatureMatrix:
@@ -222,10 +217,4 @@ def apply_scale(matrix: FeatureMatrix, scale: np.ndarray) -> FeatureMatrix:
     scale = np.asarray(scale, dtype=np.float64)
     if len(scale) != matrix.width:
         raise ValueError(f"scale length {len(scale)} != matrix width {matrix.width}")
-    return FeatureMatrix(
-        columns=list(matrix.columns),
-        values=_scale_columns(matrix.values, 1.0 / scale),
-        labels=matrix.labels,
-        scale=matrix.scale * scale,
-        standardized=True,
-    )
+    return replace(matrix, values=_scale_columns(matrix.values, scale), scale=matrix.scale * scale, standardized=True)

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetrisk.cli import build_parser, main
-from fleetrisk.config import RunConfig
+from fleetrisk.config import RunConfig, build_run_config
+from fleetrisk.errors import UsageError
 from fleetrisk.models import MODELS
 
 SMALL = ["--n-vehicles", "18", "--n-weeks", "60"]
@@ -93,6 +94,14 @@ def test_ablate_writes_table(trained_dir):
     assert lines[0] == "features,mean_pred_true,mean_pred_false,ratio"
     assert len(lines) == 7  # six default subsets
     assert lines[-1].startswith("operational_weeks,")
+
+
+def test_ablate_without_subsets_writes_the_header_only(trained_dir, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"ablation_subsets": []}))
+    out = tmp_path / "out"
+    assert main(["ablate", "--config", str(config), "-o", str(out), "--input", str(trained_dir / "subworkorders.csv")]) == 0
+    assert (out / "ablation.csv").read_text() == "features,mean_pred_true,mean_pred_false,ratio\n"
 
 
 def test_mel_needs_specs(trained_dir):
@@ -394,6 +403,9 @@ def _single_error_line(capsys) -> bool:
         ["synth", "--beta-gap", "inf"],
         ["train", "--gap-cap", "-1"],
         ["train", "--gap-cap", "0"],
+        ["mel", "--config", {"mel_specs": [{"vehicle_type": "truck", "mel": 1, "asigned": 3}]}],
+        ["ablate", "--config", {"ablation_subsets": [[]]}],
+        ["report", "--config", {"ablation_subsets": [["operational_weeks"], []]}],
     ],
     ids=[
         "start-date", "forest-n-estimators", "forest-max-features", "forest-min-leaf", "forest-max-depth",
@@ -404,7 +416,7 @@ def _single_error_line(capsys) -> bool:
         "vehicle-types-entry-not-list", "units-str", "gap-cap-str", "seed-str", "include-scheduled-str",
         "gap-cap-null", "n-vehicles-bool", "synth-n-vehicles-0", "synth-n-weeks-1", "synth-hazard-multiplier-0",
         "tune-grid-float-for-int", "tune-grid-bool-for-float", "synth-beta0-nan", "synth-beta-gap-inf",
-        "gap-cap-negative", "gap-cap-0",
+        "gap-cap-negative", "gap-cap-0", "mel-specs-unknown-key", "ablation-subset-empty", "report-ablation-subset-empty",
     ],
 )
 def test_bad_values_reaching_the_pipeline_are_usage_errors(trained_dir, tmp_path, capsys, argv):
@@ -415,6 +427,11 @@ def test_bad_values_reaching_the_pipeline_are_usage_errors(trained_dir, tmp_path
     capsys.readouterr()
     assert main([*argv, "-o", str(trained_dir)]) == 2
     assert _single_error_line(capsys)
+
+
+def test_a_mel_spec_key_it_does_not_take_is_named(tmp_path):
+    with pytest.raises(UsageError, match="unknown mel_specs keys: asigned"):
+        build_run_config({"mel_specs": [{"vehicle_type": "truck", "mel": 1, "asigned": 3}]}, {})
 
 
 def test_hyperparameters_are_declared_once(tmp_path):
@@ -453,14 +470,14 @@ INVALID_CONFIG_VALUES = {
     "model": ["svm", 3],
     "split": ["weekly", None],
     "features": ["vehicle_type", [], ["odometer"], [3]],
-    "ablation_subsets": [[["odometer"]], [7], "x"],
+    "ablation_subsets": [[["odometer"]], [7], "x", [[]]],
     "l2_lambda": [-1, "x"],
     "solver": ["lbfgs", 1],
     "mel_specs": [
         5, [{"mel": 1}], ["truck"],
         [{"vehicle_type": "truck", "mel": 2.7}], [{"vehicle_type": "truck", "mel": True}],
         [{"vehicle_type": "truck", "mel": "2"}], [{"vehicle_type": "truck", "mel": 1, "assigned": 4.9}],
-        [{"vehicle_type": 7, "mel": 1}],
+        [{"vehicle_type": 7, "mel": 1}], [{"vehicle_type": "truck", "mel": 1, "asigned": 3}],
     ],
     "tune_grid": [{"l2_lambda": []}, {"min_leaf": [1]}, {"l2_lambda": 0.1}, [], {"max_iters": [2.5]}, {"tol": [True]}],
 }

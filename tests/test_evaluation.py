@@ -1,10 +1,12 @@
 """Split semantics, the separation-ratio metric, and the ablation harness."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fleetrisk.config import DEFAULT_ABLATION_SUBSETS, RunConfig, fleet_config
 from fleetrisk.errors import DegeneratePanelError, SingleClassLabelsError, ZeroFalseMeanError
 from fleetrisk.evaluation import (
     N_BINS,
@@ -21,8 +23,10 @@ from fleetrisk.evaluation import (
     write_histogram_csv,
 )
 from fleetrisk.features import FeatureSpec
-from fleetrisk.models import LogisticHyper
-from fleetrisk.panel import PanelRow, panel_from_rows
+from fleetrisk.ingest import parse_subworkorders
+from fleetrisk.models import GbtHyper, LogisticHyper
+from fleetrisk.panel import PanelOptions, PanelRow, build_panel, load_utilization_csv, panel_from_rows
+from fleetrisk.synth import generate_fleet
 
 
 def grid_panel(n_assets=6, n_weeks=10, flag_every=3):
@@ -188,6 +192,27 @@ def test_ablation_shares_one_split():
     ]
     for r in rows:
         assert r.ratio == pytest.approx(r.mean_pred_true / r.mean_pred_false)
+
+
+@pytest.mark.parametrize("kind, hyper", [
+    ("logistic", LogisticHyper(solver="newton")),
+    ("gbt", GbtHyper(n_estimators=5)),
+])
+def test_ablation_ratios_equal_one_fit_per_subset(kind, hyper):
+    """Ablation encodes the train half once and selects each subset's columns;
+    its ratios are those of encoding and fitting each subset on its own."""
+    config = replace(fleet_config(RunConfig()), seed=7, n_vehicles=20, n_weeks=60)
+    csv_bytes, sidecar, _ = generate_fleet(config)
+    records, _ = parse_subworkorders(csv_bytes)
+    panel = build_panel(records, PanelOptions(utilization=load_utilization_csv(sidecar)))
+    train, test = split(panel, ChronologicalSplit())
+    subsets = [FeatureSpec.of(names) for names in DEFAULT_ABLATION_SUBSETS]
+    rows = ablation(train, test, subsets, kind, hyper)
+    for spec, row in zip(subsets, rows, strict=True):
+        report = score_panel(fit_on_train(train, spec, kind, hyper), test)
+        assert (row.mean_pred_true, row.mean_pred_false, row.ratio) == (
+            report.mean_pred_true, report.mean_pred_false, report.ratio,
+        ), spec.names()
 
 
 def test_report_round_trips_to_dict():

@@ -145,7 +145,7 @@ def test_transform_with_scale_matches_standardized_training_matrix():
     panel = make_panel()
     m = standardize(encode(panel, FeatureSpec.of(["vehicle_type", "operational_weeks"])))
     X = transform(panel, m.columns, m.scale)
-    np.testing.assert_allclose(X, m.values, atol=1e-12)
+    assert_same_bytes(X, m.values)
 
 
 def test_transform_sparse_when_columns_include_vehicle_id():
@@ -153,7 +153,7 @@ def test_transform_sparse_when_columns_include_vehicle_id():
     m = standardize(encode(panel, FeatureSpec.full()))
     X = transform(panel, m.columns, m.scale)
     assert sp.issparse(X)
-    np.testing.assert_allclose(X.toarray(), m.values.toarray(), atol=1e-12)
+    assert_same_bytes(X, m.values)
 
 
 # The per-row encoder that one column-wise fill path replaced, kept as the
@@ -246,3 +246,11 @@ def test_fill_matches_the_per_row_reference_byte_for_byte(synth_halves, subset):
     matrix = encode(train, FeatureSpec.of(subset))
     assert_same_bytes(matrix.values, reference_fill(train.rows, matrix.columns))
     assert_same_bytes(transform(held_out, matrix.columns), reference_fill(held_out.rows, matrix.columns))
+    # a column's scale comes from its own values alone: the subset's standardized
+    # matrix is a selection of the full layout's, whatever the storage of either,
+    # and transform with that scale gives the training matrix back
+    alone = standardize(matrix)
+    assert_same_bytes(transform(train, alone.columns, alone.scale), alone.values)
+    picked = standardize(encode(train, FeatureSpec.full())).select(alone.columns)
+    assert_same_bytes(picked.values, alone.values)
+    assert picked.scale.tobytes() == alone.scale.tobytes()

@@ -18,33 +18,33 @@ from pathlib import Path
 from fleetrisk.cli import main
 
 GOLDEN = {
-    "eval/eval_report.json": "b8f2ed4d3a4538ebd2b1cc22cdbd2b02e482e627ff8e571ef25aed13dea9ad9a",
+    "eval/eval_report.json": "23468980bbff694b8792aea77a936767d0fa4becd008eec96d1510a413b5daa2",
     "eval/histogram_false.csv": "c4baa2951180524997501ccd280b294075708903d6154de0bac4f88f5edb1caf",
     "eval/histogram_true.csv": "72cbda638f3589bf11c3a53a64b7f435809d9db91e2562fbf1d78bfe5e866a8a",
     "ingest/records.csv": "363365d1aaa837c7df06b973ee714e32697a610272aac84a6ae5852f4064158a",
     "ingest/row_errors.csv": "76b0425701d089ebeda4a24a13dad7cf2e5a1f732c629cf13ab7f1659a8e0915",
     "mel-forest/mel_risk.json": "574c33262fa6d61de90f4499bdcef7fea311531ecdd4cf95f8e61331e0f503de",
-    "mel/mel_risk.json": "8db80fdb1cc9bb2b2b38d76210ac979f7cb34a705ad01104654d11c9ab6f11d8",
+    "mel/mel_risk.json": "25e4ac7986e3cc9f68ace7b29920846c7ac0f3b2204c2bf23c8fccc382a7cc70",
     "panel-early-start/panel.csv": "598102c9d665730818e307e5b54a40926b1dba93e7bec030d6477721b55d448d",
     "panel-no-sidecar/panel.csv": "6d521cda7d1606045facc5a37cd6fde4fd0f9f261d33b58b19f7068fb1e78be7",
     "panel-options/panel.csv": "0485afea285356802522f7b5172e2e46ba0d2af0ceba1da4aaa7998f2e061b5c",
     "panel/panel.csv": "dc4f7dcb0ede504cf01abb6aa9edcb5f88d56400fea7bd23e968eb121340830f",
-    "report-forest-leaf1/ablation.csv": "3b4c36b2ce8aed89186fd28655b85ff76aa1e13c0cb2583b9fa637829c918b6f",
+    "report-forest-leaf1/ablation.csv": "f918695417aefe2744c154cc8a856fb8036566724d3b3fe7c790dbfc9505a94a",
     "report-forest-leaf1/eval_report.json": "549ad52014478a2edfc72d7c963cb062de4e540be1e6bb3f7a534e97f2304d31",
     "report-forest-leaf1/histogram_false.csv": "9e3c6668d739eb76dc687f62d2e99c59979c832147247214e047990800463901",
     "report-forest-leaf1/histogram_true.csv": "805327f260eff18745e96f1c01537c5452cd3345b1ca1a38f7c83acf9b126888",
     "report-forest-leaf1/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
-    "report-forest-leaf1/model.json": "94fc564f9bf9fa2139ea5fd0e0863dca9aeb985d9141c9f4cf25fd5e6391970f",
+    "report-forest-leaf1/model.json": "1a7ea449db223f03d4050e650371f8b3667f02d5186816e299aea0fae9778d2e",
     "report-forest-leaf1/policy_hist_proactive.csv": "dcc970fabc910e0b99bf23e953be5c6fb6d4e9861e96ffaf3f83f436c18130e9",
     "report-forest-leaf1/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "report-forest-leaf1/policy_summary.json": "d1b85fdb9a393491c51b186445a6b0bf2220109a8ad40b694a807336620f53ea",
     "report-forest-leaf1/policy_trace.csv": "14b799de405b1064b602167a465c43e8e39823093645aa80cc22edd1da20d6ea",
-    "report-forest/ablation.csv": "fbad306eca89282cffe0b280d8f278dd5ff554db3b75dbc89cd8a2996130954e",
+    "report-forest/ablation.csv": "66241d0058074894c76bfbfae1ba31e86eefb238b72d7f51ec7d2f2f4bea0ae5",
     "report-forest/eval_report.json": "bde4d28d67fc78e8c1ae902bf61f0f24ed6c6f6a52e806f7996634cf77c5097e",
     "report-forest/histogram_false.csv": "6283996ef1a4cf8e7e00d661a68652585050b98cd5bf9926a9cb0af270c55355",
     "report-forest/histogram_true.csv": "d494ffada81962a2a3c04fe30c96d786278ee11cf874d6a58b1368d71871bd9e",
     "report-forest/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
-    "report-forest/model.json": "ac6c3b4ec35e67e8286f72ecc9edebd977a665ea1e36f36dee2f8c6921e62d6c",
+    "report-forest/model.json": "4398fafb9f0fefeb29671de750ad814f6715cf37bf7c4e0e9480f43d68e71061",
     "report-forest/policy_hist_proactive.csv": "d4bb77d5456bb813f116535c9400f5866cd5ac12f22ad9c45134bbf843d41a90",
     "report-forest/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "report-forest/policy_summary.json": "2dd4c609736541bc1dac198c1a89af5e0f317570431a0f5a78f3d2badad5110c",
@@ -54,7 +54,7 @@ GOLDEN = {
     "report-gbt-deep/histogram_false.csv": "d97e600c75181613ca668d4854290f86866db4dfbc504bbe26d607b916f53da6",
     "report-gbt-deep/histogram_true.csv": "c3f043324e76bcea3d7d5bde12424e06ad9fdac74b5fa28ae1f9db95b901e3f5",
     "report-gbt-deep/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
-    "report-gbt-deep/model.json": "aac20547cb010e72d97ada4f116e105119e0c43a1705ada03fea56cd8293af30",
+    "report-gbt-deep/model.json": "07ca07a05d08449863f8757d289cc22f7aafc90a87a98c9d31ae371a7dfeec8e",
     "report-gbt-deep/policy_hist_proactive.csv": "093d4e4ed4f9c54dc148c2611444b3ad83877d1e8e993f6ca436207b85171d08",
     "report-gbt-deep/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "report-gbt-deep/policy_summary.json": "c27c278612869ad3b9710e709d4c9303236630333850bebebc30ea0dcb4567c0",
@@ -64,42 +64,42 @@ GOLDEN = {
     "report-gbt/histogram_false.csv": "e042b4572f06b267204d676569dea10daf2cc9bd3cbdd3e7f4591c51693c6837",
     "report-gbt/histogram_true.csv": "24fe790ebd5c3195451dd6ccef90ee6c20f1ce5e21cf024aca7eb351fdc4a31d",
     "report-gbt/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
-    "report-gbt/model.json": "871b16b30bff806527b6d2178c16b3613fa18ead9708e55fb2a70795f952bad3",
+    "report-gbt/model.json": "ad872d242eab7ed762b7d51329b193124c88375bb57deb91932bce5951278f6d",
     "report-gbt/policy_hist_proactive.csv": "54e2ee0254ccd269b71da57077bc7956147cbf50bae59e099b83c50d5ce9f6cd",
     "report-gbt/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "report-gbt/policy_summary.json": "cbc1f1d84eea55934afc2d62efa81009b2d3ad308ab5b59ee5c8c4af46a4a578",
     "report-gbt/policy_trace.csv": "001b2a6c6a66c264297f30cf174ef21e3fa78d6fa83a6578b3d81049b954f47b",
-    "report-logistic/ablation.csv": "9b7339ed8032c4aa782d116f7bb6779cf4122adcd7ebe588907afa54389a7dc8",
-    "report-logistic/eval_report.json": "b8f2ed4d3a4538ebd2b1cc22cdbd2b02e482e627ff8e571ef25aed13dea9ad9a",
+    "report-logistic/ablation.csv": "68174a28334bbc58b1c9f7713cd9c393f37538a8eef4adc9ee5e3e287f56ba56",
+    "report-logistic/eval_report.json": "23468980bbff694b8792aea77a936767d0fa4becd008eec96d1510a413b5daa2",
     "report-logistic/histogram_false.csv": "c4baa2951180524997501ccd280b294075708903d6154de0bac4f88f5edb1caf",
     "report-logistic/histogram_true.csv": "72cbda638f3589bf11c3a53a64b7f435809d9db91e2562fbf1d78bfe5e866a8a",
     "report-logistic/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
-    "report-logistic/model.json": "d04c6487cd0f83862883dc740a4ee062b718bdbd8973a76a802d25aca4759017",
+    "report-logistic/model.json": "e4d950d3ede410bf66c5a00a7c1026b6fd54221b63f17347d9d370113553bcc7",
     "report-logistic/policy_hist_proactive.csv": "89ecf41b7d639f086c60c64b5969534712df9e3d1e87149c9b5c3ba8ae934c2f",
     "report-logistic/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "report-logistic/policy_summary.json": "984dacf0f8d68fccbb19fb923b74424addb0322ce4b3fe4a1ef0d9edbb1e6855",
-    "report-logistic/policy_trace.csv": "9589b0ff56d9f8f68b2903f414df27ffc6e8cb21500baf1bdb652b1b92a6e9ec",
-    "report-random/ablation.csv": "4fc743162288b547daa104819735a3f9d014fc5312b68f88eab120e70df6d21d",
-    "report-random/eval_report.json": "b1b37eabfa267e074634b1b20695e7d007918b4a92942525cab42f6d808c623b",
+    "report-logistic/policy_trace.csv": "ca9de21dd41b0e2adf04a4f2df9809ba83a09044c96cbb4661336c31a24937e0",
+    "report-random/ablation.csv": "bec599dba194c88b9f7a25039aa619cb849c75e008dc0bd908fdcfc894ada76e",
+    "report-random/eval_report.json": "9348a30b550d0cfdcf5ba0bcd6b44282cc9663ee27f420b4ac6eaa7ccce1c551",
     "report-random/histogram_false.csv": "2ae29047f8bbbecae80dfafa88ce68bd500b22672dc750318a6230fc18083588",
     "report-random/histogram_true.csv": "5581182225e9ce5ddc1986402c8bcb101afb0ecddef1c91b64d416a9ea5b3778",
     "report-random/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
-    "report-random/model.json": "7d08bdd394cf23ea7195f70f608ae02427fc54344f69234ed6e26d21122c26b6",
+    "report-random/model.json": "779aca26211e8dd7336a1c370aebd3df5cdb598355f122a9ed98b7fbdc8516e0",
     "report-random/policy_hist_proactive.csv": "71ee3f00cc9b4906e551432b26d60ec84125eb8247dc492488da2fe0bfb7cfc2",
     "report-random/policy_hist_random.csv": "7d172b88f9775c6228b672a016f427b53d1b2839a87d4869b713bd6c7953a0a2",
     "report-random/policy_summary.json": "13e5e3343f0038ab30910132bce1206e9d3d7e94783068c941629b33896d920f",
-    "report-random/policy_trace.csv": "786a8a639644739b2bd24d3f33fc1dc24b38fbfdaf95a369ef7bdc1e8603dd80",
+    "report-random/policy_trace.csv": "4f9d286f8bb10d6fd2c755798b9d9fa8e29728839aedcf715954dfb285769731",
     "simulate/policy_hist_proactive.csv": "89ecf41b7d639f086c60c64b5969534712df9e3d1e87149c9b5c3ba8ae934c2f",
     "simulate/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "simulate/policy_summary.json": "984dacf0f8d68fccbb19fb923b74424addb0322ce4b3fe4a1ef0d9edbb1e6855",
-    "simulate/policy_trace.csv": "9589b0ff56d9f8f68b2903f414df27ffc6e8cb21500baf1bdb652b1b92a6e9ec",
+    "simulate/policy_trace.csv": "ca9de21dd41b0e2adf04a4f2df9809ba83a09044c96cbb4661336c31a24937e0",
     "synth/ground_truth.json": "9c741c3525e315483e6049f73d77e1ded7588ef793612b47b554bc4eeedfbb46",
     "synth/subworkorders.csv": "363365d1aaa837c7df06b973ee714e32697a610272aac84a6ae5852f4064158a",
     "synth/utilization.csv": "500c405b36d10382860c2cb6eaf81849a91ed7126e92ae30ab59bc1c487d9a63",
-    "train-forest/model.json": "ac6c3b4ec35e67e8286f72ecc9edebd977a665ea1e36f36dee2f8c6921e62d6c",
-    "train/model.json": "d04c6487cd0f83862883dc740a4ee062b718bdbd8973a76a802d25aca4759017",
-    "tune/tune_best.json": "051867ffc4cd313621ebb66e2739536c961fdf069e4357c430cb32b79925ee18",
-    "tune/tune_results.csv": "c6305d47c535cfaf5949f3fa54c4b16df0cd9378944ee2de475d109170ea00aa",
+    "train-forest/model.json": "4398fafb9f0fefeb29671de750ad814f6715cf37bf7c4e0e9480f43d68e71061",
+    "train/model.json": "e4d950d3ede410bf66c5a00a7c1026b6fd54221b63f17347d9d370113553bcc7",
+    "tune/tune_best.json": "b697a5748efcea967956573fd1bd22ae72ebc5d6fcc796c2fb336fe3eff432a4",
+    "tune/tune_results.csv": "0d5de3a7a144e2f2bbf3543aaabdb4f39a5ca245aac5b1bac84f604a9f73a3e2",
 }
 
 
