@@ -2,9 +2,11 @@
 column divided by its own population std.
 
 Categorical groups carry an explicit "<unknown>" level so rows from
-outside the training vocabulary still encode to a valid one-hot. The
-vehicle-ID group grows with fleet size, so matrices that include it are
-kept sparse (CSR). A column's scale depends on its own values alone.
+outside the training vocabulary still encode to a valid one-hot. Every
+design matrix is CSR (compressed sparse row), from the fill through
+standardize, select and transform, so each row is scored on its own
+stored entries whatever the batch. A column's scale depends on its own
+values alone.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ class Feature(NamedTuple):
 
     levels: str | None = None  # the PanelVocab field of its one-hot levels; None for a numeric
     field: str | None = None  # the Panel column it reads, when not named like the feature
-    sparse: bool = False  # its group grows with fleet size, so a layout with it is kept CSR
 
 
 FEATURES = {
-    "vehicle_id": Feature("asset_ids", "asset", sparse=True),
+    "vehicle_id": Feature("asset_ids", "asset"),
     "vehicle_type": Feature("vehicle_types"),
     "unit": Feature("units"),
     "operational_weeks": Feature(),
@@ -78,22 +79,24 @@ class Column:
 @dataclass
 class FeatureMatrix:
     columns: list[Column]
-    values: np.ndarray | sp.csr_matrix
+    values: sp.csr_matrix  # any matrix given is kept as float64 CSR; such a CSR is not copied
     labels: np.ndarray
     scale: np.ndarray
     standardized: bool = False
+
+    def __post_init__(self):
+        self.values = sp.csr_matrix(self.values, dtype=np.float64)
 
     @property
     def width(self) -> int:
         return len(self.columns)
 
     def select(self, columns: Sequence[Column]) -> "FeatureMatrix":
-        """These of its columns, with their scale, stored as `encode` stores
-        that layout: the bytes of encoding (and standardizing) their features alone."""
+        """These of its columns, with their scale: the bytes of encoding (and
+        standardizing) their features alone."""
         where = {col: j for j, col in enumerate(self.columns)}
         idx = [where[col] for col in columns]
-        values = _stored(sp.csr_matrix(self.values)[:, idx], columns)
-        return replace(self, columns=list(columns), values=values, scale=self.scale[idx])
+        return replace(self, columns=list(columns), values=self.values[:, idx], scale=self.scale[idx])
 
 
 @dataclass
@@ -125,19 +128,11 @@ def build_columns(spec: FeatureSpec, vocab: PanelVocab) -> list[Column]:
     ] + [Column(name=name, kind="numeric") for name in names if name not in onehot]
 
 
-def _stored(values: sp.csr_matrix, columns: Sequence[Column]) -> np.ndarray | sp.csr_matrix:
-    """A layout's values as kept: CSR when it has a sparse group, dense otherwise."""
-    if any(col.kind == "onehot" and FEATURES[col.group].sparse for col in columns):
-        return values
-    return values.toarray()
-
-
-def _fill(panel: Panel, columns: Sequence[Column]) -> np.ndarray | sp.csr_matrix:
-    """A panel's rows against a column layout, built column by column and
-    kept as `_stored` says. A value outside a group's levels lands on its
-    unknown level. A column that names no
-    feature of its kind, or a group without its unknown level, raises
-    UnknownColumnError."""
+def _fill(panel: Panel, columns: Sequence[Column]) -> sp.csr_matrix:
+    """A panel's rows against a column layout as CSR, built column by
+    column. A value outside a group's levels lands on its unknown level.
+    A column that names no feature of its kind, or a group without its
+    unknown level, raises UnknownColumnError."""
     n = len(panel)
     # feature name -> its one-hot level columns, or its numeric column
     parts: dict[str, dict[str, int] | int] = {}
@@ -165,7 +160,7 @@ def _fill(panel: Panel, columns: Sequence[Column]) -> np.ndarray | sp.csr_matrix
             data[:, k] = cells
     keep = data != 0.0  # numeric zeros are skipped
     row_idx, col_idx, data = np.nonzero(keep)[0], col_idx[keep], data[keep]
-    return _stored(sp.csr_matrix((data, (row_idx, col_idx)), shape=(n, len(columns)), dtype=np.float64), columns)
+    return sp.csr_matrix((data, (row_idx, col_idx)), shape=(n, len(columns)), dtype=np.float64)
 
 
 def encode(panel: Panel, spec: FeatureSpec) -> FeatureMatrix:
@@ -180,7 +175,7 @@ def encode(panel: Panel, spec: FeatureSpec) -> FeatureMatrix:
     )
 
 
-def transform(panel: Panel, columns: Sequence[Column], scale: np.ndarray | None = None) -> np.ndarray | sp.csr_matrix:
+def transform(panel: Panel, columns: Sequence[Column], scale: np.ndarray | None = None) -> sp.csr_matrix:
     """Encode a panel's rows against a fitted column layout, divided by the
     fitted per-column scale when given. Used to score new data with a saved model."""
     values = _fill(panel, columns)
@@ -189,19 +184,17 @@ def transform(panel: Panel, columns: Sequence[Column], scale: np.ndarray | None 
     return values
 
 
-def _scale_columns(values: np.ndarray | sp.csr_matrix, divisor: np.ndarray) -> np.ndarray | sp.csr_matrix:
-    """Divide each stored value by its column's divisor; CSR in, CSR out."""
-    if sp.issparse(values):
-        return sp.csr_matrix((values.data / divisor[values.indices], values.indices, values.indptr), shape=values.shape)
-    return values / divisor
+def _scale_columns(values: sp.csr_matrix, divisor: np.ndarray) -> sp.csr_matrix:
+    """Divide each stored value by its column's divisor."""
+    return sp.csr_matrix((values.data / divisor[values.indices], values.indices, values.indptr), shape=values.shape)
 
 
 def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
     """Divide each column by its population standard deviation, taken in
     two passes over that column's values in row order, whatever the other
-    columns and the storage: `transform` with the resulting scale gives
-    the same bytes. Columns with std <= 1e-12 keep scale 1."""
-    csr = sp.csr_matrix(matrix.values)
+    columns: `transform` with the resulting scale gives the same bytes.
+    Columns with std <= 1e-12 keep scale 1."""
+    csr = matrix.values
     n, width = csr.shape
     # the stored entries of each column, summed in row order; the rest are zeros
     mean = np.bincount(csr.indices, csr.data, minlength=width) / n

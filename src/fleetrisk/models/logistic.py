@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import expit
 
 from ..errors import NonFiniteFeatureError, SingleClassLabelsError
@@ -30,8 +29,10 @@ class LogisticHyper:
     solver: str = "newton"  # "newton" | "gd"
 
     def __post_init__(self):
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be >= 0")
+        # nan fails both comparisons; an infinite l2_lambda or tol gives nan weights or the origin
+        for name in ("l2_lambda", "max_iters", "tol"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.solver not in ("gd", "newton"):
             raise ValueError(f"unknown solver {self.solver!r}")
 
@@ -66,10 +67,11 @@ def _objective(z: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> float
 
 def fit_logistic(matrix: FeatureMatrix, hyper: LogisticHyper = LogisticHyper()) -> LogisticModel:
     X = matrix.values
+    Xt = X.T.tocsr()  # X's columns as CSR rows, for the gradient and Hessian products
     y = np.asarray(matrix.labels, dtype=np.float64)
     n, p = X.shape
 
-    if not np.all(np.isfinite(X.data if sp.issparse(X) else X)):
+    if not np.all(np.isfinite(X.data)):
         raise NonFiniteFeatureError("design matrix contains non-finite values")
     if y.min() == y.max():
         raise SingleClassLabelsError("labels are single-class; cannot fit")
@@ -81,21 +83,18 @@ def fit_logistic(matrix: FeatureMatrix, hyper: LogisticHyper = LogisticHyper()) 
 
     def grads(z):
         r = (expit(z) - y) / n
-        return X.T @ r + lam * w, float(r.sum())
+        return Xt @ r + lam * w, float(r.sum())
 
-    n_iters = 0
-    converged = False
     obj = _objective(z, y, w, lam)
-    for n_iters in range(1, hyper.max_iters + 1):
+    # n_iters counts the steps taken; the gradient is checked before each and after the last
+    for n_iters in range(hyper.max_iters + 1):
         gw, gb = grads(z)
-        grad_norm = float(np.sqrt(gw @ gw + gb * gb))
-        if grad_norm <= hyper.tol:
-            n_iters -= 1
-            converged = True
+        converged = float(np.sqrt(gw @ gw + gb * gb)) <= hyper.tol
+        if converged or n_iters == hyper.max_iters:
             break
 
         if hyper.solver == "newton":
-            step_w, step_b = _newton_step(X, z, w, b, gw, gb, lam, n)
+            step_w, step_b = _newton_step(X, Xt, z, gw, gb, lam, n)
         else:
             step_w, step_b = -gw, -gb
 
@@ -111,27 +110,19 @@ def fit_logistic(matrix: FeatureMatrix, hyper: LogisticHyper = LogisticHyper()) 
                 break
             step *= BACKTRACK_SHRINK
         w, b, z, obj = w_try, b_try, z_try, obj_try
-    else:
-        gw, gb = grads(z)
-        converged = float(np.sqrt(gw @ gw + gb * gb)) <= hyper.tol
 
     return LogisticModel.of(matrix, weights=w, intercept=b, n_iters=n_iters, converged=converged)
 
 
-def _newton_step(X, z, w, b, gw, gb, lam, n):
+def _newton_step(X, Xt, z, gw, gb, lam, n):
     q = expit(z)
     d = q * (1.0 - q) / n
-    p = len(w)
-    if sp.issparse(X):
-        Xd = X.multiply(d[:, None])
-        H = np.asarray((X.T @ Xd).todense())
-    else:
-        H = X.T @ (X * d[:, None])
+    p = len(gw)
+    Xd = X.copy()
+    Xd.data *= np.repeat(d, np.diff(X.indptr))  # row i times d[i]
     H_full = np.empty((p + 1, p + 1))
-    H_full[:p, :p] = H + lam * np.eye(p)
-    Xd_sum = X.T @ d
-    H_full[:p, p] = Xd_sum
-    H_full[p, :p] = Xd_sum
+    H_full[:p, :p] = (Xt @ Xd).toarray() + lam * np.eye(p)
+    H_full[:p, p] = H_full[p, :p] = Xt @ d
     H_full[p, p] = d.sum()
     # levenberg damping keeps the system solvable when columns are collinear
     H_full[np.diag_indices(p + 1)] += 1e-10

@@ -406,6 +406,13 @@ def _single_error_line(capsys) -> bool:
         ["mel", "--config", {"mel_specs": [{"vehicle_type": "truck", "mel": 1, "asigned": 3}]}],
         ["ablate", "--config", {"ablation_subsets": [[]]}],
         ["report", "--config", {"ablation_subsets": [["operational_weeks"], []]}],
+        ["train", "--l2-lambda", "nan"],
+        ["train", "--l2-lambda", "inf"],
+        ["train", "--tol", "inf"],
+        ["train", "--tol", "nan"],
+        ["train", "--tol", "-1"],
+        ["train", "--max-iters", "-5"],
+        ["tune", "--config", {"tune_grid": {"max_iters": [5, -1]}}],
     ],
     ids=[
         "start-date", "forest-n-estimators", "forest-max-features", "forest-min-leaf", "forest-max-depth",
@@ -417,6 +424,8 @@ def _single_error_line(capsys) -> bool:
         "gap-cap-null", "n-vehicles-bool", "synth-n-vehicles-0", "synth-n-weeks-1", "synth-hazard-multiplier-0",
         "tune-grid-float-for-int", "tune-grid-bool-for-float", "synth-beta0-nan", "synth-beta-gap-inf",
         "gap-cap-negative", "gap-cap-0", "mel-specs-unknown-key", "ablation-subset-empty", "report-ablation-subset-empty",
+        "l2-lambda-nan", "l2-lambda-inf", "tol-inf", "tol-nan", "tol-negative", "max-iters-negative",
+        "tune-grid-max-iters-negative",
     ],
 )
 def test_bad_values_reaching_the_pipeline_are_usage_errors(trained_dir, tmp_path, capsys, argv):
@@ -471,7 +480,9 @@ INVALID_CONFIG_VALUES = {
     "split": ["weekly", None],
     "features": ["vehicle_type", [], ["odometer"], [3]],
     "ablation_subsets": [[["odometer"]], [7], "x", [[]]],
-    "l2_lambda": [-1, "x"],
+    "l2_lambda": [-1, "x", float("nan"), float("inf")],
+    "max_iters": [-5],
+    "tol": [float("nan"), float("inf"), -1],
     "solver": ["lbfgs", 1],
     "mel_specs": [
         5, [{"mel": 1}], ["truck"],

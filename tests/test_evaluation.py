@@ -22,9 +22,9 @@ from fleetrisk.evaluation import (
     write_eval_report,
     write_histogram_csv,
 )
-from fleetrisk.features import FeatureSpec
+from fleetrisk.features import FEATURE_NAMES, FeatureSpec, transform
 from fleetrisk.ingest import parse_subworkorders
-from fleetrisk.models import GbtHyper, LogisticHyper
+from fleetrisk.models import ForestHyper, GbtHyper, LogisticHyper, predict_proba
 from fleetrisk.panel import PanelOptions, PanelRow, build_panel, load_utilization_csv, panel_from_rows
 from fleetrisk.synth import generate_fleet
 
@@ -213,6 +213,39 @@ def test_ablation_ratios_equal_one_fit_per_subset(kind, hyper):
         assert (row.mean_pred_true, row.mean_pred_false, row.ratio) == (
             report.mean_pred_true, report.mean_pred_false, report.ratio,
         ), spec.names()
+
+
+@pytest.fixture(scope="module")
+def seed7_halves():
+    """A seed-7 fleet of 60 vehicles over 156 weeks, split chronologically."""
+    config = replace(fleet_config(RunConfig()), seed=7, n_vehicles=60, n_weeks=156)
+    csv_bytes, sidecar, _ = generate_fleet(config)
+    records, _ = parse_subworkorders(csv_bytes)
+    return split(build_panel(records, PanelOptions(utilization=load_utilization_csv(sidecar))), ChronologicalSplit())
+
+
+@pytest.mark.parametrize("features", [FEATURE_NAMES, FEATURE_NAMES[1:]], ids=["default", "no-vehicle_id"])
+@pytest.mark.parametrize(
+    ("kind", "hyper"),
+    [
+        ("logistic", LogisticHyper(solver="newton")),
+        ("logistic", LogisticHyper(solver="gd")),
+        ("forest", ForestHyper(n_estimators=10)),
+        ("gbt", GbtHyper(n_estimators=10)),
+    ],
+    ids=["newton", "gd", "forest", "gbt"],
+)
+def test_a_row_scored_alone_gets_its_full_batch_score(seed7_halves, features, kind, hyper):
+    """A row's score does not depend on which other rows share its batch:
+    every 97th test row, encoded and scored alone, gets the bytes it gets
+    inside the full test matrix."""
+    train, test = seed7_halves
+    model = fit_on_train(train, FeatureSpec.of(features), kind, hyper)
+    full = predict_proba(model, transform(test, model.columns, model.scale))
+    rows = np.arange(0, len(test), 97)
+    alone = np.concatenate([predict_proba(model, transform(test.take([i]), model.columns, model.scale)) for i in rows])
+    differ = np.flatnonzero(alone.view(np.uint64) != full[rows].view(np.uint64))
+    assert alone.tobytes() == full[rows].tobytes(), f"{len(differ)} of {len(rows)} rows differ"
 
 
 def test_report_round_trips_to_dict():

@@ -10,6 +10,8 @@ from fleetrisk.errors import EmptySpecError
 from fleetrisk.features import (
     FEATURE_NAMES,
     UNKNOWN_LEVEL,
+    Column,
+    FeatureMatrix,
     FeatureSpec,
     build_columns,
     encode,
@@ -66,16 +68,17 @@ def test_column_layout_onehot_groups_then_numerics():
     assert [c.kind for c in cols] == ["onehot"] * 6 + ["numeric"]
 
 
-def test_encode_dense_without_vehicle_id():
+def test_encode_sparse_without_vehicle_id():
     panel = make_panel()
     m = encode(panel, FeatureSpec.of(["vehicle_type", "weeks_since_last_visit"]))
-    assert isinstance(m.values, np.ndarray)
+    assert sp.issparse(m.values) and m.values.format == "csr"
     assert m.values.shape == (4, 4)
+    dense = m.values.toarray()
     # rows sorted (asset, week): A1/0, A1/1, B2/0, B2/1
-    np.testing.assert_array_equal(m.values[:, 0], [1, 1, 0, 0])  # bus
-    np.testing.assert_array_equal(m.values[:, 1], [0, 0, 1, 1])  # truck
-    np.testing.assert_array_equal(m.values[:, 2], [0, 0, 0, 0])  # unknown
-    np.testing.assert_array_equal(m.values[:, 3], [2, 3, 0, 1])
+    np.testing.assert_array_equal(dense[:, 0], [1, 1, 0, 0])  # bus
+    np.testing.assert_array_equal(dense[:, 1], [0, 0, 1, 1])  # truck
+    np.testing.assert_array_equal(dense[:, 2], [0, 0, 0, 0])  # unknown
+    np.testing.assert_array_equal(dense[:, 3], [2, 3, 0, 1])
     np.testing.assert_array_equal(m.labels, [0, 1, 0, 1])
     assert not m.standardized
     np.testing.assert_array_equal(m.scale, np.ones(4))
@@ -92,6 +95,17 @@ def test_encode_sparse_with_vehicle_id():
     np.testing.assert_array_equal(dense[:, 3], [5.0, 6.0, 0.0, 2.0])
 
 
+def test_feature_matrix_keeps_values_as_float64_csr():
+    columns = [Column(name="x0", kind="numeric"), Column(name="x1", kind="numeric")]
+    labels, scale = np.array([0, 1], dtype=np.int8), np.ones(2)
+    from_dense = FeatureMatrix(columns, np.array([[1, 0], [0, 2]]), labels, scale)
+    assert from_dense.values.format == "csr" and from_dense.values.dtype == np.float64
+    np.testing.assert_array_equal(from_dense.values.toarray(), [[1.0, 0.0], [0.0, 2.0]])
+    # a float64 CSR is kept as given, not copied
+    csr = sp.csr_matrix(np.array([[0.5, 0.0], [0.0, 3.0]]))
+    assert np.shares_memory(FeatureMatrix(columns, csr, labels, scale).values.data, csr.data)
+
+
 def test_every_row_hits_exactly_one_level_per_group():
     panel = make_panel()
     m = encode(panel, FeatureSpec.of(["vehicle_id", "vehicle_type", "unit"]))
@@ -105,7 +119,8 @@ def test_out_of_vocab_lands_on_unknown():
     cols = build_columns(spec, panel.vocab)
     new_row = PanelRow("C9", "crane", "82 LRS", 5, 1, 1, 0.0, 0)
     X = transform(panel_from_rows([new_row]), cols)
-    np.testing.assert_array_equal(X, [[0.0, 0.0, 1.0]])
+    assert sp.issparse(X) and X.format == "csr"
+    np.testing.assert_array_equal(X.toarray(), [[0.0, 0.0, 1.0]])
 
 
 def test_standardize_unit_variance_and_scale_tracking():
@@ -113,12 +128,13 @@ def test_standardize_unit_variance_and_scale_tracking():
     m = encode(panel, FeatureSpec.of(["operational_weeks", "utilization"]))
     s = standardize(m)
     assert s.standardized
-    stds = s.values.std(axis=0)
+    raw, scaled = m.values.toarray(), s.values.toarray()
+    stds = scaled.std(axis=0)
     np.testing.assert_allclose(stds, np.ones(2), atol=1e-12)
     # scale holds the divisors, so scale * standardized values = raw values
-    np.testing.assert_allclose(s.values * s.scale, m.values, atol=1e-12)
+    np.testing.assert_allclose(scaled * s.scale, raw, atol=1e-12)
     # population std, not sample std
-    np.testing.assert_allclose(s.scale, m.values.std(axis=0))
+    np.testing.assert_allclose(s.scale, raw.std(axis=0))
 
 
 def test_standardize_leaves_constant_columns():
@@ -128,7 +144,7 @@ def test_standardize_leaves_constant_columns():
     m = encode(panel_from_rows(rows), FeatureSpec.of(["vehicle_type", "utilization"]))
     s = standardize(m)
     np.testing.assert_array_equal(s.scale, np.ones(m.width))
-    np.testing.assert_array_equal(s.values, m.values)
+    assert_same_bytes(s.values, m.values)
 
 
 def test_standardize_sparse_stays_sparse():
@@ -157,7 +173,8 @@ def test_transform_sparse_when_columns_include_vehicle_id():
 
 
 # The per-row encoder that one column-wise fill path replaced, kept as the
-# byte-level reference: dense, or CSR when the layout has the vehicle-ID group.
+# byte-level reference: CSR, with one entry per row and one-hot group and
+# one per nonzero numeric, in column order.
 _REFERENCE_CATEGORICAL = {
     "vehicle_id": lambda r: r.asset_id,
     "vehicle_type": lambda r: r.vehicle_type,
@@ -184,41 +201,28 @@ def reference_fill(rows, columns):
         else:
             numeric_cols.append((j, col.name))
 
-    if any(col.group == "vehicle_id" for col in columns):
-        data, row_idx, col_idx = [], [], []
-        for i, r in enumerate(rows):
-            for group, level_map in groups.items():
-                j = level_map.get(_REFERENCE_CATEGORICAL[group](r), unknown_col[group])
-                row_idx.append(i)
-                col_idx.append(j)
-                data.append(1.0)
-            for j, name in numeric_cols:
-                v = _REFERENCE_NUMERIC[name](r)
-                if v != 0.0:
-                    row_idx.append(i)
-                    col_idx.append(j)
-                    data.append(v)
-        return sp.csr_matrix((data, (row_idx, col_idx)), shape=(n, len(columns)), dtype=np.float64)
-
-    values = np.zeros((n, len(columns)), dtype=np.float64)
+    data, row_idx, col_idx = [], [], []
     for i, r in enumerate(rows):
         for group, level_map in groups.items():
-            values[i, level_map.get(_REFERENCE_CATEGORICAL[group](r), unknown_col[group])] = 1.0
+            j = level_map.get(_REFERENCE_CATEGORICAL[group](r), unknown_col[group])
+            row_idx.append(i)
+            col_idx.append(j)
+            data.append(1.0)
         for j, name in numeric_cols:
-            values[i, j] = _REFERENCE_NUMERIC[name](r)
-    return values
+            v = _REFERENCE_NUMERIC[name](r)
+            if v != 0.0:
+                row_idx.append(i)
+                col_idx.append(j)
+                data.append(v)
+    return sp.csr_matrix((data, (row_idx, col_idx)), shape=(n, len(columns)), dtype=np.float64)
 
 
 def assert_same_bytes(got, want):
-    assert sp.issparse(got) == sp.issparse(want)
-    if sp.issparse(want):
-        assert got.shape == want.shape
-        for attr in ("indptr", "indices", "data"):
-            a, b = getattr(got, attr), getattr(want, attr)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
-    else:
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    assert got.format == want.format == "csr"
+    assert got.shape == want.shape
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
 
 
 @pytest.fixture(scope="module")
@@ -247,8 +251,8 @@ def test_fill_matches_the_per_row_reference_byte_for_byte(synth_halves, subset):
     assert_same_bytes(matrix.values, reference_fill(train.rows, matrix.columns))
     assert_same_bytes(transform(held_out, matrix.columns), reference_fill(held_out.rows, matrix.columns))
     # a column's scale comes from its own values alone: the subset's standardized
-    # matrix is a selection of the full layout's, whatever the storage of either,
-    # and transform with that scale gives the training matrix back
+    # matrix is a selection of the full layout's, and transform with that scale
+    # gives the training matrix back
     alone = standardize(matrix)
     assert_same_bytes(transform(train, alone.columns, alone.scale), alone.values)
     picked = standardize(encode(train, FeatureSpec.full())).select(alone.columns)

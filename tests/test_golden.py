@@ -69,7 +69,7 @@ GOLDEN = {
     "report-gbt/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "report-gbt/policy_summary.json": "cbc1f1d84eea55934afc2d62efa81009b2d3ad308ab5b59ee5c8c4af46a4a578",
     "report-gbt/policy_trace.csv": "001b2a6c6a66c264297f30cf174ef21e3fa78d6fa83a6578b3d81049b954f47b",
-    "report-logistic/ablation.csv": "68174a28334bbc58b1c9f7713cd9c393f37538a8eef4adc9ee5e3e287f56ba56",
+    "report-logistic/ablation.csv": "755a924e69af96e46c21c974a4fba45f5b909d3aa5266afeba239342a981422e",
     "report-logistic/eval_report.json": "23468980bbff694b8792aea77a936767d0fa4becd008eec96d1510a413b5daa2",
     "report-logistic/histogram_false.csv": "c4baa2951180524997501ccd280b294075708903d6154de0bac4f88f5edb1caf",
     "report-logistic/histogram_true.csv": "72cbda638f3589bf11c3a53a64b7f435809d9db91e2562fbf1d78bfe5e866a8a",
@@ -79,7 +79,7 @@ GOLDEN = {
     "report-logistic/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "report-logistic/policy_summary.json": "984dacf0f8d68fccbb19fb923b74424addb0322ce4b3fe4a1ef0d9edbb1e6855",
     "report-logistic/policy_trace.csv": "ca9de21dd41b0e2adf04a4f2df9809ba83a09044c96cbb4661336c31a24937e0",
-    "report-random/ablation.csv": "bec599dba194c88b9f7a25039aa619cb849c75e008dc0bd908fdcfc894ada76e",
+    "report-random/ablation.csv": "0a28bac7d44ca2a1abe088e79afb85c12b69b1a9ccf92b47a49bd4e3e32b4b0a",
     "report-random/eval_report.json": "9348a30b550d0cfdcf5ba0bcd6b44282cc9663ee27f420b4ac6eaa7ccce1c551",
     "report-random/histogram_false.csv": "2ae29047f8bbbecae80dfafa88ce68bd500b22672dc750318a6230fc18083588",
     "report-random/histogram_true.csv": "5581182225e9ce5ddc1986402c8bcb101afb0ecddef1c91b64d416a9ea5b3778",

@@ -123,6 +123,10 @@ def test_non_finite_rejected():
 def test_hyper_validation():
     with pytest.raises(ValueError):
         LogisticHyper(l2_lambda=-1.0)
+    for bad in ({"l2_lambda": np.nan}, {"l2_lambda": np.inf}, {"tol": np.inf}, {"tol": np.nan}, {"tol": -1.0}, {"max_iters": -5}):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be"):
+            LogisticHyper(**bad)
+    assert LogisticHyper(l2_lambda=0.0, max_iters=0, tol=0.0).max_iters == 0
     with pytest.raises(ValueError):
         LogisticHyper(solver="sgd")
 

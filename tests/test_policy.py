@@ -31,7 +31,7 @@ class GapModel:
     kind = "logistic"
 
     def predict_proba(self, X):
-        return np.asarray(X[:, 0] / 100.0)
+        return X[:, [0]].toarray()[:, 0] / 100.0
 
 
 def growing_gap_panel(n_weeks=6, assets=("A1", "B2", "C3")):
