@@ -257,9 +257,9 @@ def _labor_artifacts(run: _Run, records, panel) -> None:
 
 
 def _cmd_synth(run: _Run) -> int:
-    csv_bytes, sidecar, truth = generate_fleet(cfg.fleet_config(run.config))
+    work_orders, sidecar, truth = generate_fleet(cfg.fleet_config(run.config))
     with run.open_output(SUBWORKORDERS_CSV) as stream:
-        stream.write(csv_bytes.decode("utf-8"))
+        stream.write(work_orders)
     with run.open_output(UTILIZATION_CSV) as stream:
         stream.write(sidecar)
     with run.open_output("ground_truth.json") as stream:

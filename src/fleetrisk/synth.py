@@ -18,7 +18,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date, timedelta
 from pathlib import Path
 from typing import IO
 
@@ -26,12 +26,8 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import InvalidConfigError
-from .ingest import SubWorkOrderRecord, write_csv, write_subworkorders
+from .ingest import LABOR_COLUMN, REQUIRED_COLUMNS, write_csv
 from .panel import UTILIZATION_COLUMNS, monday_of, week_index
-
-
-def _at_eight(day: date) -> datetime:
-    return datetime(day.year, day.month, day.day, 8, 0, 0)
 
 START_MONDAY = date(2015, 1, 5)
 PREV_PERIOD_WEEKS = 26
@@ -128,104 +124,104 @@ class GroundTruth:
 
 def hazard_probability(
     beta0: float,
-    multiplier: float,
+    multiplier: float | np.ndarray,
     beta_age: float,
-    age: float,
+    age: float | np.ndarray,
     beta_gap: float,
-    gap: float,
+    gap: float | np.ndarray,
     beta_util: float,
-    util: float,
-) -> float:
-    """The generating hazard. Kept as one function so tests can recompute
-    stored series from panel features and demand exact equality."""
+    util: float | np.ndarray,
+) -> float | np.ndarray:
+    """The generating hazard, for scalars or for arrays element by element.
+    Kept as one function so tests can recompute stored series from panel
+    features and demand exact equality."""
     z = beta0 + np.log(multiplier) + beta_age * age + beta_gap * gap + beta_util * util
-    return float(expit(z))
+    return expit(z)
 
 
-def generate_fleet(config: FleetConfig) -> tuple[bytes, str, GroundTruth]:
-    """Returns (sub-work-order CSV bytes, utilization sidecar CSV text, truth)."""
+def generate_fleet(config: FleetConfig) -> tuple[str, str, GroundTruth]:
+    """Returns (sub-work-order CSV text, utilization sidecar CSV text, truth).
+
+    Each vehicle draws its utilization, weekly breakdown draws and labor
+    hours from its own generator. The weeks are walked once for the whole
+    fleet; the last breakdown week is the only state one week carries to
+    the next.
+    """
+    n, weeks = config.n_vehicles, config.n_weeks
     start_year = START_MONDAY.year
-    records: list[SubWorkOrderRecord] = []
+    types = [config.vehicle_types[v % len(config.vehicle_types)] for v in range(n)]
+    acq_years = [start_year - (N_ACQ_YEARS - 1) + (v % N_ACQ_YEARS) for v in range(n)]
+    anchors = [week_index(monday_of(date(year, 1, 1)), START_MONDAY) for year in acq_years]
+
+    rngs = [np.random.default_rng([config.seed, v]) for v in range(n)]
+    utilization = np.empty((n, weeks))
+    draws = np.empty((n, weeks))
+    for v, (vtype, rng) in enumerate(zip(types, rngs)):
+        utilization[v] = np.cumsum(vtype.weekly_utilization_rate * rng.uniform(0.5, 1.5, weeks))
+        draws[v] = rng.random(weeks)
+
+    # Ages and gaps are floats: an int beta times an int64 array could wrap,
+    # where the scalar formula's Python ints grow.
+    age0 = -np.array(anchors, dtype=float)
+    multipliers = np.array([t.hazard_multiplier for t in types])
+    hazard = np.empty((n, weeks))
+    broke = np.empty((n, weeks), dtype=bool)
+    last_breakdown = np.full(n, -1.0)  # so that the gap is w until the first breakdown
+    for w in range(weeks):
+        gap = np.minimum(w - last_breakdown - 1, GAP_CAP)
+        hazard[:, w] = hazard_probability(
+            config.beta0, multipliers,
+            config.beta_age, age0 + w,
+            config.beta_gap, gap,
+            config.beta_util, utilization[:, w],
+        )
+        broke[:, w] = draws[:, w] < hazard[:, w]
+        last_breakdown[broke[:, w]] = w
+
+    approved = [(START_MONDAY + timedelta(weeks=w)).isoformat() for w in range(weeks)]
+    closed_late = [(START_MONDAY + timedelta(weeks=w, days=2)).isoformat() for w in range(weeks)]
+    established = [f"{day} 08:00:00" for day in approved]
+
+    rows: list[tuple] = []
     vehicles: list[VehicleTruth] = []
-
-    for v in range(config.n_vehicles):
-        vtype = config.vehicle_types[v % len(config.vehicle_types)]
+    for v, (vtype, rng) in enumerate(zip(types, rngs)):
         unit = config.units[v % len(config.units)]
-        acq_year = start_year - (N_ACQ_YEARS - 1) + (v % N_ACQ_YEARS)
-        asset_id = f"AF{acq_year % 100:02d}{v:05d}"
-        anchor = week_index(monday_of(date(acq_year, 1, 1)), START_MONDAY)
-
-        rng = np.random.default_rng([config.seed, v])
-        increments = vtype.weekly_utilization_rate * rng.uniform(0.5, 1.5, config.n_weeks)
-        utilization = np.cumsum(increments)
-        draws = rng.random(config.n_weeks)
-
-        hazard: list[float] = []
-        breakdown_weeks: list[int] = []
-        prev_weeks = [w for w in range(config.n_weeks) if w % PREV_PERIOD_WEEKS == v % PREV_PERIOD_WEEKS]
-        last_breakdown = None
-        for w in range(config.n_weeks):
-            age = w - anchor
-            if last_breakdown is None:
-                gap = w
-            else:
-                gap = w - last_breakdown - 1
-            gap = min(gap, GAP_CAP)
-            p = hazard_probability(
-                config.beta0, vtype.hazard_multiplier,
-                config.beta_age, age,
-                config.beta_gap, gap,
-                config.beta_util, float(utilization[w]),
-            )
-            hazard.append(p)
-            if draws[w] < p:
-                breakdown_weeks.append(w)
-                last_breakdown = w
-
+        asset_id = f"AF{acq_years[v] % 100:02d}{v:05d}"
+        breakdown_weeks = np.flatnonzero(broke[v]).tolist()
+        prev_weeks = list(range(v % PREV_PERIOD_WEEKS, weeks, PREV_PERIOD_WEEKS))
         labor = np.round(rng.uniform(0.5, 8.0, len(breakdown_weeks)), 1).tolist()
-        # (week, days to close, description, work plan code, labor hours): breakdowns, then preventive visits
-        orders = [(w, 2, "UNSCHEDULED BREAKDOWN REPAIR", UNSCHEDULED_CODE, h) for w, h in zip(breakdown_weeks, labor)]
-        orders += [(w, 0, "SCHEDULED PREVENTIVE SERVICE", "PREV", 2.0) for w in prev_weeks]
-        for w, days_to_close, desc, plan, hours in orders:
-            day = START_MONDAY + timedelta(weeks=w)
-            records.append(
-                SubWorkOrderRecord(
-                    work_order_id=f"W{len(records) + 1:07d}",
-                    sub_work_order_id="1",
-                    approval_date=day,
-                    closed_date=day + timedelta(days=days_to_close),
-                    asset_id=asset_id,
-                    item_desc=desc,
-                    lin_tamcn=vtype.name,
-                    equipment_pool=unit,
-                    maint_team=f"{vtype.name.upper()} SHOP",
-                    estbd_datetime=_at_eight(day),
-                    work_plan_type=plan,
-                    labor_hours=hours,
-                )
-            )
-
+        # (week, closed date, description, work plan code, labor hours): breakdowns, then preventive visits
+        orders = [(w, closed_late[w], "UNSCHEDULED BREAKDOWN REPAIR", UNSCHEDULED_CODE, h) for w, h in zip(breakdown_weeks, labor)]
+        orders += [(w, approved[w], "SCHEDULED PREVENTIVE SERVICE", "PREV", 2.0) for w in prev_weeks]
+        shop = f"{vtype.name.upper()} SHOP"
+        rows += [
+            (approved[w], asset_id, closed, desc, vtype.name, unit, shop, established[w], plan, hours)
+            for w, closed, desc, plan, hours in orders
+        ]
         vehicles.append(
             VehicleTruth(
                 asset_id=asset_id,
                 type_name=vtype.name,
                 hazard_multiplier=vtype.hazard_multiplier,
                 unit=unit,
-                acquisition_year=acq_year,
-                age_anchor_week=anchor,
-                hazard=hazard,
+                acquisition_year=acq_years[v],
+                age_anchor_week=anchors[v],
+                hazard=hazard[v].tolist(),
                 breakdown_weeks=breakdown_weeks,
                 prev_weeks=prev_weeks,
-                utilization=utilization.tolist(),
+                utilization=utilization[v].tolist(),
             )
         )
 
-    buffer = io.StringIO()
-    write_subworkorders(records, buffer)
-    csv_bytes = buffer.getvalue().encode("utf-8")
+    work_orders = io.StringIO()
+    write_csv(work_orders, REQUIRED_COLUMNS + (LABOR_COLUMN,), ((f"W{i:07d}", "1", *row) for i, row in enumerate(rows, 1)))
 
     sidecar = io.StringIO()
-    write_csv(sidecar, UTILIZATION_COLUMNS, ((v.asset_id, w, u) for v in vehicles for w, u in enumerate(v.utilization)))
+    write_csv(sidecar, UTILIZATION_COLUMNS, zip(
+        [v.asset_id for v in vehicles for _ in range(weeks)],
+        list(range(weeks)) * n,
+        utilization.ravel().tolist(),
+    ))
 
     truth = GroundTruth(
         beta0=config.beta0,
@@ -237,4 +233,4 @@ def generate_fleet(config: FleetConfig) -> tuple[bytes, str, GroundTruth]:
         start_monday=START_MONDAY,
         vehicles=vehicles,
     )
-    return csv_bytes, sidecar.getvalue(), truth
+    return work_orders.getvalue(), sidecar.getvalue(), truth

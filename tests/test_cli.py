@@ -413,6 +413,8 @@ def _single_error_line(capsys) -> bool:
         ["train", "--tol", "-1"],
         ["train", "--max-iters", "-5"],
         ["tune", "--config", {"tune_grid": {"max_iters": [5, -1]}}],
+        ["train", "--max-iters", "0"],
+        ["tune", "--config", {"tune_grid": {"max_iters": [0, 5]}}],
     ],
     ids=[
         "start-date", "forest-n-estimators", "forest-max-features", "forest-min-leaf", "forest-max-depth",
@@ -425,7 +427,7 @@ def _single_error_line(capsys) -> bool:
         "tune-grid-float-for-int", "tune-grid-bool-for-float", "synth-beta0-nan", "synth-beta-gap-inf",
         "gap-cap-negative", "gap-cap-0", "mel-specs-unknown-key", "ablation-subset-empty", "report-ablation-subset-empty",
         "l2-lambda-nan", "l2-lambda-inf", "tol-inf", "tol-nan", "tol-negative", "max-iters-negative",
-        "tune-grid-max-iters-negative",
+        "tune-grid-max-iters-negative", "max-iters-0", "tune-grid-max-iters-0",
     ],
 )
 def test_bad_values_reaching_the_pipeline_are_usage_errors(trained_dir, tmp_path, capsys, argv):
@@ -481,7 +483,7 @@ INVALID_CONFIG_VALUES = {
     "features": ["vehicle_type", [], ["odometer"], [3]],
     "ablation_subsets": [[["odometer"]], [7], "x", [[]]],
     "l2_lambda": [-1, "x", float("nan"), float("inf")],
-    "max_iters": [-5],
+    "max_iters": [-5, 0],
     "tol": [float("nan"), float("inf"), -1],
     "solver": ["lbfgs", 1],
     "mel_specs": [
@@ -490,7 +492,8 @@ INVALID_CONFIG_VALUES = {
         [{"vehicle_type": "truck", "mel": "2"}], [{"vehicle_type": "truck", "mel": 1, "assigned": 4.9}],
         [{"vehicle_type": 7, "mel": 1}], [{"vehicle_type": "truck", "mel": 1, "asigned": 3}],
     ],
-    "tune_grid": [{"l2_lambda": []}, {"min_leaf": [1]}, {"l2_lambda": 0.1}, [], {"max_iters": [2.5]}, {"tol": [True]}],
+    "tune_grid": [{"l2_lambda": []}, {"min_leaf": [1]}, {"l2_lambda": 0.1}, [], {"max_iters": [2.5]}, {"tol": [True]},
+                  {"max_iters": [0, 5]}],
 }
 
 

@@ -1,21 +1,28 @@
 """Synthetic fleet generation and its closure with panel ingestion."""
 
 import io
+import math
 from dataclasses import replace
-from datetime import date
+from datetime import date, datetime, timedelta
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fleetrisk.config import RunConfig, fleet_config
 from fleetrisk.errors import InvalidConfigError
-from fleetrisk.ingest import parse_subworkorders
-from fleetrisk.panel import PanelOptions, build_panel, load_utilization_csv
+from fleetrisk.ingest import SubWorkOrderRecord, parse_subworkorders, write_csv, write_subworkorders
+from fleetrisk.panel import UTILIZATION_COLUMNS, PanelOptions, build_panel, load_utilization_csv, monday_of, week_index
 from fleetrisk.synth import (
     GAP_CAP,
+    N_ACQ_YEARS,
     PREV_PERIOD_WEEKS,
     START_MONDAY,
+    UNSCHEDULED_CODE,
     FleetConfig,
     GroundTruth,
+    VehicleTruth,
     VehicleTypeSpec,
     generate_fleet,
     hazard_probability,
@@ -256,3 +263,172 @@ def test_start_monday_is_a_monday():
     _, _, truth = generate_fleet(small_config())
     assert truth.start_monday == START_MONDAY
     assert truth.start_monday == date(2015, 1, 5)
+
+
+def reference_fleet(config):
+    """The vehicle-by-vehicle, week-by-week generator that generate_fleet
+    replaced, kept as its oracle: one scalar hazard per vehicle-week, and
+    one SubWorkOrderRecord per row."""
+    start_year = START_MONDAY.year
+    records = []
+    vehicles = []
+    for v in range(config.n_vehicles):
+        vtype = config.vehicle_types[v % len(config.vehicle_types)]
+        unit = config.units[v % len(config.units)]
+        acq_year = start_year - (N_ACQ_YEARS - 1) + (v % N_ACQ_YEARS)
+        asset_id = f"AF{acq_year % 100:02d}{v:05d}"
+        anchor = week_index(monday_of(date(acq_year, 1, 1)), START_MONDAY)
+
+        rng = np.random.default_rng([config.seed, v])
+        increments = vtype.weekly_utilization_rate * rng.uniform(0.5, 1.5, config.n_weeks)
+        utilization = np.cumsum(increments)
+        draws = rng.random(config.n_weeks)
+
+        hazard = []
+        breakdown_weeks = []
+        prev_weeks = [w for w in range(config.n_weeks) if w % PREV_PERIOD_WEEKS == v % PREV_PERIOD_WEEKS]
+        last_breakdown = None
+        for w in range(config.n_weeks):
+            gap = w if last_breakdown is None else w - last_breakdown - 1
+            p = float(hazard_probability(
+                config.beta0, vtype.hazard_multiplier,
+                config.beta_age, w - anchor,
+                config.beta_gap, min(gap, GAP_CAP),
+                config.beta_util, float(utilization[w]),
+            ))
+            hazard.append(p)
+            if draws[w] < p:
+                breakdown_weeks.append(w)
+                last_breakdown = w
+
+        labor = np.round(rng.uniform(0.5, 8.0, len(breakdown_weeks)), 1).tolist()
+        orders = [(w, 2, "UNSCHEDULED BREAKDOWN REPAIR", UNSCHEDULED_CODE, h) for w, h in zip(breakdown_weeks, labor)]
+        orders += [(w, 0, "SCHEDULED PREVENTIVE SERVICE", "PREV", 2.0) for w in prev_weeks]
+        for w, days_to_close, desc, plan, hours in orders:
+            day = START_MONDAY + timedelta(weeks=w)
+            records.append(SubWorkOrderRecord(
+                work_order_id=f"W{len(records) + 1:07d}",
+                sub_work_order_id="1",
+                approval_date=day,
+                closed_date=day + timedelta(days=days_to_close),
+                asset_id=asset_id,
+                item_desc=desc,
+                lin_tamcn=vtype.name,
+                equipment_pool=unit,
+                maint_team=f"{vtype.name.upper()} SHOP",
+                estbd_datetime=datetime(day.year, day.month, day.day, 8, 0, 0),
+                work_plan_type=plan,
+                labor_hours=hours,
+            ))
+        vehicles.append(VehicleTruth(
+            asset_id=asset_id,
+            type_name=vtype.name,
+            hazard_multiplier=vtype.hazard_multiplier,
+            unit=unit,
+            acquisition_year=acq_year,
+            age_anchor_week=anchor,
+            hazard=hazard,
+            breakdown_weeks=breakdown_weeks,
+            prev_weeks=prev_weeks,
+            utilization=utilization.tolist(),
+        ))
+
+    work_orders = io.StringIO()
+    write_subworkorders(records, work_orders)
+    sidecar = io.StringIO()
+    write_csv(sidecar, UTILIZATION_COLUMNS, ((v.asset_id, w, u) for v in vehicles for w, u in enumerate(v.utilization)))
+    truth = GroundTruth(
+        beta0=config.beta0,
+        beta_age=config.beta_age,
+        beta_gap=config.beta_gap,
+        beta_util=config.beta_util,
+        seed=config.seed,
+        n_weeks=config.n_weeks,
+        start_monday=START_MONDAY,
+        vehicles=vehicles,
+    )
+    return work_orders.getvalue(), sidecar.getvalue(), truth
+
+
+def assert_same_fleet_bytes(config):
+    """generate_fleet writes the reference generator's three artifacts byte
+    for byte. A mismatch names the first differing offset, not a diff of
+    megabytes."""
+    texts = []
+    for work_orders, sidecar, truth in (generate_fleet(config), reference_fleet(config)):
+        stream = io.StringIO()
+        truth.save(stream)
+        texts.append((work_orders, sidecar, stream.getvalue()))
+    for name, got, expected in zip(("work orders", "sidecar", "ground truth"), *texts):
+        if got != expected:
+            at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), min(len(got), len(expected)))
+            window = slice(max(at - 30, 0), at + 30)
+            pytest.fail(f"{name} differ at offset {at}: {got[window]!r} != {expected[window]!r}")
+
+
+@st.composite
+def fleet_configs(draw):
+    """Fleets across regimes: hazards from never to always (beta0 far from
+    its default either way), multipliers around e^-4..e^4, and a nonzero
+    utilization effect."""
+    n_types = draw(st.integers(1, 4))
+    types = tuple(
+        VehicleTypeSpec(f"type{i}", math.exp(draw(st.floats(-4.0, 4.0))), draw(st.floats(0.0, 80.0)))
+        for i in range(n_types)
+    )
+    return FleetConfig(
+        n_vehicles=draw(st.integers(1, 40)),
+        n_weeks=draw(st.integers(2, 200)),
+        vehicle_types=types,
+        units=tuple(f"{i} LRS" for i in range(draw(st.integers(1, 4)))),
+        beta0=draw(st.floats(-33.0, 27.0)),
+        beta_age=draw(st.floats(-0.05, 0.05)),
+        beta_gap=draw(st.floats(-0.3, 0.3)),
+        beta_util=draw(st.floats(1e-6, 0.01) | st.floats(-0.01, -1e-6)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(fleet_configs())
+def test_fleet_matches_the_per_vehicle_reference(config):
+    assert_same_fleet_bytes(config)
+
+
+def test_a_200_vehicle_fleet_matches_the_per_vehicle_reference():
+    assert_same_fleet_bytes(replace(default_fleet(seed=11), n_vehicles=200, n_weeks=104))
+
+
+def test_work_orders_round_trip_through_the_record_serializer():
+    """Synth writes rows without records; the record writer gives the same text."""
+    work_orders, _, _ = generate_fleet(small_config(n_weeks=60))
+    records, errors = parse_subworkorders(work_orders)
+    assert errors == []
+    stream = io.StringIO()
+    write_subworkorders(records, stream)
+    assert stream.getvalue() == work_orders
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(-1000.0, 1000.0) | st.floats(-10.0, 10.0),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+    st.floats(-0.01, 0.01),
+    st.lists(
+        st.tuples(st.floats(1e-3, 1e3), st.integers(-300, 300), st.integers(0, GAP_CAP), st.floats(0.0, 1e5)),
+        min_size=1,
+        max_size=50,
+    ),
+)
+@example(-800.0, 0.0, 0.0, 0.0, [(1.0, 0, 0, 0.0)])
+@example(-41.0, 0.0, 0.0, 0.0, [(1.0, 0, 0, 0.0)])
+@example(41.0, 0.0, 0.0, 0.0, [(1.0, 0, 0, 0.0)])
+@example(800.0, 0.0, 0.0, 0.0, [(1.0, 0, 0, 0.0)])
+def test_hazard_on_arrays_equals_its_scalar_calls(beta0, beta_age, beta_gap, beta_util, rows):
+    """Bit for bit, saturating z (|z| > 40, where the hazard is 0, 1 or
+    subnormal) included."""
+    multiplier, age, gap, util = (np.array(column) for column in zip(*rows))
+    vector = hazard_probability(beta0, multiplier, beta_age, age, beta_gap, gap, beta_util, util)
+    scalars = [hazard_probability(beta0, m, beta_age, a, beta_gap, g, beta_util, u) for m, a, g, u in rows]
+    assert vector.tobytes() == np.array(scalars, dtype=float).tobytes()
