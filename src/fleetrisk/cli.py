@@ -166,11 +166,6 @@ def _load_saved_model(run: _Run):
     return model
 
 
-def _fit(run: _Run, train):
-    """The configured model fitted on the train side."""
-    return fit_on_train(train, cfg.feature_spec(run.config), run.config.model, cfg.model_hyper(run.config))
-
-
 def _eval_artifacts(run: _Run, model, test_panel) -> None:
     report = score_panel(model, test_panel)
     with run.open_output("eval_report.json") as stream:
@@ -180,9 +175,9 @@ def _eval_artifacts(run: _Run, model, test_panel) -> None:
             write_histogram_csv(counts, stream)
 
 
-def _ablate_artifacts(run: _Run, train, test) -> None:
+def _ablate_artifacts(run: _Run, hyper, train, test) -> None:
     subsets = [FeatureSpec.of(names) for names in run.config.ablation_subsets]
-    rows = ablation(train, test, subsets, run.config.model, cfg.model_hyper(run.config))
+    rows = ablation(train, test, subsets, run.config.model, hyper)
     with run.open_output("ablation.csv") as stream:
         write_ablation_csv(rows, stream)
 
@@ -253,10 +248,11 @@ def _labor_artifacts(run: _Run, records, panel) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# subcommand bodies: each writes its artifacts or raises; `main` picks the exit code.
+# Hyperparameters are resolved before any input is read, so a bad one leaves no artifact.
 
 
-def _cmd_synth(run: _Run) -> int:
+def _cmd_synth(run: _Run) -> None:
     work_orders, sidecar, truth = generate_fleet(cfg.fleet_config(run.config))
     with run.open_output(SUBWORKORDERS_CSV) as stream:
         stream.write(work_orders)
@@ -264,98 +260,85 @@ def _cmd_synth(run: _Run) -> int:
         stream.write(sidecar)
     with run.open_output("ground_truth.json") as stream:
         truth.save(stream)
-    return 0
 
 
-def _cmd_ingest(run: _Run) -> int:
+def _cmd_ingest(run: _Run) -> None:
     records, errors = _load_records(run)
     with run.open_output("records.csv") as stream:
         write_subworkorders(records, stream)
     with run.open_output("row_errors.csv") as stream:
         write_csv(stream, ["line", "field", "reason"], (vars(e).values() for e in errors))
-    return 0
 
 
-def _cmd_panel(run: _Run) -> int:
+def _cmd_panel(run: _Run) -> None:
     panel = _build_panel(run)
     with run.open_output("panel.csv") as stream:
         write_panel_csv(panel, stream)
-    return 0
 
 
-def _cmd_train(run: _Run) -> int:
+def _cmd_train(run: _Run) -> None:
+    hyper = cfg.model_hyper(run.config)
     train, _test = split(_build_panel(run), _split_spec(run))
-    model = _fit(run, train)
+    model = fit_on_train(train, cfg.feature_spec(run.config), run.config.model, hyper)
     with run.open_output(MODEL_JSON) as stream:
         save_model(model, stream)
-    return 0
 
 
-def _cmd_eval(run: _Run) -> int:
+def _cmd_eval(run: _Run) -> None:
     model = _load_saved_model(run)
-    panel = _build_panel(run)
-    _train, test = split(panel, _split_spec(run))
+    _train, test = split(_build_panel(run), _split_spec(run))
     _eval_artifacts(run, model, test)
-    return 0
 
 
-def _cmd_ablate(run: _Run) -> int:
-    _ablate_artifacts(run, *split(_build_panel(run), _split_spec(run)))
-    return 0
+def _cmd_ablate(run: _Run) -> None:
+    hyper = cfg.model_hyper(run.config)
+    _ablate_artifacts(run, hyper, *split(_build_panel(run), _split_spec(run)))
 
 
-def _cmd_simulate(run: _Run) -> int:
+def _cmd_simulate(run: _Run) -> None:
     model = _load_saved_model(run)
-    panel = _build_panel(run)
-    _train, test = split(panel, _split_spec(run))
+    _train, test = split(_build_panel(run), _split_spec(run))
     _simulate_artifacts(run, model, test)
-    return 0
 
 
-def _cmd_mel(run: _Run) -> int:
+def _cmd_mel(run: _Run) -> None:
     model = _load_saved_model(run)
-    panel = _build_panel(run)
-    _mel_artifacts(run, model, panel)
-    return 0
+    _mel_artifacts(run, model, _build_panel(run))
 
 
-def _cmd_report(run: _Run) -> int:
+def _cmd_report(run: _Run) -> None:
+    hyper = cfg.model_hyper(run.config)
     records, _errors = _load_records(run)
     panel = build_panel(records, _panel_options(run))
-    _labor_artifacts(run, records, panel)
     train, test = split(panel, _split_spec(run))
-    model = _fit(run, train)
+    model = fit_on_train(train, cfg.feature_spec(run.config), run.config.model, hyper)
+    _labor_artifacts(run, records, panel)
     with run.open_output(MODEL_JSON) as stream:
         save_model(model, stream)
     _eval_artifacts(run, model, test)
-    _ablate_artifacts(run, train, test)
+    _ablate_artifacts(run, hyper, train, test)
     _simulate_artifacts(run, model, test)
-    return 0
 
 
-def _cmd_tune(run: _Run) -> int:
-    panel = _build_panel(run)
-    train, test = split(panel, _split_spec(run))
-
+def _cmd_tune(run: _Run) -> None:
     grid = run.config.tune_grid
     keys = sorted(grid)
-    combos = list(itertools.product(*(grid[k] for k in keys))) if keys else [()]
+    points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+    hypers = [cfg.model_hyper(replace(run.config, **overrides)) for overrides in points]
+    train, test = split(_build_panel(run), _split_spec(run))
 
     # encode once; each grid point only refits
     matrix = train_matrix(train, cfg.feature_spec(run.config))
     results = []
     best = None
-    for combo in combos:
-        overrides = dict(zip(keys, combo))
-        trial = replace(run.config, **overrides)
-        report = score_panel(fit_model(trial.model, matrix, cfg.model_hyper(trial)), test)
+    for overrides, hyper in zip(points, hypers):
+        report = score_panel(fit_model(run.config.model, matrix, hyper), test)
         results.append([json.dumps(overrides, sort_keys=True), report.ratio, report.mean_pred_true, report.mean_pred_false])
         if best is None or report.ratio > best[1]:
             best = (overrides, report.ratio)
     with run.open_output("tune_results.csv") as stream:
         write_csv(stream, ["params", "ratio", "mean_pred_true", "mean_pred_false"], results)
     run.write_json("tune_best.json", {"params": best[0], "ratio": best[1]})
-    return 0
 
 
 _COMMANDS = {
@@ -459,9 +442,9 @@ def main(argv=None) -> int:
         run = _Run(args.command, config)
         if args.config:
             run.note_input(Path(args.config))
-        code = _COMMANDS[args.command][0](run)
+        _COMMANDS[args.command][0](run)
         run.write_manifest()
-        return code
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 from .errors import InvalidConfigError, UsageError
 from .features import FEATURE_NAMES, FeatureSpec
 from .models import MODEL_KINDS, MODELS
+from .panel import GAP_CAP
 from .synth import FleetConfig, VehicleTypeSpec
 
 
@@ -47,7 +48,7 @@ class RunConfig:
     include_scheduled: bool = True
     start_date: str | None = None
     end_week: int | None = None
-    gap_cap: int = 104
+    gap_cap: int = GAP_CAP
     default_weekly_rate: float = 1.0
     # features / model
     features: list[str] = field(default_factory=lambda: list(DEFAULT_FEATURES))

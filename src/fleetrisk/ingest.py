@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -150,6 +151,48 @@ def write_csv(stream: IO[str], header: Sequence[str], rows: Iterable[Sequence]) 
     writer.writerows(rows)
 
 
+class _Rejected(Exception):
+    """A row check failed: raised with (field, reason)."""
+
+
+def _parsed(parse, text: str, field: str, what: str):
+    try:
+        return parse(text)
+    except ValueError:
+        raise _Rejected(field, f"{what} {text!r}") from None
+
+
+def _record(row: list[str], at: tuple[int, ...], labor_at: int | None, seen_pairs: set) -> SubWorkOrderRecord:
+    """One data row as a record, its checks in order; a failed check raises
+    _Rejected. Only an accepted row registers its work-order pair."""
+    if len(row) <= max(at):
+        raise _Rejected("", "row has fewer cells than the header")
+    # the cells in REQUIRED_COLUMNS order
+    wo, sub, approval_text, asset_id, closed_text, desc, lin, pool, team, estbd_text, plan = (row[i].strip() for i in at)
+    if not asset_id:
+        raise _Rejected("Asset Id", "empty asset id")
+    approval = _parsed(_parse_date, approval_text, "Approval Dt", "unparseable date")
+    closed = None
+    if closed_text:
+        closed = _parsed(_parse_date, closed_text, "Closed Dt", "unparseable date")
+        if closed < approval:
+            raise _Rejected("Closed Dt", "closed date precedes approval date")
+    estbd = _parsed(_parse_datetime, estbd_text, "Estbd Dt/Time", "unparseable timestamp")
+    labor = None
+    labor_text = row[labor_at].strip() if labor_at is not None and labor_at < len(row) else ""
+    if labor_text:
+        labor = _parsed(float, labor_text, LABOR_COLUMN, "not a number:")
+        if not math.isfinite(labor):
+            raise _Rejected(LABOR_COLUMN, f"non-finite labor hours: {labor_text!r}")
+        if labor < 0.0:
+            raise _Rejected(LABOR_COLUMN, f"negative labor hours: {labor}")
+    pair = (wo, sub)
+    if pair in seen_pairs:
+        raise _Rejected("Sub Work Order Id", f"duplicate work order / sub-work-order pair {pair}")
+    seen_pairs.add(pair)
+    return SubWorkOrderRecord(wo, sub, approval, closed, asset_id, desc, lin, pool, team, estbd, plan, labor)
+
+
 def parse_subworkorders(
     source: bytes | str | Path | IO,
     alias: dict[str, str] | None = None,
@@ -175,90 +218,18 @@ def parse_subworkorders(
             position[canonical] = header.index(actual)
         elif canonical != LABOR_COLUMN:
             raise MissingColumnError(canonical)
+    at = tuple(position[c] for c in REQUIRED_COLUMNS)
 
     records: list[SubWorkOrderRecord] = []
     errors: list[RowError] = []
     seen_pairs: set[tuple[str, str]] = set()
-    last_required = max(position[c] for c in REQUIRED_COLUMNS)
-
     for row in reader:
-        line = reader.line_num
         if all(not cell.strip() for cell in row):
             continue  # trailing blank line, not a data row
-
-        def cell(name: str) -> str:
-            idx = position[name]
-            return row[idx].strip() if idx < len(row) else ""
-
-        if len(row) <= last_required:
-            errors.append(RowError(line, "", "row has fewer cells than the header"))
-            continue
-
-        asset_id = cell("Asset Id")
-        if not asset_id:
-            errors.append(RowError(line, "Asset Id", "empty asset id"))
-            continue
-
         try:
-            approval = _parse_date(cell("Approval Dt"))
-        except ValueError:
-            errors.append(RowError(line, "Approval Dt", f"unparseable date {cell('Approval Dt')!r}"))
-            continue
-
-        closed: date | None = None
-        closed_text = cell("Closed Dt")
-        if closed_text:
-            try:
-                closed = _parse_date(closed_text)
-            except ValueError:
-                errors.append(RowError(line, "Closed Dt", f"unparseable date {closed_text!r}"))
-                continue
-            if closed < approval:
-                errors.append(RowError(line, "Closed Dt", "closed date precedes approval date"))
-                continue
-
-        try:
-            estbd = _parse_datetime(cell("Estbd Dt/Time"))
-        except ValueError:
-            errors.append(RowError(line, "Estbd Dt/Time", f"unparseable timestamp {cell('Estbd Dt/Time')!r}"))
-            continue
-
-        labor: float | None = None
-        if LABOR_COLUMN in position:
-            labor_text = cell(LABOR_COLUMN)
-            if labor_text:
-                try:
-                    labor = float(labor_text)
-                except ValueError:
-                    errors.append(RowError(line, LABOR_COLUMN, f"not a number: {labor_text!r}"))
-                    continue
-                if not labor >= 0.0:
-                    errors.append(RowError(line, LABOR_COLUMN, f"negative labor hours: {labor}"))
-                    continue
-
-        pair = (cell("Work Order ID"), cell("Sub Work Order Id"))
-        if pair in seen_pairs:
-            errors.append(RowError(line, "Sub Work Order Id", f"duplicate work order / sub-work-order pair {pair}"))
-            continue
-        seen_pairs.add(pair)
-
-        records.append(
-            SubWorkOrderRecord(
-                work_order_id=pair[0],
-                sub_work_order_id=pair[1],
-                approval_date=approval,
-                closed_date=closed,
-                asset_id=asset_id,
-                item_desc=cell("Item Desc"),
-                lin_tamcn=cell("Asset LIN/TAMCN"),
-                equipment_pool=cell("Equipment Pool"),
-                maint_team=cell("Maint Team Name"),
-                estbd_datetime=estbd,
-                work_plan_type=cell("Work Plan Type CD"),
-                labor_hours=labor,
-            )
-        )
-
+            records.append(_record(row, at, position.get(LABOR_COLUMN), seen_pairs))
+        except _Rejected as rejected:
+            errors.append(RowError(reader.line_num, *rejected.args))
     return records, errors
 
 

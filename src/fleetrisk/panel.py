@@ -22,6 +22,7 @@ from .errors import EmptyDatasetError, NonPositiveSpanError
 from .ingest import SubWorkOrderRecord, WorkPlanClass, acquisition_year, classify_work_plan, source_text, write_csv
 
 UTILIZATION_COLUMNS = ("asset_id", "week", "cumulative_units")
+GAP_CAP = 104  # default cap on weeks since the last visit; synth plants its hazard with it
 
 
 def monday_of(d: date) -> date:
@@ -131,7 +132,7 @@ class PanelOptions:
     include_scheduled: bool = True
     start_date: date | None = None
     end_week: int | None = None
-    gap_cap: int = 104
+    gap_cap: int = GAP_CAP
     utilization: Utilization | None = None
     default_weekly_rate: float = 1.0
 

@@ -27,12 +27,11 @@ from scipy.special import expit
 
 from .errors import InvalidConfigError
 from .ingest import LABOR_COLUMN, REQUIRED_COLUMNS, write_csv
-from .panel import UTILIZATION_COLUMNS, monday_of, week_index
+from .panel import GAP_CAP, UTILIZATION_COLUMNS, monday_of, week_index
 
 START_MONDAY = date(2015, 1, 5)
 PREV_PERIOD_WEEKS = 26
 UNSCHEDULED_CODE = "UM"
-GAP_CAP = 104
 N_ACQ_YEARS = 3  # acquisition years cycle start_year-2 .. start_year
 
 

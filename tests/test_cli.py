@@ -523,3 +523,42 @@ def test_split_with_an_empty_side_is_data_error(tmp_path, capsys):
     assert main(["train", "-o", str(tmp_path), "--test-fraction", "0.99"]) == 1
     assert _single_error_line(capsys)
     assert not (tmp_path / "model.json").exists()
+
+
+def test_report_writes_nothing_when_its_split_fails(tmp_path, capsys):
+    assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "10", "--n-weeks", "30"]) == 0
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(["report", "-o", str(tmp_path), "--test-fraction", "0.99"]) == 1
+    assert _single_error_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--model", "forest", "--min-leaf", "0"],
+        ["report", "--n-estimators", "5"],
+        ["train", "--model", "forest", "--min-leaf", "0"],
+        ["ablate", "--n-estimators", "5"],
+        ["tune", "--model", "forest", "--config", {"tune_grid": {"min_leaf": [1, 0]}}],
+    ],
+    ids=["report-forest-min-leaf-0", "report-logistic-n-estimators", "train", "ablate", "tune-later-grid-point"],
+)
+def test_a_bad_hyperparameter_stops_a_run_before_it_reads_input(tmp_path, capsys, argv):
+    """One error line, no artifact beside the previous command's, and the
+    same error when the input is missing too: the check comes first."""
+    if isinstance(argv[-1], dict):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], str(config)]
+    out = tmp_path / "out"
+    assert main(["synth", "-o", str(out), "--n-vehicles", "10", "--n-weeks", "40"]) == 0
+    before = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()
+    assert main([*argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert sorted(p.name for p in out.iterdir()) == before
+    assert main([*argv, "-o", str(out), "--input", str(tmp_path / "missing.csv")]) == 2
+    assert capsys.readouterr().err == err

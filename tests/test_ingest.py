@@ -2,6 +2,7 @@
 
 import csv
 import io
+from dataclasses import replace
 from datetime import date, datetime
 
 import numpy as np
@@ -285,3 +286,95 @@ def test_write_csv_quotes_what_needs_it_and_ends_every_line_in_newline():
     text = buf.getvalue()
     assert list(csv.reader(io.StringIO(text))) == [["id", "quote", "newline", "plain"], cells, cells]
     assert text == "id,quote,newline,plain\n" + '"AF13,00000","say ""hi""","two\nlines",plain\n' * 2
+
+
+# ---------------------------------------------------------------------------
+# oracle: one data row per rejection kind, the check order, the pair rule and
+# the accepted cell formats, each pinned as the exact (records, errors) pair
+
+
+def record(wo="W001", sub="S001", approval=date(2020, 1, 6), closed=date(2020, 1, 8), asset="AF150001",
+           estbd=datetime(2020, 1, 6, 8, 0), labor=None):
+    return SubWorkOrderRecord(wo, sub, approval, closed, asset, "coolant leak", "truck", "82 LRS", "alpha",
+                              estbd, "UM", labor)
+
+
+def labor_row(labor, **cells):
+    return row(**cells) + "," + labor
+
+
+LABOR_HEADER = HEADER + "," + LABOR_COLUMN
+DUPLICATE = "duplicate work order / sub-work-order pair ('W001', 'S001')"
+
+# case id -> (header, data lines, expected records, expected (line, field, reason) triples)
+ORACLE = {
+    "short-row": (LABOR_HEADER, ["W001,S001,1/6/2020"], [], [(2, "", "row has fewer cells than the header")]),
+    "labor-cell-missing": (LABOR_HEADER, [row()], [record()], []),
+    "empty-asset": (LABOR_HEADER, [labor_row("1", asset=" ")], [], [(2, "Asset Id", "empty asset id")]),
+    "approval-date": (
+        LABOR_HEADER, [labor_row("1", approval=" 13/45/2020 ")], [],
+        [(2, "Approval Dt", "unparseable date '13/45/2020'")],
+    ),
+    "closed-date-parse": (
+        LABOR_HEADER, [labor_row("1", closed="2020-02-30")], [], [(2, "Closed Dt", "unparseable date '2020-02-30'")],
+    ),
+    "closed-before-approval": (
+        LABOR_HEADER, [labor_row("1", closed="1/5/2020")], [], [(2, "Closed Dt", "closed date precedes approval date")],
+    ),
+    "timestamp": (
+        LABOR_HEADER, [labor_row("1", estbd="soon")], [], [(2, "Estbd Dt/Time", "unparseable timestamp 'soon'")],
+    ),
+    "labor-parse": (LABOR_HEADER, [labor_row("lots")], [], [(2, LABOR_COLUMN, "not a number: 'lots'")]),
+    "labor-sign": (LABOR_HEADER, [labor_row(" -1 ")], [], [(2, LABOR_COLUMN, "negative labor hours: -1.0")]),
+    "labor-inf": (LABOR_HEADER, [labor_row("inf")], [], [(2, LABOR_COLUMN, "non-finite labor hours: 'inf'")]),
+    "labor-overflow": (LABOR_HEADER, [labor_row("1e999")], [], [(2, LABOR_COLUMN, "non-finite labor hours: '1e999'")]),
+    "labor-minus-inf": (LABOR_HEADER, [labor_row("-inf")], [], [(2, LABOR_COLUMN, "non-finite labor hours: '-inf'")]),
+    "labor-nan": (LABOR_HEADER, [labor_row("nan")], [], [(2, LABOR_COLUMN, "non-finite labor hours: 'nan'")]),
+    "duplicate-pair": (
+        LABOR_HEADER, [labor_row("1"), labor_row("2", approval="1/7/2020")], [record(labor=1.0)],
+        [(3, "Sub Work Order Id", DUPLICATE)],
+    ),
+    "empty-asset-and-bad-approval": (
+        LABOR_HEADER, [labor_row("1", asset="", approval="garbage")], [], [(2, "Asset Id", "empty asset id")],
+    ),
+    "bad-timestamp-on-duplicate-pair": (
+        LABOR_HEADER, [labor_row("1"), labor_row("2", estbd="later")], [record(labor=1.0)],
+        [(3, "Estbd Dt/Time", "unparseable timestamp 'later'")],
+    ),
+    "rejected-pair-comes-back": (
+        LABOR_HEADER, [labor_row("-3"), labor_row("3")], [record(labor=3.0)],
+        [(2, LABOR_COLUMN, "negative labor hours: -3.0")],
+    ),
+    "us-formats": (
+        LABOR_HEADER,
+        [
+            labor_row(" 2.5 ", approval="01/06/2020", closed="1/06/2020", estbd="1/6/2020 8:05:09", asset=" AF150001 "),
+            labor_row("0", sub="S002", approval="12/31/2019", closed="", estbd="12/31/2019"),
+            labor_row("", sub="S003", approval="2020-01-06", closed="2020-01-08", estbd="2020-01-06 23:59"),
+        ],
+        [
+            record(closed=date(2020, 1, 6), estbd=datetime(2020, 1, 6, 8, 5, 9), labor=2.5),
+            record(sub="S002", approval=date(2019, 12, 31), closed=None, estbd=datetime(2019, 12, 31), labor=0.0),
+            record(sub="S003", estbd=datetime(2020, 1, 6, 23, 59)),
+        ],
+        [],
+    ),
+    "line-numbers-count-physical-lines": (
+        LABOR_HEADER,
+        [labor_row("1").replace("coolant leak", '"coolant\nleak"'), "", labor_row("1", sub="S002", estbd="x")],
+        [replace(record(labor=1.0), item_desc="coolant\nleak")],
+        [(5, "Estbd Dt/Time", "unparseable timestamp 'x'")],
+    ),
+    "no-labor-column": (
+        HEADER, [row() + ",lots", row(sub="S002", approval="1/6/20")], [record()],
+        [(3, "Approval Dt", "unparseable date '1/6/20'")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE))
+def test_ingest_oracle(case):
+    header, lines, expected_records, expected_errors = ORACLE[case]
+    records, errors = parse_subworkorders("\n".join([header, *lines]) + "\n")
+    assert [(e.line, e.field, e.reason) for e in errors] == expected_errors
+    assert records == expected_records
