@@ -399,8 +399,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta-util", dest="beta_util", type=float, help="synthetic per-unit utilization effect")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a flag it rejects as one `error:` line, like every other usage error."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fleetrisk",
         description="Weekly breakdown-risk pipeline: ingest, panel, models, evaluation, policy.",
     )

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import SingleClassLabelsError
 from ..features import FeatureMatrix, Fitted
-from .tree import RegressionTree, as_dense, bin_columns, check_tree_size, grow_tree, sum_leaves
+from .tree import RegressionTree, TreeEnsemble, check_tree_size, feature_view, grow_tree
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class ForestHyper:
 
 
 @dataclass
-class ForestModel(Fitted):
+class ForestModel(Fitted, TreeEnsemble):
     trees: list[RegressionTree]
 
     kind = "forest"
@@ -45,7 +45,7 @@ class ForestModel(Fitted):
             raise ValueError("a forest averages its trees, so it needs at least one")
 
     def predict_proba(self, X) -> np.ndarray:
-        total = sum_leaves(self.trees, as_dense(X), 0.0, 1.0)
+        total = self.sum_leaves(X, 0.0, 1.0)
         return np.clip(total / len(self.trees), 0.0, 1.0)
 
 
@@ -60,21 +60,20 @@ def _start_worker(*inputs) -> None:
 
 
 def _grow(i: int, inputs=None) -> RegressionTree:
-    """Tree i of the forest on `inputs`, which are (X, codes, y, hyper,
+    """Tree i of the forest on `inputs`, which are (view, y, hyper,
     max_features); by default those the pool worker was started with."""
-    X, codes, y, hyper, max_features = inputs or _worker_inputs
+    view, y, hyper, max_features = inputs or _worker_inputs
     # spawn-style per-tree stream: reordering or dropping trees cannot
     # perturb the others
     rng = np.random.default_rng([hyper.seed, i])
     rows = rng.integers(0, len(y), size=len(y))
-    return grow_tree(X, codes, y, rows, hyper.max_depth, hyper.min_leaf, max_features, rng)
+    return grow_tree(view, y, rows, hyper.max_depth, hyper.min_leaf, max_features, rng)[0]
 
 
 def fit_random_forest(matrix: FeatureMatrix, hyper: ForestHyper = ForestHyper()) -> ForestModel:
-    X = as_dense(matrix.values)
+    view = feature_view(matrix.values, matrix.columns)
     y = np.asarray(matrix.labels, dtype=np.float64)
-    p = X.shape[1]
-    codes = bin_columns(X)
+    p = matrix.width
     if y.min() == y.max():
         raise SingleClassLabelsError("labels are single-class; cannot fit")
 
@@ -83,7 +82,7 @@ def fit_random_forest(matrix: FeatureMatrix, hyper: ForestHyper = ForestHyper())
         max_features = max(1, int(np.floor(np.sqrt(p))))
     max_features = min(max_features, p)
 
-    inputs = (X, codes, y, hyper, max_features)
+    inputs = (view, y, hyper, max_features)
     # one worker per usable core; without affinity or fork (not Linux) the trees grow in process
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cores, hyper.n_estimators)

@@ -15,7 +15,7 @@ from scipy.special import expit, logit
 
 from ..errors import SingleClassLabelsError
 from ..features import FeatureMatrix, Fitted
-from .tree import RegressionTree, as_dense, bin_columns, check_tree_size, grow_tree, sum_leaves
+from .tree import RegressionTree, TreeEnsemble, check_tree_size, feature_view, grow_tree
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class GbtHyper:
 
 
 @dataclass
-class GbtModel(Fitted):
+class GbtModel(Fitted, TreeEnsemble):
     init_score: float
     learning_rate: float
     trees: list[RegressionTree]
@@ -42,16 +42,15 @@ class GbtModel(Fitted):
     kind = "gbt"
 
     def decision_scores(self, X) -> np.ndarray:
-        return sum_leaves(self.trees, as_dense(X), self.init_score, self.learning_rate)
+        return self.sum_leaves(X, self.init_score, self.learning_rate)
 
     def predict_proba(self, X) -> np.ndarray:
         return expit(self.decision_scores(X))
 
 
 def fit_gbt(matrix: FeatureMatrix, hyper: GbtHyper = GbtHyper()) -> GbtModel:
-    X = as_dense(matrix.values)
+    view = feature_view(matrix.values, matrix.columns)
     y = np.asarray(matrix.labels, dtype=np.float64)
-    codes = bin_columns(X)
     if y.min() == y.max():
         raise SingleClassLabelsError("labels are single-class; cannot fit")
 
@@ -61,8 +60,9 @@ def fit_gbt(matrix: FeatureMatrix, hyper: GbtHyper = GbtHyper()) -> GbtModel:
     trees = []
     for _ in range(hyper.n_estimators):
         residual = y - expit(score)
-        tree = grow_tree(X, codes, residual, all_rows, hyper.max_depth, hyper.min_leaf)
-        score = sum_leaves([tree], X, score, hyper.learning_rate)
+        tree, leaf = grow_tree(view, residual, all_rows, hyper.max_depth, hyper.min_leaf)
+        # the same bits as adding the new tree's prediction on the training rows
+        score = score + hyper.learning_rate * tree.value[leaf]
         trees.append(tree)
 
     return GbtModel.of(matrix, init_score=init, learning_rate=hyper.learning_rate, trees=trees)

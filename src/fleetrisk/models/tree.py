@@ -1,25 +1,32 @@
-"""Depth-bounded CART regression trees over dense float matrices.
+"""Depth-bounded CART regression trees over a design matrix's columns.
 
 Nodes live in flat parallel arrays rather than linked objects: column j of
 the tree is node j's split feature (-1 for a leaf), threshold, child
 indices, and leaf value. That keeps models cheap to serialize and traverse.
 
-Fitting is exact greedy search. `bin_columns` turns each column into dense
-rank codes once per fit, so a forest bins once for all its trees and
-boosting once for all its rounds; `grow_tree` then grows a tree on row
-indices into the shared matrix, codes and targets. The codes order rows
-exactly as the float values do, so a node's candidates are scored in
-blocks of features with one stable sort of the codes (a radix sort up to
-65,536 distinct values) and one prefix sum, and only where the sorted codes
-step to a new value. The chosen split and every float it produces (sums,
-gains, threshold midpoints, leaf means) are the ones a per-feature float
-sort would give, bit for bit. A threshold is the midpoint of the two
-values it separates, or the lower value when the midpoint of adjacent
-doubles rounds up to the upper one; rows route on X <= threshold.
+Fitting is exact greedy search on a `feature_view` of the matrix, built
+once per fit (so once for all of a forest's trees or boosting's rounds)
+without making the matrix dense; `grow_tree` grows a tree on row indices
+into it. A numeric column keeps its values and dense rank codes, which
+order rows as the values do, so a node scores numeric candidates in
+blocks with one stable sort of the codes (radix up to 65,536 values) and
+one prefix sum, only where the sorted codes step. A one-hot group whose
+rows store at most one of its columns, each column one positive value,
+becomes one level code per row, read from the CSR indices: a node scores
+each drawn level's one-vs-rest split from one `np.bincount` of counts and
+one of target sums over the codes, the left side being every row outside
+the level. Any other column is scored as a numeric one. Every float a
+split produces (sums, gains, thresholds, leaf means) is what a per-feature
+float sort gives, bit for bit, for integer targets such as a forest's 0/1
+labels; a boosting residual's level sums may differ in the last bit. Ties
+go to the first column. A threshold is the midpoint of the two values it
+separates (the lower one when the midpoint of adjacent doubles rounds up);
+rows route on X <= threshold, and while growing, on level codes.
 
-Prediction (`sum_leaves`) concatenates a model's trees into one node array
-whose leaves point at themselves and walks every tree at once, one level
-per step, over blocks of rows.
+A `TreeWalk` stacks trees into one node array whose leaves point at
+themselves and walks them all at once, one level per step, over blocks of
+rows made dense in the columns some tree splits on. A `TreeEnsemble` model
+keeps its walk until its tree list holds other trees.
 """
 
 from __future__ import annotations
@@ -33,17 +40,10 @@ from ..errors import NonFiniteFeatureError
 
 ZERO_REDUCTION = 1e-12
 FEATURE_BLOCK = 8        # candidate features scored together in one node
-WALK_BLOCK = 1 << 15     # (row, tree) pairs walked together in `sum_leaves`
+WALK_BLOCK = 1 << 15     # (row, tree) pairs, or (row, column) cells, walked together in one block
 
 
-def as_dense(X) -> np.ndarray:
-    """A dense or CSR design matrix as a C-ordered float64 array."""
-    if sp.issparse(X):
-        X = X.toarray()
-    return np.ascontiguousarray(X, dtype=np.float64)
-
-
-@dataclass
+@dataclass(eq=False)  # identity equality: a walk is rebuilt for a tree list that holds other trees
 class RegressionTree:
     feature: np.ndarray    # int32, -1 at leaves
     threshold: np.ndarray  # float64
@@ -65,54 +65,72 @@ class RegressionTree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return sum_leaves([self], as_dense(X), 0.0, 1.0)
+    def predict(self, X) -> np.ndarray:
+        return TreeWalk([self]).sum_leaves(X, 0.0, 1.0)
 
 
-def sum_leaves(trees: list[RegressionTree], X: np.ndarray, start, weight: float) -> np.ndarray:
-    """start + weight * leaf value of each tree in turn, per row of X.
+class TreeWalk:
+    """Trees stacked into one node array whose leaves point at themselves.
+    Node features index `used`, the columns some tree splits on."""
 
-    The sum runs tree by tree in list order, so it equals a loop of
-    ``out += weight * tree.predict(X)`` bit for bit. `start` is a scalar
-    or one value per row.
-    """
-    n = X.shape[0]
-    out = np.empty(n)
-    out[:] = start
-    if not trees or n == 0:
+    def __init__(self, trees):
+        self.trees = tuple(trees)
+        sizes = np.array([t.n_nodes for t in self.trees], dtype=np.int64)
+        self.offsets = np.cumsum(sizes) - sizes
+        stack = lambda name: np.concatenate([getattr(t, name) for t in self.trees] or [np.empty(0)])
+        feature = stack("feature")
+        leaf = feature < 0
+        self_index = np.arange(len(feature), dtype=np.int64)
+        shift = np.repeat(self.offsets, sizes)
+        self.left = np.where(leaf, self_index, stack("left") + shift)
+        self.right = np.where(leaf, self_index, stack("right") + shift)
+        self.used = np.unique(feature[~leaf]).astype(np.intp)
+        self.feature = np.searchsorted(self.used, feature)  # a leaf reads used column 0 and goes to itself
+        self.threshold = stack("threshold")
+        self.value = stack("value")
+        self.depth = 0
+        frontier = self.offsets[~leaf[self.offsets]]
+        while len(frontier):
+            children = np.concatenate([self.left[frontier], self.right[frontier]])
+            frontier = children[~leaf[children]]
+            self.depth += 1
+
+    def sum_leaves(self, X, start, weight: float) -> np.ndarray:
+        """start (a scalar or one value per row) + weight * leaf value of
+        each tree in turn, per row of X (dense or CSR). The sum runs tree by
+        tree in list order, so it equals a loop of ``out += weight *
+        tree.predict(X)`` bit for bit."""
+        X = sp.csr_matrix(X, dtype=np.float64)
+        n = X.shape[0]
+        out = np.empty(n)
+        out[:] = start
+        if not self.trees or n == 0:
+            return out
+        used = X[:, self.used]
+        rows_per_block = max(1, WALK_BLOCK // max(len(self.trees), len(self.used)))
+        for lo in range(0, n, rows_per_block):
+            Xb = used[lo:lo + rows_per_block].toarray()
+            idx = np.broadcast_to(self.offsets, (Xb.shape[0], len(self.trees)))
+            for _ in range(self.depth):
+                go_left = np.take_along_axis(Xb, self.feature[idx], axis=1) <= self.threshold[idx]
+                idx = np.where(go_left, self.left[idx], self.right[idx])
+            terms = np.empty((Xb.shape[0], len(self.trees) + 1))
+            terms[:, 0] = out[lo:lo + rows_per_block]
+            np.multiply(weight, self.value[idx], out=terms[:, 1:])
+            # cumsum adds left to right, the order of the per-tree loop
+            out[lo:lo + rows_per_block] = np.cumsum(terms, axis=1)[:, -1]
         return out
-    sizes = np.array([t.n_nodes for t in trees])
-    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    feature = np.concatenate([t.feature for t in trees])
-    leaf = feature < 0
-    self_index = np.arange(len(feature), dtype=np.int64)
-    shift = np.repeat(offsets, sizes)
-    left = np.where(leaf, self_index, np.concatenate([t.left for t in trees]) + shift)
-    right = np.where(leaf, self_index, np.concatenate([t.right for t in trees]) + shift)
-    feature = np.where(leaf, 0, feature)  # any real column; a leaf goes to itself either way
-    threshold = np.concatenate([t.threshold for t in trees])
-    value = np.concatenate([t.value for t in trees])
 
-    depth = 0
-    frontier = offsets[~leaf[offsets]]
-    while len(frontier):
-        children = np.concatenate([left[frontier], right[frontier]])
-        frontier = children[~leaf[children]]
-        depth += 1
 
-    rows_per_block = max(1, WALK_BLOCK // len(trees))
-    for lo in range(0, n, rows_per_block):
-        Xb = X[lo:lo + rows_per_block]
-        idx = np.broadcast_to(offsets, (Xb.shape[0], len(trees)))
-        for _ in range(depth):
-            go_left = np.take_along_axis(Xb, feature[idx], axis=1) <= threshold[idx]
-            idx = np.where(go_left, left[idx], right[idx])
-        terms = np.empty((Xb.shape[0], len(trees) + 1))
-        terms[:, 0] = out[lo:lo + rows_per_block]
-        np.multiply(weight, value[idx], out=terms[:, 1:])
-        # cumsum adds left to right, the order of the per-tree loop
-        out[lo:lo + rows_per_block] = np.cumsum(terms, axis=1)[:, -1]
-    return out
+class TreeEnsemble:
+    """A model that sums the leaves of its `trees`, through a `TreeWalk`
+    built again when `trees` holds other trees; no field, so never saved."""
+
+    def sum_leaves(self, X, start, weight: float) -> np.ndarray:
+        walk = getattr(self, "_walk", None)
+        if walk is None or walk.trees != tuple(self.trees):
+            walk = self._walk = TreeWalk(self.trees)
+        return walk.sum_leaves(X, start, weight)
 
 
 def check_tree_size(max_depth: int, min_leaf: int) -> None:
@@ -123,43 +141,81 @@ def check_tree_size(max_depth: int, min_leaf: int) -> None:
         raise ValueError("min_leaf must be >= 1")
 
 
-def bin_columns(X: np.ndarray) -> np.ndarray:
-    """Dense rank codes, one row per column of X: equal values share a
-    code and codes order as the values do.
+@dataclass
+class FeatureView:
+    """What a tree fit reads of each design-matrix column."""
 
-    Raises NonFiniteFeatureError on nan or inf, which have no such order.
-    """
-    if not np.all(np.isfinite(X)):
+    values: np.ndarray        # float64, one row per numeric column
+    codes: np.ndarray         # dense rank codes of `values`: equal values share a code, codes order as values
+    levels: list[np.ndarray]  # per one-hot group, each row's level; a row that stores none has len(group)
+    group: np.ndarray         # per column, its one-hot group, or -1 when scored as numeric
+    slot: np.ndarray          # per column, its row of `values`, or its level in its group
+    split_at: np.ndarray      # per column of a group, the threshold between 0 and its value
+
+
+def feature_view(X, columns=()) -> FeatureView:
+    """The view of design matrix X (dense or CSR) whose `columns`, when
+    given, name each "onehot" column's group. Raises NonFiniteFeatureError
+    on nan or inf, which have no order."""
+    X = sp.csr_matrix(X, dtype=np.float64)
+    if not X.has_canonical_format:  # sorted, no duplicate entries
+        X = X.copy()
+        X.sum_duplicates()
+    if not np.all(np.isfinite(X.data)):
         raise NonFiniteFeatureError("design matrix contains non-finite values")
-    levels = [np.unique(X[:, j]) for j in range(X.shape[1])]
-    n_codes = max(map(len, levels), default=0)
+    n, p = X.shape
+    row, col, data = np.repeat(np.arange(n), np.diff(X.indptr)), X.indices, X.data
+    group, slot, split_at, levels = np.full(p, -1), np.zeros(p, dtype=np.intp), np.zeros(p), []
+    names = [c.group if c.kind == "onehot" else None for c in columns]
+    for name in dict.fromkeys(filter(None, names)):
+        members = np.flatnonzero([g == name for g in names])
+        level = np.full(p, -1)
+        level[members] = np.arange(len(members))
+        at = level[col] >= 0
+        value = np.zeros(p)
+        value[col[at]] = data[at]
+        # rows come sorted: each stores at most one level, each level one positive value
+        if np.all(np.diff(row[at]) > 0) and np.all(data[at] > 0) and np.array_equal(value[col[at]], data[at]):
+            codes = np.full(n, len(members))
+            codes[row[at]] = level[col[at]]
+            group[members], slot[members], split_at[members] = len(levels), level[members], 0.5 * (0.0 + value[members])
+            levels.append(codes)
+    numeric = np.flatnonzero(group < 0)
+    slot[numeric] = np.arange(len(numeric))
+    values = np.zeros((len(numeric), n))
+    at = group[col] < 0
+    values[slot[col[at]], row[at]] = data[at]
+    ranks = [np.unique(v) for v in values]
+    n_codes = max(map(len, ranks), default=0)
     # 8- and 16-bit codes take numpy's radix sort
-    dtype = np.uint8 if n_codes <= 1 << 8 else np.uint16 if n_codes <= 1 << 16 else np.uint32
-    codes = np.empty((X.shape[1], X.shape[0]), dtype=dtype)
-    for j, column_levels in enumerate(levels):
-        codes[j] = np.searchsorted(column_levels, X[:, j])
-    return codes
+    codes = np.empty(values.shape, np.uint8 if n_codes <= 1 << 8 else np.uint16 if n_codes <= 1 << 16 else np.uint32)
+    for k, rank in enumerate(ranks):
+        codes[k] = np.searchsorted(rank, values[k])
+    return FeatureView(values, codes, levels, group, slot, split_at)
 
 
-def _best_split(X, codes, y_rows, rows, candidates, min_leaf):
-    """Best (feature, threshold) over the candidate features, by SSE reduction.
-
-    For rows sorted on a feature the left-sum prefix gives every split's
-    score: reduction = S_L^2/n_L + S_R^2/n_R - S^2/n. Splits fall only
-    between distinct values and leave at least `min_leaf` rows per side.
-    """
+def _best_split(view, y_rows, rows, candidates, min_leaf):
+    """Best (feature, threshold) over the candidate features, by SSE
+    reduction = S_L^2/n_L + S_R^2/n_R - S^2/n. Numeric splits fall between
+    distinct values, each scored from the left-sum prefix of rows sorted on
+    the feature; a level split leaves the rows outside the level on the
+    left. Each side keeps at least `min_leaf` rows."""
     n = len(rows)
     total = y_rows.sum()
     base = total * total / n
+    gain = lambda left_sum, n_left: left_sum**2 / n_left + (total - left_sum) ** 2 / (n - n_left) - base
+    least = max(min_leaf, 1)
     # split after sorted position i leaves i + 1 rows on the left
-    lo, hi = max(min_leaf, 1) - 1, n - max(min_leaf, 1)
+    lo, hi = least - 1, n - least
+    group = view.group[candidates]
 
-    best_gain = ZERO_REDUCTION
-    best_feature = -1
-    best_threshold = 0.0
-    for b in range(0, len(candidates), FEATURE_BLOCK):
-        block = candidates[b:b + FEATURE_BLOCK]
-        block_codes = codes.take(block, axis=0).take(rows, axis=1)
+    # (gain, feature, threshold): the first best numeric split, which must
+    # gain more than ZERO_REDUCTION, then each group's first best level split
+    best = (ZERO_REDUCTION, -1, 0.0)
+    numeric = candidates[group < 0]
+    for b in range(0, len(numeric), FEATURE_BLOCK):
+        block = numeric[b:b + FEATURE_BLOCK]
+        block_codes = view.codes.take(view.slot[block], axis=0).take(rows, axis=1)
         order = np.argsort(block_codes, axis=1, kind="stable")
         sorted_codes = block_codes.ravel().take(order + np.arange(0, order.size, n)[:, None])
         prefix = y_rows[order]
@@ -168,43 +224,46 @@ def _best_split(X, codes, y_rows, rows, candidates, min_leaf):
         if len(pos) == 0:
             continue
         pos += lo
-        left_sum = prefix[k, pos]
-        n_left = pos + 1
-        gains = left_sum**2 / n_left + (total - left_sum) ** 2 / (n - n_left) - base
+        gains = gain(prefix[k, pos], pos + 1)
         # candidates come feature by feature, positions ascending, so the
         # first maximum is the first threshold of the first best feature;
         # strict > keeps the earlier block on ties
         i = int(np.argmax(gains))
-        if gains[i] > best_gain:
-            best_gain = gains[i]
-            best_feature = int(block[k[i]])
-            below, above = X[rows[order[k[i], pos[i]:pos[i] + 2]], best_feature]
-            best_threshold = 0.5 * (below + above)
-            if not best_threshold < above:
-                # the midpoint of adjacent doubles can round up; X <= t
-                # must send the upper value right, or a child ends up empty
-                best_threshold = below
-    return best_feature, best_threshold
+        if gains[i] > best[0]:
+            f = int(block[k[i]])
+            below, above = view.values[view.slot[f], rows[order[k[i], pos[i]:pos[i] + 2]]]
+            t = 0.5 * (below + above)
+            # the midpoint of adjacent doubles can round up; X <= t must
+            # send the upper value right, or a child ends up empty
+            best = (gains[i], f, t if t < above else below)
+    splits = [best]
+    for g in set(group[group >= 0].tolist()):
+        columns = candidates[group == g]
+        slots = view.slot[columns]
+        level, size = view.levels[g][rows], slots.max() + 1
+        count = np.bincount(level, minlength=size)[slots]
+        level_sum = np.bincount(level, y_rows, minlength=size)[slots]
+        ok = (count >= least) & (n - count >= least)
+        if ok.any():
+            gains = gain(total - level_sum[ok], n - count[ok])
+            i = int(np.argmax(gains))
+            f = int(columns[ok][i])
+            splits.append((gains[i], f, view.split_at[f]))
+    _, feature, threshold = max(splits, key=lambda s: (s[0], -s[1]))
+    return feature, threshold
 
 
 def grow_tree(
-    X: np.ndarray,
-    codes: np.ndarray,
-    y: np.ndarray,
-    rows: np.ndarray,
-    max_depth: int,
-    min_leaf: int,
-    max_features: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> RegressionTree:
-    """Grow a tree greedily on X[rows], y[rows], with codes from `bin_columns(X)`.
-
-    `rows` may repeat (a bootstrap sample). `max_features` (with `rng`)
-    samples a candidate feature subset per split, as random forests
-    require; None means all.
-    """
-    p = X.shape[1]
+    view: FeatureView, y: np.ndarray, rows: np.ndarray, max_depth: int, min_leaf: int,
+    max_features: int | None = None, rng: np.random.Generator | None = None,
+) -> tuple[RegressionTree, np.ndarray]:
+    """Grow a tree greedily on `rows` of the view and y (they may repeat,
+    as a bootstrap sample does); returns it and the leaf each row of y ends
+    in, -1 outside `rows`. `max_features` (with `rng`) samples a candidate
+    feature subset per split, as random forests require; None means all."""
+    p = len(view.group)
     all_features = np.arange(p)
+    leaf_of = np.full(len(y), -1, dtype=np.intp)
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -227,21 +286,22 @@ def grow_tree(
     while stack:
         node, rows, depth = stack.pop()
         y_rows = y[rows]
-        if depth >= max_depth or len(rows) < 2 * min_leaf or len(rows) < 2:
-            value[node] = float(y_rows.mean())
-            continue
-        if max_features is not None and max_features < p:
-            candidates = rng.choice(p, size=max_features, replace=False)
-            candidates.sort()
-        else:
-            candidates = all_features
-        f, t = _best_split(X, codes, y_rows, rows, candidates, min_leaf)
+        f, t = -1, 0.0
+        if depth < max_depth and len(rows) >= max(2 * min_leaf, 2):
+            if max_features is not None and max_features < p:
+                candidates = rng.choice(p, size=max_features, replace=False)
+                candidates.sort()
+            else:
+                candidates = all_features
+            f, t = _best_split(view, y_rows, rows, candidates, min_leaf)
         if f < 0:
             value[node] = float(y_rows.mean())
+            leaf_of[rows] = node
             continue
         # the threshold lies at or above the last value on the left and
         # below the first on the right, so this is the scored split
-        go_left = X[rows, f] <= t
+        g, slot = view.group[f], view.slot[f]
+        go_left = view.levels[g][rows] != slot if g >= 0 else view.values[slot, rows] <= t
         feature[node] = f
         threshold[node] = t
         left[node] = lc = new_node()
@@ -249,18 +309,13 @@ def grow_tree(
         stack.append((rc, rows[~go_left], depth + 1))
         stack.append((lc, rows[go_left], depth + 1))
 
-    return RegressionTree(feature, threshold, left, right, value)
+    return RegressionTree(feature, threshold, left, right, value), leaf_of
 
 
 def fit_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    max_depth: int = 12,
-    min_leaf: int = 5,
-    max_features: int | None = None,
-    rng: np.random.Generator | None = None,
+    X, y: np.ndarray, max_depth: int = 12, min_leaf: int = 5,
+    max_features: int | None = None, rng: np.random.Generator | None = None,
 ) -> RegressionTree:
-    """Grow one tree on every row of X (see `grow_tree`)."""
-    X = as_dense(X)
+    """Grow one tree on every row of X, every column numeric (see `grow_tree`)."""
     y = np.asarray(y, dtype=np.float64)
-    return grow_tree(X, bin_columns(X), y, np.arange(X.shape[0]), max_depth, min_leaf, max_features, rng)
+    return grow_tree(feature_view(X), y, np.arange(len(y)), max_depth, min_leaf, max_features, rng)[0]

@@ -361,6 +361,23 @@ def _single_error_line(capsys) -> bool:
 
 @pytest.mark.parametrize(
     "argv",
+    [["train", "--bogus"], ["train", "--seed", "x"], ["train", "--model", "svm"], []],
+    ids=["unknown-flag", "bad-int", "bad-choice", "no-command"],
+)
+def test_a_flag_argparse_rejects_is_one_error_line(tmp_path, capsys, argv):
+    assert main([*argv, "-o", str(tmp_path)] if argv else argv) == 2
+    assert _single_error_line(capsys)
+    assert not any(tmp_path.iterdir())
+
+
+def test_help_still_prints_usage(capsys):
+    assert main(["train", "--help"]) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: fleetrisk train") and out.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
     [
         ["report", "--start-date", "notadate"],
         ["train", "--model", "forest", "--n-estimators", "0"],

@@ -6,13 +6,21 @@ import io
 import json
 import multiprocessing.pool
 import os
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fleetrisk.config import RunConfig, fleet_config
 from fleetrisk.errors import ModelFormatError, NonFiniteFeatureError, SingleClassLabelsError, WidthMismatchError
-from fleetrisk.features import Column, FeatureMatrix
+from fleetrisk.evaluation import ChronologicalSplit, split, train_matrix
+from fleetrisk.features import Column, FeatureMatrix, FeatureSpec, transform
+from fleetrisk.ingest import parse_subworkorders
 from fleetrisk.models import (
     ForestHyper,
     ForestModel,
@@ -33,7 +41,9 @@ from fleetrisk.models import (
     save_model,
 )
 from fleetrisk.models import forest as forest_module
-from fleetrisk.models.tree import ZERO_REDUCTION, RegressionTree
+from fleetrisk.models.tree import ZERO_REDUCTION, RegressionTree, feature_view
+from fleetrisk.panel import PanelOptions, build_panel, load_utilization_csv
+from fleetrisk.synth import generate_fleet
 
 
 def matrix_from(X, y, standardized=False):
@@ -343,13 +353,38 @@ def count_pools(monkeypatch, cores):
     return started
 
 
+def grouped_matrix(rng, n, sizes, n_numeric, onehot=True):
+    """A standardized-looking matrix: one one-hot group per entry of
+    `sizes` (each column one positive value; a row may store none of a
+    group's columns, and each group's last column stays empty, as an
+    unknown level does in training), then `n_numeric` numeric columns of
+    few distinct values; 0/1 labels that depend on the first group's
+    level. With `onehot` False every column is labelled numeric."""
+    blocks, columns, first = [], [], None
+    for g, size in enumerate(sizes):
+        level = rng.integers(0, size + 1, n)  # `size` (and size - 1, the empty column) store nothing
+        level[level == size - 1] = size
+        first = level if first is None else first
+        block = (level[:, None] == np.arange(size)) * rng.uniform(0.5, 4.0, size)
+        blocks.append(block)
+        columns += [Column(f"g{g}={j}", "onehot" if onehot else "numeric", f"g{g}" if onehot else None, str(j))
+                    for j in range(size)]
+    blocks.append(rng.integers(0, 5, (n, n_numeric)) * 0.25)
+    columns += [Column(f"x{j}", "numeric") for j in range(n_numeric)]
+    y = (rng.random(n) < 0.15 + 0.6 * (first % 3 == 0)).astype(np.int8)
+    y[:2] = [0, 1]
+    return FeatureMatrix(columns, sp.csr_matrix(np.hstack(blocks)), y, np.ones(len(columns)), standardized=True)
+
+
 @pytest.mark.parametrize(
-    "n_estimators, max_features",
-    [(7, 2), (6, 4), (1, 2)],
-    ids=["subsampled-7-trees-on-2-workers", "all-features", "one-tree"],
+    "n_estimators, max_features, groups",
+    [(7, 2, False), (6, 4, False), (1, 2, False), (6, 5, True)],
+    ids=["subsampled-7-trees-on-2-workers", "all-features", "one-tree", "one-hot-groups"],
 )
-def test_forest_trees_from_the_pool_equal_the_in_process_trees(monkeypatch, n_estimators, max_features):
-    m = forest_training_matrix()
+def test_forest_trees_from_the_pool_equal_the_in_process_trees(monkeypatch, n_estimators, max_features, groups):
+    m = grouped_matrix(np.random.default_rng(21), 400, [12, 3], 2) if groups else forest_training_matrix()
+    if groups:  # the workers grow from level codes, and some tree splits on a level
+        assert len(feature_view(m.values, m.columns).levels) == 2
     hyper = ForestHyper(n_estimators=n_estimators, max_features=max_features, seed=3)
     started = count_pools(monkeypatch, cores=1)
     serial = fit_random_forest(m, hyper)
@@ -358,6 +393,85 @@ def test_forest_trees_from_the_pool_equal_the_in_process_trees(monkeypatch, n_es
     pooled = fit_random_forest(m, hyper)
     assert started == ([2] if n_estimators > 1 else [])
     assert [tree_bytes(t) for t in pooled.trees] == [tree_bytes(t) for t in serial.trees]
+    if groups:
+        assert any(((0 <= t.feature) & (t.feature < 15)).any() for t in pooled.trees)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 150),
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    n_numeric=st.integers(0, 2),
+    max_features=st.integers(1, 8),
+    min_leaf=st.integers(1, 6),
+)
+def test_a_forest_grows_the_same_trees_from_level_codes_as_from_numeric_columns(
+    seed, n, sizes, n_numeric, max_features, min_leaf
+):
+    """Oracle: the same one-hot matrix and 0/1 labels, its groups labelled
+    "onehot" (scored from level codes) or relabelled "numeric" (sorted
+    column by column), grow byte-identical trees; a one-tree forest grows
+    in process, so each example forks no pool."""
+    grouped = grouped_matrix(np.random.default_rng(seed), n, sizes, n_numeric)
+    numeric = grouped_matrix(np.random.default_rng(seed), n, sizes, n_numeric, onehot=False)
+    assert len(feature_view(grouped.values, grouped.columns).levels) == len(sizes)
+    assert feature_view(numeric.values, numeric.columns).levels == []
+    for tree_seed in range(2):
+        hyper = ForestHyper(n_estimators=1, max_features=max_features, min_leaf=min_leaf, seed=tree_seed)
+        want = fit_random_forest(numeric, hyper).trees[0]
+        assert tree_bytes(fit_random_forest(grouped, hyper).trees[0]) == tree_bytes(want)
+
+
+def test_a_group_whose_rows_store_two_levels_is_scored_as_numeric_columns():
+    m = grouped_matrix(np.random.default_rng(3), 60, [4], 1)
+    values = m.values.toarray()
+    values[5, :2] = [1.0, 2.0]  # row 5 stores two of the group's columns
+    twice = replace(m, values=values)
+    values = m.values.toarray()
+    values[values[:, 0] > 0, 0] = np.arange(1.0, 1.0 + (values[:, 0] > 0).sum())  # column 0 stores many values
+    varied = replace(m, values=values)
+    for matrix in (twice, varied):
+        assert feature_view(matrix.values, matrix.columns).levels == []
+        relabelled = replace(matrix, columns=[replace(c, kind="numeric", group=None) for c in matrix.columns])
+        hyper = ForestHyper(n_estimators=1, max_features=3, min_leaf=2, seed=4)
+        assert tree_bytes(fit_random_forest(matrix, hyper).trees[0]) == tree_bytes(fit_random_forest(relabelled, hyper).trees[0])
+
+
+def test_a_forest_fit_and_its_scoring_never_build_the_dense_matrix(monkeypatch):
+    """With default features the design matrix has one column per vehicle.
+    On one core, a 2-tree forest fit and its predict_proba on the CSR test
+    matrix each allocate less than one dense float64 copy of their matrix."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    config = replace(fleet_config(RunConfig()), seed=7, n_vehicles=300, n_weeks=52)
+    csv_bytes, sidecar, _ = generate_fleet(config)
+    records, _ = parse_subworkorders(csv_bytes)
+    train, test = split(build_panel(records, PanelOptions(utilization=load_utilization_csv(sidecar))), ChronologicalSplit())
+    matrix = train_matrix(train, FeatureSpec.full())
+
+    def peak_bytes(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    model, fit_peak = peak_bytes(lambda: fit_random_forest(matrix, ForestHyper(n_estimators=2, seed=1)))
+    X_test = transform(test, model.columns, model.scale)
+    _, score_peak = peak_bytes(lambda: model.predict_proba(X_test))
+    assert fit_peak < matrix.values.shape[0] * matrix.width * 8
+    assert score_peak < X_test.shape[0] * X_test.shape[1] * 8
+
+
+def test_a_model_walks_its_trees_from_one_stack_until_its_tree_list_changes():
+    m = forest_training_matrix(n=200, seed=16)
+    model = fit_random_forest(m, ForestHyper(n_estimators=4, seed=2))
+    before = model.predict_proba(m.values)
+    walk = model._walk
+    assert model.predict_proba(m.values[:50]).tobytes() == before[:50].tobytes() and model._walk is walk
+    model.trees.pop()
+    assert model.predict_proba(m.values).tobytes() == np.clip(per_tree_sum(model.trees, m.values.toarray(), 0.0, 1.0) / 3, 0, 1).tobytes()
+    assert model._walk is not walk and "_walk" not in model_to_dict(model)
 
 
 def test_forest_on_one_core_starts_no_pool(monkeypatch):
