@@ -163,6 +163,8 @@ def _validate(config: RunConfig) -> None:
         raise UsageError("test_fraction must be in (0, 1)")
     if config.gap_cap < 1:
         raise UsageError(f"gap_cap must be >= 1, got {config.gap_cap}")
+    if not 0 <= config.default_weekly_rate <= 168:  # hours of use a week; a week holds 168
+        raise UsageError(f"default_weekly_rate must be in [0, 168] hours a week, got {config.default_weekly_rate!r}")
     for what, names in [("features", config.features), *(("ablation subset", s) for s in config.ablation_subsets)]:
         if not names:
             raise UsageError(f"{what} must not be empty")

@@ -128,6 +128,24 @@ def build_columns(spec: FeatureSpec, vocab: PanelVocab) -> list[Column]:
     ] + [Column(name=name, kind="numeric") for name in names if name not in onehot]
 
 
+def onehot_groups(X: sp.csr_matrix, columns: Sequence[Column]):
+    """Yield each "onehot" group of `columns` in which every row of X stores
+    at most one column: its column indices, and per row its level (the
+    group's size for a row that stores none) and stored value (0 there)."""
+    names = [c.group if c.kind == "onehot" else None for c in columns]
+    for name in dict.fromkeys(filter(None, names)):
+        members = np.flatnonzero([g == name for g in names])
+        level = np.full(X.shape[1], -1, dtype=X.indices.dtype)
+        level[members] = np.arange(len(members))
+        stored = level[X.indices]
+        at = np.flatnonzero(stored >= 0)
+        per_row = np.diff(np.searchsorted(at, X.indptr))
+        if per_row.max(initial=0) <= 1:
+            codes, values, has = np.full(X.shape[0], len(members)), np.zeros(X.shape[0]), per_row > 0
+            codes[has], values[has] = stored[at], X.data[at]
+            yield members, codes, values
+
+
 def _fill(panel: Panel, columns: Sequence[Column]) -> sp.csr_matrix:
     """A panel's rows against a column layout as CSR, built column by
     column. A value outside a group's levels lands on its unknown level.

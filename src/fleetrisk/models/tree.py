@@ -37,6 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import NonFiniteFeatureError
+from ..features import onehot_groups
 
 ZERO_REDUCTION = 1e-12
 FEATURE_BLOCK = 8        # candidate features scored together in one node
@@ -166,19 +167,12 @@ def feature_view(X, columns=()) -> FeatureView:
     n, p = X.shape
     row, col, data = np.repeat(np.arange(n), np.diff(X.indptr)), X.indices, X.data
     group, slot, split_at, levels = np.full(p, -1), np.zeros(p, dtype=np.intp), np.zeros(p), []
-    names = [c.group if c.kind == "onehot" else None for c in columns]
-    for name in dict.fromkeys(filter(None, names)):
-        members = np.flatnonzero([g == name for g in names])
-        level = np.full(p, -1)
-        level[members] = np.arange(len(members))
-        at = level[col] >= 0
-        value = np.zeros(p)
-        value[col[at]] = data[at]
-        # rows come sorted: each stores at most one level, each level one positive value
-        if np.all(np.diff(row[at]) > 0) and np.all(data[at] > 0) and np.array_equal(value[col[at]], data[at]):
-            codes = np.full(n, len(members))
-            codes[row[at]] = level[col[at]]
-            group[members], slot[members], split_at[members] = len(levels), level[members], 0.5 * (0.0 + value[members])
+    for members, codes, stored in onehot_groups(X, columns):
+        value = np.zeros(len(members) + 1)  # and 0 at the level of rows that store none
+        value[codes] = stored
+        # each level stores one positive value
+        if np.array_equal(value[codes], stored) and np.all((stored > 0) == (codes < len(members))):
+            group[members], slot[members], split_at[members] = len(levels), np.arange(len(members)), 0.5 * (0.0 + value[:-1])
             levels.append(codes)
     numeric = np.flatnonzero(group < 0)
     slot[numeric] = np.arange(len(numeric))

@@ -487,6 +487,7 @@ INVALID_CONFIG_VALUES = {
     ],
     "units": ["abc", [], [1]],
     "gap_cap": ["x", None, 2.5, -1, 0],
+    "default_weekly_rate": [-1, float("nan"), float("inf"), 1e308],
     "seed": ["x", 1.5],
     "beta0": [float("nan"), float("inf")],
     "beta_age": [float("nan"), float("inf")],
@@ -532,6 +533,31 @@ def test_an_invalid_config_value_is_one_clean_error(drawn):
     assert code in (1, 2), (key, value)
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), (key, value, lines)
+
+
+@pytest.mark.parametrize("rate", [-1, float("nan"), float("inf"), 1e308], ids=["negative", "nan", "inf", "huge"])
+def test_a_default_weekly_rate_out_of_range_is_a_usage_error_naming_it(tmp_path, capsys, rate):
+    """Without a sidecar every vehicle's utilization is its age times this
+    rate: a negative one used to train on negative utilization, and a
+    non-finite or overflowing one failed only at the fit, as a data error."""
+    assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "6", "--n-weeks", "20"]) == 0
+    (tmp_path / "utilization.csv").unlink()
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"default_weekly_rate": rate}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: default_weekly_rate must be in [0, 168]"), err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_a_default_weekly_rate_in_range_trains(tmp_path):
+    assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "6", "--n-weeks", "20"]) == 0
+    (tmp_path / "utilization.csv").unlink()
+    for rate in (0, 168):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"default_weekly_rate": rate}))
+        assert main(["train", "--config", str(config), "-o", str(tmp_path)]) == 0
 
 
 def test_split_with_an_empty_side_is_data_error(tmp_path, capsys):

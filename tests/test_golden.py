@@ -18,13 +18,13 @@ from pathlib import Path
 from fleetrisk.cli import main
 
 GOLDEN = {
-    "eval/eval_report.json": "23468980bbff694b8792aea77a936767d0fa4becd008eec96d1510a413b5daa2",
+    "eval/eval_report.json": "5264baa677651a9c83c4e0aad42755442fa55a1542900c580e40c0ca0256563c",
     "eval/histogram_false.csv": "c4baa2951180524997501ccd280b294075708903d6154de0bac4f88f5edb1caf",
     "eval/histogram_true.csv": "72cbda638f3589bf11c3a53a64b7f435809d9db91e2562fbf1d78bfe5e866a8a",
     "ingest/records.csv": "363365d1aaa837c7df06b973ee714e32697a610272aac84a6ae5852f4064158a",
     "ingest/row_errors.csv": "76b0425701d089ebeda4a24a13dad7cf2e5a1f732c629cf13ab7f1659a8e0915",
     "mel-forest/mel_risk.json": "574c33262fa6d61de90f4499bdcef7fea311531ecdd4cf95f8e61331e0f503de",
-    "mel/mel_risk.json": "25e4ac7986e3cc9f68ace7b29920846c7ac0f3b2204c2bf23c8fccc382a7cc70",
+    "mel/mel_risk.json": "c00d40c8be04ee4ddaa693433b9df971c7f647e3efad0c0a36bffbf84c3b04a1",
     "panel-early-start/panel.csv": "598102c9d665730818e307e5b54a40926b1dba93e7bec030d6477721b55d448d",
     "panel-no-sidecar/panel.csv": "6d521cda7d1606045facc5a37cd6fde4fd0f9f261d33b58b19f7068fb1e78be7",
     "panel-options/panel.csv": "0485afea285356802522f7b5172e2e46ba0d2af0ceba1da4aaa7998f2e061b5c",
@@ -69,37 +69,37 @@ GOLDEN = {
     "report-gbt/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "report-gbt/policy_summary.json": "cbc1f1d84eea55934afc2d62efa81009b2d3ad308ab5b59ee5c8c4af46a4a578",
     "report-gbt/policy_trace.csv": "001b2a6c6a66c264297f30cf174ef21e3fa78d6fa83a6578b3d81049b954f47b",
-    "report-logistic/ablation.csv": "755a924e69af96e46c21c974a4fba45f5b909d3aa5266afeba239342a981422e",
-    "report-logistic/eval_report.json": "23468980bbff694b8792aea77a936767d0fa4becd008eec96d1510a413b5daa2",
+    "report-logistic/ablation.csv": "3aafeea805498abf60434afe0bdad9f4c827ed126d0a1b645834c567488a93b2",
+    "report-logistic/eval_report.json": "5264baa677651a9c83c4e0aad42755442fa55a1542900c580e40c0ca0256563c",
     "report-logistic/histogram_false.csv": "c4baa2951180524997501ccd280b294075708903d6154de0bac4f88f5edb1caf",
     "report-logistic/histogram_true.csv": "72cbda638f3589bf11c3a53a64b7f435809d9db91e2562fbf1d78bfe5e866a8a",
     "report-logistic/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
-    "report-logistic/model.json": "e4d950d3ede410bf66c5a00a7c1026b6fd54221b63f17347d9d370113553bcc7",
+    "report-logistic/model.json": "9220fd3dccf042f285755de4c89f51614e58afcd5cee3baa57d1971e2f039588",
     "report-logistic/policy_hist_proactive.csv": "89ecf41b7d639f086c60c64b5969534712df9e3d1e87149c9b5c3ba8ae934c2f",
     "report-logistic/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "report-logistic/policy_summary.json": "984dacf0f8d68fccbb19fb923b74424addb0322ce4b3fe4a1ef0d9edbb1e6855",
-    "report-logistic/policy_trace.csv": "ca9de21dd41b0e2adf04a4f2df9809ba83a09044c96cbb4661336c31a24937e0",
-    "report-random/ablation.csv": "0a28bac7d44ca2a1abe088e79afb85c12b69b1a9ccf92b47a49bd4e3e32b4b0a",
+    "report-logistic/policy_trace.csv": "6a4fb2440d04e27af5f8d81d805bda4a96327f3ee65a45c221d15eea982adf68",
+    "report-random/ablation.csv": "24ad9fee411f9278ae8c37e6fc169f1ee38f3a8216e69cd58d0a73196beac128",
     "report-random/eval_report.json": "9348a30b550d0cfdcf5ba0bcd6b44282cc9663ee27f420b4ac6eaa7ccce1c551",
     "report-random/histogram_false.csv": "2ae29047f8bbbecae80dfafa88ce68bd500b22672dc750318a6230fc18083588",
     "report-random/histogram_true.csv": "5581182225e9ce5ddc1986402c8bcb101afb0ecddef1c91b64d416a9ea5b3778",
     "report-random/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
-    "report-random/model.json": "779aca26211e8dd7336a1c370aebd3df5cdb598355f122a9ed98b7fbdc8516e0",
+    "report-random/model.json": "61a22fa4245722337452c099897b734161d2b110c60ee41dfd2102a70ff41ba7",
     "report-random/policy_hist_proactive.csv": "71ee3f00cc9b4906e551432b26d60ec84125eb8247dc492488da2fe0bfb7cfc2",
     "report-random/policy_hist_random.csv": "7d172b88f9775c6228b672a016f427b53d1b2839a87d4869b713bd6c7953a0a2",
     "report-random/policy_summary.json": "13e5e3343f0038ab30910132bce1206e9d3d7e94783068c941629b33896d920f",
-    "report-random/policy_trace.csv": "4f9d286f8bb10d6fd2c755798b9d9fa8e29728839aedcf715954dfb285769731",
+    "report-random/policy_trace.csv": "6c75bf579b7746fdc5b15d6077fb21fa501edf676d93d43c0f8d2455879f1563",
     "simulate/policy_hist_proactive.csv": "89ecf41b7d639f086c60c64b5969534712df9e3d1e87149c9b5c3ba8ae934c2f",
     "simulate/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "simulate/policy_summary.json": "984dacf0f8d68fccbb19fb923b74424addb0322ce4b3fe4a1ef0d9edbb1e6855",
-    "simulate/policy_trace.csv": "ca9de21dd41b0e2adf04a4f2df9809ba83a09044c96cbb4661336c31a24937e0",
+    "simulate/policy_trace.csv": "6a4fb2440d04e27af5f8d81d805bda4a96327f3ee65a45c221d15eea982adf68",
     "synth/ground_truth.json": "9c741c3525e315483e6049f73d77e1ded7588ef793612b47b554bc4eeedfbb46",
     "synth/subworkorders.csv": "363365d1aaa837c7df06b973ee714e32697a610272aac84a6ae5852f4064158a",
     "synth/utilization.csv": "500c405b36d10382860c2cb6eaf81849a91ed7126e92ae30ab59bc1c487d9a63",
     "train-forest/model.json": "4398fafb9f0fefeb29671de750ad814f6715cf37bf7c4e0e9480f43d68e71061",
-    "train/model.json": "e4d950d3ede410bf66c5a00a7c1026b6fd54221b63f17347d9d370113553bcc7",
-    "tune/tune_best.json": "b697a5748efcea967956573fd1bd22ae72ebc5d6fcc796c2fb336fe3eff432a4",
-    "tune/tune_results.csv": "0d5de3a7a144e2f2bbf3543aaabdb4f39a5ca245aac5b1bac84f604a9f73a3e2",
+    "train/model.json": "9220fd3dccf042f285755de4c89f51614e58afcd5cee3baa57d1971e2f039588",
+    "tune/tune_best.json": "7f2053b3e1d6046114e2d697493744ab3588eebb26a7c4836bbbaab1c29ef16c",
+    "tune/tune_results.csv": "8ccdacb69a647c390e3a94f16ad6afbbcd64fd595d6de7a01bd05a700a1f3b7a",
 }
 
 

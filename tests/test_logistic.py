@@ -1,5 +1,7 @@
 """Logistic solver behavior: recovery, regularization, solver agreement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +9,7 @@ from scipy.special import expit, logit
 
 from fleetrisk.errors import NonFiniteFeatureError, SingleClassLabelsError
 from fleetrisk.features import Column, FeatureMatrix
-from fleetrisk.models.logistic import LogisticHyper, fit_logistic
+from fleetrisk.models.logistic import LogisticHyper, _layout, _newton_step, fit_logistic
 
 
 def matrix_from(X, y, standardized=False):
@@ -139,3 +141,85 @@ def test_model_carries_fit_metadata():
     assert model.standardized
     assert [c.name for c in model.columns] == ["x0"]
     assert 0 < model.n_iters <= 500
+
+
+def dense_newton_step(X, z, gw, gb, lam, n):
+    """The reference: the damped Newton step solved on the dense (p+1)-square Hessian."""
+    Xt = X.T.tocsr()
+    q = expit(z)
+    d = q * (1.0 - q) / n
+    p = len(gw)
+    Xd = X.copy()
+    Xd.data *= np.repeat(d, np.diff(X.indptr))  # row i times d[i]
+    H_full = np.empty((p + 1, p + 1))
+    H_full[:p, :p] = (Xt @ Xd).toarray() + lam * np.eye(p)
+    H_full[:p, p] = H_full[p, :p] = Xt @ d
+    H_full[p, p] = d.sum()
+    H_full[np.diag_indices(p + 1)] += 1e-10
+    step = np.linalg.solve(H_full, -np.concatenate([gw, [gb]]))
+    return step[:p], step[p]
+
+
+def grouped_matrix(rng, n, groups, n_numeric):
+    """A matrix of one-hot groups, then numeric columns. Each group is
+    (name, levels, levels stored per row, share of rows storing none); a
+    group's last level is "<unknown>" and no row stores it. A level stores
+    one positive value, as a standardized column does."""
+    blocks, columns = [], []
+    for name, levels, per_row, none in groups:
+        part = np.zeros((n, levels + 1))
+        for _ in range(per_row):
+            part[np.arange(n), rng.integers(0, levels, n)] = 1.0
+        part[rng.random(n) < none] = 0.0
+        blocks.append(part / rng.uniform(0.2, 0.5, levels + 1))
+        columns += [Column(f"{name}={j}", "onehot", name, str(j)) for j in range(levels)]
+        columns.append(Column(f"{name}=<unknown>", "onehot", name, "<unknown>"))
+    blocks.append(rng.standard_normal((n, n_numeric)))
+    columns += [Column(f"x{j}", "numeric") for j in range(n_numeric)]
+    return sp.csr_matrix(np.hstack(blocks)), columns
+
+
+@pytest.mark.parametrize(
+    "groups, n_numeric, lam, block_width",
+    [
+        ([("v", 40, 1, 0.1), ("t", 3, 1, 0.0)], 2, 1e-3, 41),
+        ([("v", 12, 2, 0.0)], 2, 1e-3, 0),
+        ([("v", 30, 1, 0.1)], 1, 0.0, 31),
+        ([], 1, 1e-4, 0),
+    ],
+    ids=["wide-group", "two-levels-a-row", "empty-unknown-no-penalty", "one-numeric"],
+)
+def test_the_block_newton_step_matches_the_dense_hessian_step(groups, n_numeric, lam, block_width):
+    rng = np.random.default_rng(12)
+    n = 600
+    X, columns = grouped_matrix(rng, n, groups, n_numeric)
+    w = rng.normal(0.0, 0.3, X.shape[1])
+    z = X @ w - 1.0
+    y = (rng.random(n) < expit(z)).astype(np.float64)
+    r = (expit(z) - y) / n
+    gw, gb = X.T @ r + lam * w, float(r.sum())
+
+    layout = _layout(X, columns)
+    assert len(layout[0]) == block_width
+    step_w, step_b = _newton_step(layout, z, gw, gb, lam, n)
+    ref_w, ref_b = dense_newton_step(X, z, gw, gb, lam, n)
+    step, ref = np.append(step_w, step_b), np.append(ref_w, ref_b)
+    assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_a_newton_fit_allocates_less_than_one_width_squared_array():
+    """20k rows and a 2,000-level group: the fit never holds a p x p float64 array."""
+    rng = np.random.default_rng(13)
+    n = 20_000
+    X, columns = grouped_matrix(rng, n, [("v", 2_000, 1, 0.0)], 2)
+    y = (rng.random(n) < expit(X[:, -2:] @ [1.0, -0.5] - 2.0)).astype(np.int8)
+    matrix = FeatureMatrix(columns=columns, values=X, labels=y, scale=np.ones(X.shape[1]))
+    tracemalloc.start()
+    try:
+        model = fit_logistic(matrix, LogisticHyper(max_iters=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.n_iters == 3
+    p = X.shape[1]
+    assert peak < p * p * 8, f"fit peaked at {peak / 1e6:.1f} MB"

@@ -431,7 +431,10 @@ def test_a_group_whose_rows_store_two_levels_is_scored_as_numeric_columns():
     values = m.values.toarray()
     values[values[:, 0] > 0, 0] = np.arange(1.0, 1.0 + (values[:, 0] > 0).sum())  # column 0 stores many values
     varied = replace(m, values=values)
-    for matrix in (twice, varied):
+    values = m.values.toarray()
+    values[:, 0] *= -1.0  # column 0 stores a negative value
+    negative = replace(m, values=values)
+    for matrix in (twice, varied, negative):
         assert feature_view(matrix.values, matrix.columns).levels == []
         relabelled = replace(matrix, columns=[replace(c, kind="numeric", group=None) for c in matrix.columns])
         hyper = ForestHyper(n_estimators=1, max_features=3, min_leaf=2, seed=4)
