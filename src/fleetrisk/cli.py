@@ -20,7 +20,7 @@ import itertools
 import json
 import sys
 from dataclasses import replace
-from datetime import date, datetime, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO
 
@@ -29,8 +29,6 @@ import numpy as np
 from . import config as cfg
 from .errors import FleetRiskError, UsageError
 from .evaluation import (
-    ChronologicalSplit,
-    RandomRowSplit,
     ablation,
     fit_on_train,
     score_panel,
@@ -67,6 +65,8 @@ class _Run:
     def __init__(self, command: str, config: cfg.RunConfig):
         self.command = command
         self.config = config
+        self.panel_options = cfg.panel_options(config)  # before mkdir: a refused setting leaves nothing
+        self.split_spec = cfg.split_spec(config)
         self.out_dir = Path(config.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.inputs: dict[str, str] = {}
@@ -121,39 +121,20 @@ def _load_records(run: _Run):
 
 
 def _panel_options(run: _Run) -> PanelOptions:
-    start = None
-    if run.config.start_date is not None:
-        try:
-            start = date.fromisoformat(run.config.start_date)
-        except ValueError:
-            raise UsageError(f"start_date is not an ISO date: {run.config.start_date!r}")
-    utilization = None
     sidecar = _locate(run, run.config.utilization_csv, UTILIZATION_CSV, "utilization CSV")
-    if sidecar is not None:
-        run.note_input(sidecar)
-        try:
-            utilization = load_utilization_csv(sidecar)
-        except (OverflowError, ValueError) as exc:
-            raise FleetRiskError(f"bad utilization sidecar: {exc}")
-    return PanelOptions(
-        include_scheduled=run.config.include_scheduled,
-        start_date=start,
-        end_week=run.config.end_week,
-        gap_cap=run.config.gap_cap,
-        utilization=utilization,
-        default_weekly_rate=run.config.default_weekly_rate,
-    )
+    if sidecar is None:
+        return run.panel_options
+    run.note_input(sidecar)
+    try:
+        utilization = load_utilization_csv(sidecar)
+    except (OverflowError, ValueError) as exc:
+        raise FleetRiskError(f"bad utilization sidecar: {exc}")
+    return replace(run.panel_options, utilization=utilization)
 
 
 def _build_panel(run: _Run):
     records, _errors = _load_records(run)
     return build_panel(records, _panel_options(run))
-
-
-def _split_spec(run: _Run):
-    if run.config.split == "random":
-        return RandomRowSplit(run.config.test_fraction, seed=cfg.child_seed(run.config.seed, "split"))
-    return ChronologicalSplit(run.config.test_fraction)
 
 
 def _load_saved_model(run: _Run):
@@ -220,10 +201,7 @@ def _mel_artifacts(run: _Run, model, panel) -> None:
             raise FleetRiskError(
                 f"mel spec for {vtype!r} says assigned={entry['assigned']} but the panel has {len(fleet)}"
             )
-        try:
-            spec = MelSpec(vehicle_type=vtype, mel=entry["mel"], assigned=len(fleet))
-        except ValueError as exc:
-            raise UsageError(f"bad mel spec for {vtype!r}: {exc}") from exc
+        spec = MelSpec(vehicle_type=vtype, mel=entry["mel"], assigned=len(fleet))
         probs = predict_proba(model, transform(fleet, model.columns, model.scale))
         results.append(
             {
@@ -249,7 +227,7 @@ def _labor_artifacts(run: _Run, records, panel) -> None:
 
 # ---------------------------------------------------------------------------
 # subcommand bodies: each writes its artifacts or raises; `main` picks the exit code.
-# Hyperparameters are resolved before any input is read, so a bad one leaves no artifact.
+# Every setting is resolved before any input is read, so a bad one leaves no artifact.
 
 
 def _cmd_synth(run: _Run) -> None:
@@ -278,7 +256,7 @@ def _cmd_panel(run: _Run) -> None:
 
 def _cmd_train(run: _Run) -> None:
     hyper = cfg.model_hyper(run.config)
-    train, _test = split(_build_panel(run), _split_spec(run))
+    train, _test = split(_build_panel(run), run.split_spec)
     model = fit_on_train(train, cfg.feature_spec(run.config), run.config.model, hyper)
     with run.open_output(MODEL_JSON) as stream:
         save_model(model, stream)
@@ -286,18 +264,18 @@ def _cmd_train(run: _Run) -> None:
 
 def _cmd_eval(run: _Run) -> None:
     model = _load_saved_model(run)
-    _train, test = split(_build_panel(run), _split_spec(run))
+    _train, test = split(_build_panel(run), run.split_spec)
     _eval_artifacts(run, model, test)
 
 
 def _cmd_ablate(run: _Run) -> None:
     hyper = cfg.model_hyper(run.config)
-    _ablate_artifacts(run, hyper, *split(_build_panel(run), _split_spec(run)))
+    _ablate_artifacts(run, hyper, *split(_build_panel(run), run.split_spec))
 
 
 def _cmd_simulate(run: _Run) -> None:
     model = _load_saved_model(run)
-    _train, test = split(_build_panel(run), _split_spec(run))
+    _train, test = split(_build_panel(run), run.split_spec)
     _simulate_artifacts(run, model, test)
 
 
@@ -310,7 +288,7 @@ def _cmd_report(run: _Run) -> None:
     hyper = cfg.model_hyper(run.config)
     records, _errors = _load_records(run)
     panel = build_panel(records, _panel_options(run))
-    train, test = split(panel, _split_spec(run))
+    train, test = split(panel, run.split_spec)
     model = fit_on_train(train, cfg.feature_spec(run.config), run.config.model, hyper)
     _labor_artifacts(run, records, panel)
     with run.open_output(MODEL_JSON) as stream:
@@ -325,7 +303,7 @@ def _cmd_tune(run: _Run) -> None:
     keys = sorted(grid)
     points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
     hypers = [cfg.model_hyper(replace(run.config, **overrides)) for overrides in points]
-    train, test = split(_build_panel(run), _split_spec(run))
+    train, test = split(_build_panel(run), run.split_spec)
 
     # encode once; each grid point only refits
     matrix = train_matrix(train, cfg.feature_spec(run.config))

@@ -10,14 +10,17 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
+from datetime import date
 from pathlib import Path
 from types import UnionType
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .errors import InvalidConfigError, UsageError
+from .evaluation import ChronologicalSplit, RandomRowSplit, SplitSpec
 from .features import FEATURE_NAMES, FeatureSpec
 from .models import MODEL_KINDS, MODELS
-from .panel import GAP_CAP
+from .panel import GAP_CAP, PanelOptions
+from .policy import MelSpec
 from .synth import FleetConfig, VehicleTypeSpec
 
 
@@ -159,19 +162,10 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"unknown model kind: {config.model!r}")
     if config.split not in ("chronological", "random"):
         raise UsageError(f"unknown split kind: {config.split!r}")
-    if not 0.0 < config.test_fraction < 1.0:
-        raise UsageError("test_fraction must be in (0, 1)")
-    if config.gap_cap < 1:
-        raise UsageError(f"gap_cap must be >= 1, got {config.gap_cap}")
-    if not 0 <= config.default_weekly_rate <= 168:  # hours of use a week; a week holds 168
-        raise UsageError(f"default_weekly_rate must be in [0, 168] hours a week, got {config.default_weekly_rate!r}")
     for what, names in [("features", config.features), *(("ablation subset", s) for s in config.ablation_subsets)]:
         if not names:
             raise UsageError(f"{what} must not be empty")
-        try:
-            FeatureSpec.of(names)
-        except ValueError as exc:
-            raise UsageError(f"{what}: {exc}") from exc
+        FeatureSpec.of(names)
     for entry in config.mel_specs:
         if "vehicle_type" not in entry or "mel" not in entry:
             raise UsageError("each mel_specs entry needs vehicle_type and mel")
@@ -181,6 +175,8 @@ def _validate(config: RunConfig) -> None:
         for key, hint in (("vehicle_type", str), ("mel", int), ("assigned", int)):
             if key in entry and not _fits(entry[key], hint):
                 raise UsageError(f"mel_specs {key} must be {hint.__name__}, got {entry[key]!r}")
+        # refused here, before any input is read; a count above the panel's fleet only `mel` can see
+        MelSpec(entry["vehicle_type"], entry["mel"], entry.get("assigned", entry["mel"]))
     grid = config.tune_grid
     if not all(grid.values()):
         raise UsageError("each tune_grid list needs at least one value")
@@ -203,8 +199,8 @@ def feature_spec(config: RunConfig) -> FeatureSpec:
 def model_hyper(config: RunConfig):
     """The model kind's Hyper, with every hyperparameter the config sets.
 
-    A set key the kind does not take, or a value its Hyper rejects, is a
-    usage error. A forest's seed derives from the run seed.
+    A set key the kind does not take is a usage error; the Hyper refuses
+    a bad value itself. A forest's seed derives from the run seed.
     """
     hyper_class = MODELS[config.model][1]
     taken = {f.name for f in fields(hyper_class)}
@@ -214,25 +210,40 @@ def model_hyper(config: RunConfig):
         raise UsageError(f"the {config.model} model does not take: {', '.join(sorted(foreign))}")
     if "seed" in taken:
         given["seed"] = child_seed(config.seed, "model")
-    try:
-        return hyper_class(**given)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad {config.model} hyperparameter: {exc}") from exc
+    return hyper_class(**given)
 
 
 def fleet_config(config: RunConfig) -> FleetConfig:
     types = tuple(VehicleTypeSpec(name, float(hazard), float(rate)) for name, hazard, rate in config.vehicle_types)
+    return FleetConfig(
+        n_vehicles=config.n_vehicles,
+        n_weeks=config.n_weeks,
+        vehicle_types=types,
+        units=tuple(config.units),
+        beta0=config.beta0,
+        beta_age=config.beta_age,
+        beta_gap=config.beta_gap,
+        beta_util=config.beta_util,
+        seed=child_seed(config.seed, "synth"),
+    )
+
+
+def panel_options(config: RunConfig) -> PanelOptions:
+    """The panel options the config sets, with no utilization sidecar."""
     try:
-        return FleetConfig(
-            n_vehicles=config.n_vehicles,
-            n_weeks=config.n_weeks,
-            vehicle_types=types,
-            units=tuple(config.units),
-            beta0=config.beta0,
-            beta_age=config.beta_age,
-            beta_gap=config.beta_gap,
-            beta_util=config.beta_util,
-            seed=child_seed(config.seed, "synth"),
-        )
-    except InvalidConfigError as exc:
-        raise UsageError(str(exc)) from exc
+        start = None if config.start_date is None else date.fromisoformat(config.start_date)
+    except ValueError:
+        raise InvalidConfigError(f"start_date is not an ISO date: {config.start_date!r}") from None
+    return PanelOptions(
+        include_scheduled=config.include_scheduled,
+        start_date=start,
+        end_week=config.end_week,
+        gap_cap=config.gap_cap,
+        default_weekly_rate=config.default_weekly_rate,
+    )
+
+
+def split_spec(config: RunConfig) -> SplitSpec:
+    if config.split == "random":
+        return RandomRowSplit(config.test_fraction, seed=child_seed(config.seed, "split"))
+    return ChronologicalSplit(config.test_fraction)

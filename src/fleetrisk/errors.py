@@ -6,7 +6,12 @@ class FleetRiskError(Exception):
 
 
 class UsageError(FleetRiskError):
-    """Bad invocation: missing prerequisite artifact, unknown config key, etc."""
+    """Bad invocation: missing prerequisite artifact, unknown config key, etc. (exit 2)"""
+
+
+class InvalidConfigError(UsageError, ValueError):
+    """A setting that the type taking it refuses on construction: exit 2
+    from the CLI, and a ValueError to a library caller."""
 
 
 class MissingColumnError(FleetRiskError):
@@ -59,10 +64,6 @@ class EmptyTestRangeError(FleetRiskError):
 
 
 class LengthMismatchError(FleetRiskError):
-    pass
-
-
-class InvalidConfigError(FleetRiskError):
     pass
 
 

@@ -14,11 +14,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegeneratePanelError,
-    SingleClassLabelsError,
-    ZeroFalseMeanError,
-)
+from .errors import DegeneratePanelError, InvalidConfigError, SingleClassLabelsError, ZeroFalseMeanError
 from .features import FeatureMatrix, FeatureSpec, build_columns, encode, standardize, transform
 from .ingest import write_csv
 from .models import fit_model, predict_proba
@@ -28,27 +24,25 @@ N_BINS = 50
 
 
 @dataclass(frozen=True)
-class RandomRowSplit:
-    """Each row lands in test independently with probability test_fraction."""
-
+class _Split:
     test_fraction: float = 0.3
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
+            raise InvalidConfigError("test_fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)
-class ChronologicalSplit:
+class RandomRowSplit(_Split):
+    """Each row lands in test independently with probability test_fraction."""
+
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class ChronologicalSplit(_Split):
     """Test = all rows at or after a week boundary chosen so the test share
     is at least test_fraction (the latest such boundary)."""
-
-    test_fraction: float = 0.3
-
-    def __post_init__(self):
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
 
 
 SplitSpec = RandomRowSplit | ChronologicalSplit

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EmptySpecError, UnknownColumnError
+from .errors import EmptySpecError, InvalidConfigError, UnknownColumnError
 from .panel import Panel, PanelVocab
 
 UNKNOWN_LEVEL = "<unknown>"
@@ -51,7 +51,7 @@ class FeatureSpec:
     def __post_init__(self):
         unknown = set(self.selected) - set(FEATURE_NAMES)
         if unknown:
-            raise ValueError(f"unknown feature names: {', '.join(sorted(unknown))}")
+            raise InvalidConfigError(f"unknown feature names: {', '.join(sorted(unknown))}")
         object.__setattr__(self, "selected", tuple(n for n in FEATURE_NAMES if n in self.selected))
 
     @classmethod
@@ -130,11 +130,12 @@ def build_columns(spec: FeatureSpec, vocab: PanelVocab) -> list[Column]:
 
 def onehot_groups(X: sp.csr_matrix, columns: Sequence[Column]):
     """Yield each "onehot" group of `columns` in which every row of X stores
-    at most one column: its column indices, and per row its level (the
-    group's size for a row that stores none) and stored value (0 there)."""
+    at most one column, widest first and ties in column order: its column
+    indices, and per row its level (the group's size for a row that stores
+    none) and stored value (0 there)."""
     names = [c.group if c.kind == "onehot" else None for c in columns]
-    for name in dict.fromkeys(filter(None, names)):
-        members = np.flatnonzero([g == name for g in names])
+    groups = [np.flatnonzero([g == name for g in names]) for name in dict.fromkeys(filter(None, names))]
+    for members in sorted(groups, key=len, reverse=True):
         level = np.full(X.shape[1], -1, dtype=X.indices.dtype)
         level[members] = np.arange(len(members))
         stored = level[X.indices]

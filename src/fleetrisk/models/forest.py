@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SingleClassLabelsError
+from ..errors import InvalidConfigError, SingleClassLabelsError
 from ..features import FeatureMatrix, Fitted
 from .tree import RegressionTree, TreeEnsemble, check_tree_size, feature_view, grow_tree
 
@@ -28,9 +28,9 @@ class ForestHyper:
 
     def __post_init__(self):
         if self.n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
+            raise InvalidConfigError("n_estimators must be >= 1")
         if self.max_features is not None and self.max_features < 1:
-            raise ValueError("max_features must be >= 1")
+            raise InvalidConfigError("max_features must be >= 1")
         check_tree_size(self.max_depth, self.min_leaf)
 
 

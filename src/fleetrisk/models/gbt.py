@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit
 
-from ..errors import SingleClassLabelsError
+from ..errors import InvalidConfigError, SingleClassLabelsError
 from ..features import FeatureMatrix, Fitted
 from .tree import RegressionTree, TreeEnsemble, check_tree_size, feature_view, grow_tree
 
@@ -27,9 +27,9 @@ class GbtHyper:
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
+            raise InvalidConfigError("learning_rate must be in (0, 1]")
         if self.n_estimators < 0:
-            raise ValueError("n_estimators must be >= 0")
+            raise InvalidConfigError("n_estimators must be >= 0")
         check_tree_size(self.max_depth, self.min_leaf)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from ..errors import NonFiniteFeatureError, SingleClassLabelsError
+from ..errors import InvalidConfigError, NonFiniteFeatureError, SingleClassLabelsError
 from ..features import FeatureMatrix, Fitted, onehot_groups
 
 BACKTRACK_SHRINK = 0.5
@@ -38,9 +38,9 @@ class LogisticHyper:
         # nan fails both comparisons; an infinite l2_lambda or tol gives nan weights or the origin
         for name in ("l2_lambda", "max_iters", "tol"):
             if not 0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+                raise InvalidConfigError(f"{name} must be finite and >= 0")
         if self.solver not in ("gd", "newton"):
-            raise ValueError(f"unknown solver {self.solver!r}")
+            raise InvalidConfigError(f"unknown solver {self.solver!r}")
 
 
 @dataclass
@@ -122,7 +122,7 @@ def fit_logistic(matrix: FeatureMatrix, hyper: LogisticHyper = LogisticHyper()) 
 
 def _layout(X, columns):
     """The block's column indices and columns transposed; the other indices, and their columns dense beside ones."""
-    block = max((group[0] for group in onehot_groups(X, columns)), key=len, default=np.empty(0, dtype=np.intp))
+    block = next((group[0] for group in onehot_groups(X, columns)), np.empty(0, dtype=np.intp))  # the widest
     rest = np.setdiff1d(np.arange(X.shape[1]), block)
     dense = np.ones((X.shape[0], len(rest) + 1), order="F")  # column-major, for the per-column products
     X[:, rest].toarray(out=dense[:, :-1])

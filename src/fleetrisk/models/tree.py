@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ..errors import NonFiniteFeatureError
+from ..errors import InvalidConfigError, NonFiniteFeatureError
 from ..features import onehot_groups
 
 ZERO_REDUCTION = 1e-12
@@ -137,9 +137,9 @@ class TreeEnsemble:
 def check_tree_size(max_depth: int, min_leaf: int) -> None:
     """The tree-size hyperparameters a forest or boosting run accepts."""
     if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+        raise InvalidConfigError("max_depth must be >= 1")
     if min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
+        raise InvalidConfigError("min_leaf must be >= 1")
 
 
 @dataclass

@@ -18,7 +18,7 @@ from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyDatasetError, NonPositiveSpanError
+from .errors import EmptyDatasetError, InvalidConfigError, NonPositiveSpanError
 from .ingest import SubWorkOrderRecord, WorkPlanClass, acquisition_year, classify_work_plan, source_text, write_csv
 
 UTILIZATION_COLUMNS = ("asset_id", "week", "cumulative_units")
@@ -138,7 +138,9 @@ class PanelOptions:
 
     def __post_init__(self):
         if self.gap_cap < 1:
-            raise ValueError(f"gap_cap must be >= 1, got {self.gap_cap}")
+            raise InvalidConfigError(f"gap_cap must be >= 1, got {self.gap_cap}")
+        if not 0 <= self.default_weekly_rate <= 168:  # hours of use a week; a week holds 168
+            raise InvalidConfigError(f"default_weekly_rate must be in [0, 168] hours a week, got {self.default_weekly_rate!r}")
 
 
 def panel_from_rows(rows: Iterable[PanelRow], start_monday: date | None = None) -> Panel:

@@ -14,7 +14,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import EmptyTestRangeError, LengthMismatchError
+from .errors import EmptyTestRangeError, InvalidConfigError, LengthMismatchError
 from .features import transform
 from .ingest import write_csv
 from .models import predict_proba
@@ -144,9 +144,9 @@ class MelSpec:
 
     def __post_init__(self):
         if self.mel < 0:
-            raise ValueError("mel must be >= 0")
+            raise InvalidConfigError(f"mel for {self.vehicle_type!r} must be >= 0")
         if self.assigned < self.mel:
-            raise ValueError("assigned must be >= mel")
+            raise InvalidConfigError(f"assigned for {self.vehicle_type!r} must be >= mel")
 
 
 def mel_risk(per_vehicle_breakdown_prob: Sequence[float], spec: MelSpec) -> float:

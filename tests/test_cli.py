@@ -5,7 +5,7 @@ import csv
 import io
 import json
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -13,9 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetrisk.cli import build_parser, main
-from fleetrisk.config import RunConfig, build_run_config
-from fleetrisk.errors import UsageError
+from fleetrisk.config import RunConfig, build_run_config, fleet_config
+from fleetrisk.errors import InvalidConfigError, UsageError
+from fleetrisk.evaluation import ChronologicalSplit, RandomRowSplit
+from fleetrisk.features import FeatureSpec
 from fleetrisk.models import MODELS
+from fleetrisk.models.forest import ForestHyper
+from fleetrisk.models.gbt import GbtHyper
+from fleetrisk.models.logistic import LogisticHyper
+from fleetrisk.models.tree import check_tree_size
+from fleetrisk.panel import PanelOptions
+from fleetrisk.policy import MelSpec
 
 SMALL = ["--n-vehicles", "18", "--n-weeks", "60"]
 
@@ -462,6 +470,64 @@ def test_a_mel_spec_key_it_does_not_take_is_named(tmp_path):
         build_run_config({"mel_specs": [{"vehicle_type": "truck", "mel": 1, "asigned": 3}]}, {})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LogisticHyper(l2_lambda=-1.0),
+        lambda: ForestHyper(n_estimators=0),
+        lambda: GbtHyper(learning_rate=2.0),
+        lambda: check_tree_size(max_depth=0, min_leaf=5),
+        lambda: PanelOptions(default_weekly_rate=-1.0),
+        lambda: RandomRowSplit(test_fraction=1.5),
+        lambda: ChronologicalSplit(test_fraction=0.0),
+        lambda: MelSpec("truck", mel=-1, assigned=3),
+        lambda: replace(fleet_config(RunConfig()), n_weeks=1),
+        lambda: FeatureSpec.of(["odometer"]),
+    ],
+    ids=["logistic", "forest", "gbt", "tree-size", "panel", "random-split", "chronological-split", "mel", "fleet",
+         "features"],
+)
+def test_every_refused_setting_is_one_error_type(build):
+    """A usage error to the CLI, which exits 2 on it, and a ValueError to a library caller."""
+    with pytest.raises(InvalidConfigError) as caught:
+        build()
+    assert isinstance(caught.value, UsageError) and isinstance(caught.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["report", "--start-date", "notadate"], "start_date is not an ISO date: 'notadate'"),
+        (["synth", "--start-date", "notadate"], "start_date is not an ISO date: 'notadate'"),
+        (["train", "--test-fraction", "1.5"], "test_fraction must be in (0, 1)"),
+        (["panel", "--gap-cap", "0"], "gap_cap must be >= 1, got 0"),
+        (["train", {"default_weekly_rate": -1}], "default_weekly_rate must be in [0, 168] hours a week, got -1"),
+        (["mel", {"mel_specs": [{"vehicle_type": "truck", "mel": 3, "assigned": 2}]}], "assigned for 'truck' must be >= mel"),
+    ],
+    ids=["report-start-date", "synth-start-date", "test-fraction", "gap-cap", "default-weekly-rate",
+         "mel-assigned-below-mel"],
+)
+def test_a_refused_setting_is_named_before_any_input_is_read(tmp_path, capsys, argv, message):
+    """The input named is missing and the output directory does not exist:
+    the setting is what the one error line names, and no directory is made."""
+    if isinstance(argv[-1], dict):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], "--config", str(config)]
+    out = tmp_path / "out"
+    assert main([*argv, "--input", str(tmp_path / "missing.csv"), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_a_negative_mel_count_is_refused_before_the_model_or_input_is_read(trained_dir, tmp_path, capsys):
+    before = {p.name: p.stat().st_mtime_ns for p in trained_dir.iterdir()}
+    capsys.readouterr()
+    assert main(["mel", "--mel", "truck=-1", "--input", str(tmp_path / "missing.csv"), "-o", str(trained_dir)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: mel for 'truck' must be >= 0"]
+    assert {p.name: p.stat().st_mtime_ns for p in trained_dir.iterdir()} == before
+
+
 def test_hyperparameters_are_declared_once(tmp_path):
     """Every Hyper field but a forest's derived seed is a config key that
     defaults to None and a CLI flag, and a manifest records it as null."""
@@ -509,6 +575,7 @@ INVALID_CONFIG_VALUES = {
         [{"vehicle_type": "truck", "mel": 2.7}], [{"vehicle_type": "truck", "mel": True}],
         [{"vehicle_type": "truck", "mel": "2"}], [{"vehicle_type": "truck", "mel": 1, "assigned": 4.9}],
         [{"vehicle_type": 7, "mel": 1}], [{"vehicle_type": "truck", "mel": 1, "asigned": 3}],
+        [{"vehicle_type": "truck", "mel": -1}],
     ],
     "tune_grid": [{"l2_lambda": []}, {"min_leaf": [1]}, {"l2_lambda": 0.1}, [], {"max_iters": [2.5]}, {"tol": [True]},
                   {"max_iters": [0, 5]}],

@@ -207,6 +207,15 @@ def test_the_block_newton_step_matches_the_dense_hessian_step(groups, n_numeric,
     assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
+def test_the_block_is_the_first_of_the_widest_groups_whose_rows_store_one_level():
+    """A wider group whose rows store two levels does not qualify; of two
+    equally wide groups that do, the first in column order is the block."""
+    X, columns = grouped_matrix(np.random.default_rng(14), 200, [("w", 6, 2, 0.0), ("a", 3, 1, 0.1), ("b", 3, 1, 0.1)], 1)
+    block = _layout(X, columns)[0]
+    assert [columns[j].group for j in block] == ["a"] * 4
+    assert block.tolist() == [7, 8, 9, 10]
+
+
 def test_a_newton_fit_allocates_less_than_one_width_squared_array():
     """20k rows and a 2,000-level group: the fit never holds a p x p float64 array."""
     rng = np.random.default_rng(13)

@@ -132,6 +132,14 @@ def test_panel_options_reject_a_gap_cap_below_one(gap_cap):
         PanelOptions(gap_cap=gap_cap)
 
 
+@pytest.mark.parametrize("rate", [-1, float("nan"), float("inf"), 1e308], ids=["negative", "nan", "inf", "huge"])
+def test_panel_options_reject_a_default_weekly_rate_out_of_range(rate):
+    """Without a sidecar every vehicle's utilization is its age times this
+    rate: a negative one gave negative utilization, and nan gave all nan."""
+    with pytest.raises(ValueError, match=r"default_weekly_rate must be in \[0, 168\]"):
+        PanelOptions(default_weekly_rate=rate)
+
+
 def test_age_anchored_at_acquisition_year():
     # AF15 -> Jan 1 2015, whose Monday (2014-12-29) is 262 weeks before MONDAY.
     records = [rec("AF150001", 0), rec("AF150001", 4)]
