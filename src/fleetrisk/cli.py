@@ -38,9 +38,9 @@ from .evaluation import (
     write_eval_report,
     write_histogram_csv,
 )
-from .features import FeatureSpec, transform
+from .features import FeatureSpec
 from .ingest import parse_subworkorders, write_csv, write_subworkorders
-from .models import MODEL_KINDS, fit_model, load_model, predict_proba, save_model
+from .models import MODEL_KINDS, fit_model, load_model, predict_panel, save_model
 from .panel import PanelOptions, build_panel, load_utilization_csv, week_index, write_panel_csv
 from .policy import (
     HighestRisk,
@@ -60,21 +60,45 @@ MODEL_JSON = "model.json"
 
 
 class _Run:
-    """Shared state for one invocation: resolved config, hashes, outputs."""
+    """One invocation: each setting built into the library object that takes
+    it, each input file read once and hashed, and the artifacts written."""
 
-    def __init__(self, command: str, config: cfg.RunConfig):
+    def __init__(self, command: str, config_path: str | None, overrides: dict):
         self.command = command
-        self.config = config
-        self.panel_options = cfg.panel_options(config)  # before mkdir: a refused setting leaves nothing
-        self.split_spec = cfg.split_spec(config)
-        self.out_dir = Path(config.out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.inputs: dict[str, str] = {}
+        file_values = self.read(Path(config_path), "config file", cfg.load_config_file) if config_path else {}
+        self.config = config = cfg.build_run_config(file_values, overrides)
+        # every setting is built before mkdir, so a refused one leaves nothing
+        self.panel_options = cfg.panel_options(config)
+        self.split_spec = cfg.split_spec(config)
+        self.fleet = cfg.fleet_config(config)
+        self.features = FeatureSpec.of(config.features)
+        self.subsets = [FeatureSpec.of(names) for names in config.ablation_subsets]
+        self.hyper = cfg.model_hyper(config)
+        keys = sorted(config.tune_grid)
+        points = [dict(zip(keys, combo)) for combo in itertools.product(*(config.tune_grid[k] for k in keys))]
+        self.tune_points = [(point, cfg.model_hyper(replace(config, **point))) for point in points]
+        self.out_dir = Path(config.out_dir)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot make output directory {self.out_dir}: {exc.strerror}") from None
         self.outputs: list[str] = []
         self.saved_model_kind: str | None = None  # set by eval, simulate and mel
 
-    def note_input(self, path: Path) -> None:
-        self.inputs[str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()
+    def read(self, path: Path, what: str, parse):
+        """Parse an input file from the bytes its manifest hash is taken of.
+        A file that cannot be read is a usage error, and bytes that `parse`
+        refuses with a ValueError or OverflowError a data error naming `what`."""
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise UsageError(f"cannot read {what} {path}: {exc.strerror}") from None
+        self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
+        try:
+            return parse(data)
+        except (OverflowError, ValueError) as exc:
+            raise FleetRiskError(f"bad {what}: {exc}") from None
 
     def open_output(self, name: str) -> IO[str]:
         """Open an artifact for writing and list it in the manifest."""
@@ -100,36 +124,27 @@ class _Run:
         (self.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _locate(run: _Run, configured: str | None, fallback_name: str, what: str) -> Path | None:
-    """The configured file, which must exist; else the output directory's
-    `fallback_name` if a previous command wrote it; else None."""
+def _locate(run: _Run, configured: str | None, fallback_name: str) -> Path | None:
+    """The configured file; else the output directory's `fallback_name` if
+    a previous command wrote it; else None."""
     if configured:
-        path = Path(configured)
-        if not path.exists():
-            raise UsageError(f"{what} not found: {path}")
-        return path
+        return Path(configured)
     fallback = run.out_dir / fallback_name
     return fallback if fallback.exists() else None
 
 
 def _load_records(run: _Run):
-    path = _locate(run, run.config.input_csv, SUBWORKORDERS_CSV, "input CSV")
+    path = _locate(run, run.config.input_csv, SUBWORKORDERS_CSV)
     if path is None:
         raise UsageError("no input CSV: pass --input or run `synth` into this output directory first")
-    run.note_input(path)
-    return parse_subworkorders(path)
+    return run.read(path, "input CSV", parse_subworkorders)
 
 
 def _panel_options(run: _Run) -> PanelOptions:
-    sidecar = _locate(run, run.config.utilization_csv, UTILIZATION_CSV, "utilization CSV")
+    sidecar = _locate(run, run.config.utilization_csv, UTILIZATION_CSV)
     if sidecar is None:
         return run.panel_options
-    run.note_input(sidecar)
-    try:
-        utilization = load_utilization_csv(sidecar)
-    except (OverflowError, ValueError) as exc:
-        raise FleetRiskError(f"bad utilization sidecar: {exc}")
-    return replace(run.panel_options, utilization=utilization)
+    return replace(run.panel_options, utilization=run.read(sidecar, "utilization sidecar", load_utilization_csv))
 
 
 def _build_panel(run: _Run):
@@ -141,8 +156,7 @@ def _load_saved_model(run: _Run):
     path = run.out_dir / MODEL_JSON
     if not path.exists():
         raise UsageError(f"no trained model at {path}; run `train` first")
-    run.note_input(path)
-    model = load_model(path)
+    model = run.read(path, "saved model", load_model)
     run.saved_model_kind = model.kind
     return model
 
@@ -156,9 +170,8 @@ def _eval_artifacts(run: _Run, model, test_panel) -> None:
             write_histogram_csv(counts, stream)
 
 
-def _ablate_artifacts(run: _Run, hyper, train, test) -> None:
-    subsets = [FeatureSpec.of(names) for names in run.config.ablation_subsets]
-    rows = ablation(train, test, subsets, run.config.model, hyper)
+def _ablate_artifacts(run: _Run, train, test) -> None:
+    rows = ablation(train, test, run.subsets, run.config.model, run.hyper)
     with run.open_output("ablation.csv") as stream:
         write_ablation_csv(rows, stream)
 
@@ -190,11 +203,12 @@ def _mel_artifacts(run: _Run, model, panel) -> None:
     # rows are sorted by (asset, week): each vehicle's last row is its latest week
     latest = panel.take(np.append(panel.asset[1:] != panel.asset[:-1], True))
     types = np.array(latest.vocab.vehicle_types, dtype=object)[latest.vehicle_type]
+    probs = predict_panel(model, latest)  # a row's score does not depend on its batch
 
     results = []
     for entry in run.config.mel_specs:
         vtype = entry["vehicle_type"]  # config._validate checked each entry's types
-        fleet = latest.take(types == vtype)
+        fleet = probs[types == vtype]
         if not len(fleet):
             raise FleetRiskError(f"no vehicles of type {vtype!r} in the panel")
         if entry.get("assigned", len(fleet)) != len(fleet):
@@ -202,13 +216,12 @@ def _mel_artifacts(run: _Run, model, panel) -> None:
                 f"mel spec for {vtype!r} says assigned={entry['assigned']} but the panel has {len(fleet)}"
             )
         spec = MelSpec(vehicle_type=vtype, mel=entry["mel"], assigned=len(fleet))
-        probs = predict_proba(model, transform(fleet, model.columns, model.scale))
         results.append(
             {
                 "vehicle_type": vtype,
                 "mel": spec.mel,
                 "assigned": spec.assigned,
-                "risk": mel_risk(probs, spec),
+                "risk": mel_risk(fleet, spec),
             }
         )
     run.write_json("mel_risk.json", {"specs": results})
@@ -227,11 +240,10 @@ def _labor_artifacts(run: _Run, records, panel) -> None:
 
 # ---------------------------------------------------------------------------
 # subcommand bodies: each writes its artifacts or raises; `main` picks the exit code.
-# Every setting is resolved before any input is read, so a bad one leaves no artifact.
 
 
 def _cmd_synth(run: _Run) -> None:
-    work_orders, sidecar, truth = generate_fleet(cfg.fleet_config(run.config))
+    work_orders, sidecar, truth = generate_fleet(run.fleet)
     with run.open_output(SUBWORKORDERS_CSV) as stream:
         stream.write(work_orders)
     with run.open_output(UTILIZATION_CSV) as stream:
@@ -255,9 +267,8 @@ def _cmd_panel(run: _Run) -> None:
 
 
 def _cmd_train(run: _Run) -> None:
-    hyper = cfg.model_hyper(run.config)
     train, _test = split(_build_panel(run), run.split_spec)
-    model = fit_on_train(train, cfg.feature_spec(run.config), run.config.model, hyper)
+    model = fit_on_train(train, run.features, run.config.model, run.hyper)
     with run.open_output(MODEL_JSON) as stream:
         save_model(model, stream)
 
@@ -269,8 +280,7 @@ def _cmd_eval(run: _Run) -> None:
 
 
 def _cmd_ablate(run: _Run) -> None:
-    hyper = cfg.model_hyper(run.config)
-    _ablate_artifacts(run, hyper, *split(_build_panel(run), run.split_spec))
+    _ablate_artifacts(run, *split(_build_panel(run), run.split_spec))
 
 
 def _cmd_simulate(run: _Run) -> None:
@@ -285,31 +295,26 @@ def _cmd_mel(run: _Run) -> None:
 
 
 def _cmd_report(run: _Run) -> None:
-    hyper = cfg.model_hyper(run.config)
     records, _errors = _load_records(run)
     panel = build_panel(records, _panel_options(run))
     train, test = split(panel, run.split_spec)
-    model = fit_on_train(train, cfg.feature_spec(run.config), run.config.model, hyper)
+    model = fit_on_train(train, run.features, run.config.model, run.hyper)
     _labor_artifacts(run, records, panel)
     with run.open_output(MODEL_JSON) as stream:
         save_model(model, stream)
     _eval_artifacts(run, model, test)
-    _ablate_artifacts(run, hyper, train, test)
+    _ablate_artifacts(run, train, test)
     _simulate_artifacts(run, model, test)
 
 
 def _cmd_tune(run: _Run) -> None:
-    grid = run.config.tune_grid
-    keys = sorted(grid)
-    points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
-    hypers = [cfg.model_hyper(replace(run.config, **overrides)) for overrides in points]
     train, test = split(_build_panel(run), run.split_spec)
 
     # encode once; each grid point only refits
-    matrix = train_matrix(train, cfg.feature_spec(run.config))
+    matrix = train_matrix(train, run.features)
     results = []
     best = None
-    for overrides, hyper in zip(points, hypers):
+    for overrides, hyper in run.tune_points:
         report = score_panel(fit_model(run.config.model, matrix, hyper), test)
         results.append([json.dumps(overrides, sort_keys=True), report.ratio, report.mean_pred_true, report.mean_pred_false])
         if best is None or report.ratio > best[1]:
@@ -422,11 +427,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        file_values = cfg.load_config_file(args.config) if args.config else {}
-        config = cfg.build_run_config(file_values, _overrides_from_args(args))
-        run = _Run(args.command, config)
-        if args.config:
-            run.note_input(Path(args.config))
+        run = _Run(args.command, args.config, _overrides_from_args(args))
         _COMMANDS[args.command][0](run)
         run.write_manifest()
         return 0

@@ -11,13 +11,12 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from datetime import date
-from pathlib import Path
 from types import UnionType
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .errors import InvalidConfigError, UsageError
 from .evaluation import ChronologicalSplit, RandomRowSplit, SplitSpec
-from .features import FEATURE_NAMES, FeatureSpec
+from .features import FEATURE_NAMES
 from .models import MODEL_KINDS, MODELS
 from .panel import GAP_CAP, PanelOptions
 from .policy import MelSpec
@@ -101,13 +100,12 @@ def _hyper_keys(kind: str) -> set[str]:
 _HYPER_KEYS = set().union(*map(_hyper_keys, MODEL_KINDS))
 
 
-def load_config_file(path: str | Path) -> dict[str, Any]:
+def load_config_file(data: bytes) -> dict[str, Any]:
+    """The settings in a JSON config file's bytes."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}")
+        payload = json.loads(data)
+    except ValueError as exc:  # not JSON, or bytes that are not text
+        raise UsageError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise UsageError("config file must contain a JSON object")
     unknown = set(payload) - _KNOWN_KEYS
@@ -165,7 +163,6 @@ def _validate(config: RunConfig) -> None:
     for what, names in [("features", config.features), *(("ablation subset", s) for s in config.ablation_subsets)]:
         if not names:
             raise UsageError(f"{what} must not be empty")
-        FeatureSpec.of(names)
     for entry in config.mel_specs:
         if "vehicle_type" not in entry or "mel" not in entry:
             raise UsageError("each mel_specs entry needs vehicle_type and mel")
@@ -190,10 +187,6 @@ def _validate(config: RunConfig) -> None:
     for value in (config.max_iters, *grid.get("max_iters", ())):
         if value is not None and value < 1:
             raise UsageError(f"max_iters must be >= 1, got {value}")
-
-
-def feature_spec(config: RunConfig) -> FeatureSpec:
-    return FeatureSpec.of(config.features)
 
 
 def model_hyper(config: RunConfig):

@@ -15,9 +15,9 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import DegeneratePanelError, InvalidConfigError, SingleClassLabelsError, ZeroFalseMeanError
-from .features import FeatureMatrix, FeatureSpec, build_columns, encode, standardize, transform
+from .features import FeatureMatrix, FeatureSpec, build_columns, encode, standardize
 from .ingest import write_csv
-from .models import fit_model, predict_proba
+from .models import fit_model, predict_panel
 from .panel import Panel
 
 N_BINS = 50
@@ -119,8 +119,7 @@ def fit_on_train(train: Panel, feature_spec: FeatureSpec, model_kind: str, hyper
 
 def score_panel(model, panel: Panel) -> EvalReport:
     """Separation ratio of a fitted model's predictions over a panel."""
-    preds = predict_proba(model, transform(panel, model.columns, model.scale))
-    return separation_ratio(preds, panel.repair_flag)
+    return separation_ratio(predict_panel(model, panel), panel.repair_flag)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import WidthMismatchError
-from ..features import FeatureMatrix
+from ..features import FeatureMatrix, transform
 from .forest import ForestHyper, ForestModel, fit_random_forest
 from .gbt import GbtHyper, GbtModel, fit_gbt
 from .logistic import LogisticHyper, LogisticModel, fit_logistic
@@ -49,6 +49,11 @@ def predict_proba(model, X) -> np.ndarray:
     return np.asarray(probs, dtype=np.float64)
 
 
+def predict_panel(model, panel) -> np.ndarray:
+    """Each panel row's probability, encoded on the model's own columns and scale."""
+    return predict_proba(model, transform(panel, model.columns, model.scale))
+
+
 __all__ = [
     "MODELS",
     "MODEL_KINDS",
@@ -68,6 +73,7 @@ __all__ = [
     "load_model",
     "model_from_dict",
     "model_to_dict",
+    "predict_panel",
     "predict_proba",
     "save_model",
 ]

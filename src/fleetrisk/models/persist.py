@@ -111,12 +111,12 @@ def save_model(model, stream: IO[str]) -> None:
     json.dump(model_to_dict(model), stream)
 
 
-def load_model(source: str | Path | IO[str]):
+def load_model(source: bytes | str | Path | IO):
+    """A model from a file's bytes, from a stream, or from the file a str or Path names."""
+    if isinstance(source, (str, Path)):
+        source = Path(source).read_bytes()
     try:
-        if hasattr(source, "read"):
-            payload = json.load(source)
-        else:
-            payload = json.loads(Path(source).read_text())
-    except json.JSONDecodeError as exc:
+        payload = json.loads(source if isinstance(source, bytes) else source.read())
+    except ValueError as exc:  # not JSON, or bytes that are not text
         raise ModelFormatError(f"not valid JSON: {exc}") from exc
     return model_from_dict(payload)

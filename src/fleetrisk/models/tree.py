@@ -238,6 +238,8 @@ def _best_split(view, y_rows, rows, candidates, min_leaf):
         count = np.bincount(level, minlength=size)[slots]
         level_sum = np.bincount(level, y_rows, minlength=size)[slots]
         ok = (count >= least) & (n - count >= least)
+        if ok.sum() == 2 and count[ok].sum() == n:  # the node's only two levels: one partition, keep the lower column
+            ok &= np.cumsum(ok) == 1
         if ok.any():
             gains = gain(total - level_sum[ok], n - count[ok])
             i = int(np.argmax(gains))

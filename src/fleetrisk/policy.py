@@ -15,9 +15,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import EmptyTestRangeError, InvalidConfigError, LengthMismatchError
-from .features import transform
 from .ingest import write_csv
-from .models import predict_proba
+from .models import predict_panel
 from .panel import Panel
 
 
@@ -84,8 +83,7 @@ def simulate_policy(model, test_panel: Panel, policy: PolicyKind) -> PolicyTrace
         # a vehicle repaired at `repaired_at` was serviced then: its gap runs
         # from there unless an actual visit since then is more recent
         gap = np.minimum(test_panel.weeks_since_last_visit[rows], w - repaired_at[a] - 1)
-        X = transform(replace(test_panel.take(rows), weeks_since_last_visit=gap), model.columns, model.scale)
-        scores = predict_proba(model, X)
+        scores = predict_panel(model, replace(test_panel.take(rows), weeks_since_last_visit=gap))
 
         # highest risk takes the first max, which is the smallest asset id
         chosen = int(np.argmax(scores)) if rng is None else int(rng.integers(0, len(rows)))

@@ -652,8 +652,17 @@ def test_report_writes_nothing_when_its_split_fails(tmp_path, capsys):
         ["train", "--model", "forest", "--min-leaf", "0"],
         ["ablate", "--n-estimators", "5"],
         ["tune", "--model", "forest", "--config", {"tune_grid": {"min_leaf": [1, 0]}}],
+        ["eval", "--l2-lambda", "-1"],
+        ["simulate", "--l2-lambda", "-1"],
+        ["mel", "--mel", "truck=1", "--l2-lambda", "-1"],
+        ["synth", "--model", "forest", "--min-leaf", "0"],
+        ["eval", "--model", "forest", "--l2-lambda", "0.1"],
+        ["train", "--n-vehicles", "0"],
+        ["train", "--config", {"tune_grid": {"l2_lambda": [1.0, -1.0]}}],
     ],
-    ids=["report-forest-min-leaf-0", "report-logistic-n-estimators", "train", "ablate", "tune-later-grid-point"],
+    ids=["report-forest-min-leaf-0", "report-logistic-n-estimators", "train", "ablate", "tune-later-grid-point",
+         "eval", "simulate", "mel", "synth-forest-min-leaf-0", "eval-forest-l2-lambda", "train-n-vehicles-0",
+         "train-tune-grid-point"],
 )
 def test_a_bad_hyperparameter_stops_a_run_before_it_reads_input(tmp_path, capsys, argv):
     """One error line, no artifact beside the previous command's, and the
@@ -664,6 +673,8 @@ def test_a_bad_hyperparameter_stops_a_run_before_it_reads_input(tmp_path, capsys
         argv = [*argv[:-1], str(config)]
     out = tmp_path / "out"
     assert main(["synth", "-o", str(out), "--n-vehicles", "10", "--n-weeks", "40"]) == 0
+    if argv[0] in ("eval", "simulate", "mel"):  # with a saved model, only the setting can stop them
+        assert main(["train", "-o", str(out)]) == 0
     before = sorted(p.name for p in out.iterdir())
     capsys.readouterr()
     assert main([*argv, "-o", str(out)]) == 2
@@ -672,3 +683,42 @@ def test_a_bad_hyperparameter_stops_a_run_before_it_reads_input(tmp_path, capsys
     assert sorted(p.name for p in out.iterdir()) == before
     assert main([*argv, "-o", str(out), "--input", str(tmp_path / "missing.csv")]) == 2
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize(
+    "argv, code, named",
+    [
+        (["synth", "--config", "{dir}", "-o", "{fleet}"], 2, "{dir}"),
+        (["synth", "--config", "{latin1}", "-o", "{fleet}"], 2, "config file is not valid JSON"),
+        (["panel", "--input", "{dir}", "-o", "{fleet}"], 2, "{dir}"),
+        (["panel", "--input", "{latin1}", "-o", "{fleet}"], 1, "bad input CSV"),
+        (["panel", "--utilization", "{dir}", "-o", "{fleet}"], 2, "{dir}"),
+        (["synth", "-o", "{file}"], 2, "{file}"),
+        (["eval", "-o", "{fleet}"], 2, "{fleet}/model.json"),
+    ],
+    ids=["config-dir", "config-not-utf8", "input-dir", "input-not-utf8", "utilization-dir", "out-is-a-file",
+         "model-is-a-dir"],
+)
+def test_an_unreadable_path_is_one_error_line_and_writes_nothing(tmp_path, capsys, argv, code, named):
+    paths = {"fleet": tmp_path / "fleet", "dir": tmp_path / "dir", "latin1": tmp_path / "latin1", "file": tmp_path / "file"}
+    assert main(["synth", "-o", str(paths["fleet"]), "--n-vehicles", "6", "--n-weeks", "20"]) == 0
+    (paths["fleet"] / "model.json").mkdir()
+    paths["dir"].mkdir()
+    paths["latin1"].write_bytes("café".encode("latin-1"))
+    paths["file"].write_text("")
+    before = {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*")}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named.format(**paths) in err[0]
+    assert {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*")} == before
+
+
+def test_mel_with_several_specs_writes_each_single_spec_risk(trained_dir):
+    def specs(*flags):
+        assert main(["mel", "-o", str(trained_dir), *flags]) == 0
+        return json.loads((trained_dir / "mel_risk.json").read_text())["specs"]
+
+    together = specs("--mel", "truck=2", "--mel", "bus=1")
+    assert together == specs("--mel", "truck=2") + specs("--mel", "bus=1")
+    assert [spec["vehicle_type"] for spec in together] == ["truck", "bus"]

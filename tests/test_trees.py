@@ -41,7 +41,7 @@ from fleetrisk.models import (
     save_model,
 )
 from fleetrisk.models import forest as forest_module
-from fleetrisk.models.tree import ZERO_REDUCTION, RegressionTree, feature_view
+from fleetrisk.models.tree import ZERO_REDUCTION, RegressionTree, feature_view, grow_tree
 from fleetrisk.panel import PanelOptions, build_panel, load_utilization_csv
 from fleetrisk.synth import generate_fleet
 
@@ -439,6 +439,19 @@ def test_a_group_whose_rows_store_two_levels_is_scored_as_numeric_columns():
         relabelled = replace(matrix, columns=[replace(c, kind="numeric", group=None) for c in matrix.columns])
         hyper = ForestHyper(n_estimators=1, max_features=3, min_leaf=2, seed=4)
         assert tree_bytes(fit_random_forest(matrix, hyper).trees[0]) == tree_bytes(fit_random_forest(relabelled, hyper).trees[0])
+
+
+def test_a_node_with_two_levels_of_a_group_splits_on_the_lower_column():
+    """Splitting off either of a node's two levels is one partition at one
+    gain in exact arithmetic. The lower column is kept whatever the last
+    bit of the two float sums, so a row of a third level routes left."""
+    columns = [Column(f"g={v}", "onehot", "g", v) for v in "abc"]
+    X = np.zeros((4, 3))
+    X[np.arange(4), [0, 1, 0, 1]] = 1.0
+    y = np.array([0.1, 0.1, 0.2, 0.3])  # the level-b split scores the higher float gain
+    tree, _ = grow_tree(feature_view(X, columns), y, np.arange(4), max_depth=1, min_leaf=1)
+    assert tree.feature[0] == 0
+    assert tree.predict(np.array([[0.0, 0.0, 1.0]]))[0] == pytest.approx(0.2)  # the mean of the level-b rows
 
 
 def test_a_forest_fit_and_its_scoring_never_build_the_dense_matrix(monkeypatch):
