@@ -15,12 +15,13 @@ labeled child seeds.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import itertools
 import json
 import sys
 from dataclasses import replace
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import IO
 
@@ -39,9 +40,9 @@ from .evaluation import (
     write_histogram_csv,
 )
 from .features import FeatureSpec
-from .ingest import parse_subworkorders, write_csv, write_subworkorders
+from .ingest import level_codes, parse_subworkorders, write_csv, write_subworkorders
 from .models import MODEL_KINDS, fit_model, load_model, predict_panel, save_model
-from .panel import PanelOptions, build_panel, load_utilization_csv, week_index, write_panel_csv
+from .panel import PanelOptions, build_panel, load_utilization_csv, write_panel_csv
 from .policy import (
     HighestRisk,
     MelSpec,
@@ -89,7 +90,7 @@ class _Run:
     def read(self, path: Path, what: str, parse):
         """Parse an input file from the bytes its manifest hash is taken of.
         A file that cannot be read is a usage error, and bytes that `parse`
-        refuses with a ValueError or OverflowError a data error naming `what`."""
+        refuses with a ValueError, OverflowError or csv.Error a data error naming `what`."""
         try:
             data = path.read_bytes()
         except OSError as exc:
@@ -97,13 +98,16 @@ class _Run:
         self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
         try:
             return parse(data)
-        except (OverflowError, ValueError) as exc:
+        except (OverflowError, ValueError, csv.Error) as exc:
             raise FleetRiskError(f"bad {what}: {exc}") from None
 
     def open_output(self, name: str) -> IO[str]:
-        """Open an artifact for writing and list it in the manifest."""
+        """Open an artifact for writing and list it in the manifest; an unwritable path is a usage error."""
         self.outputs.append(name)
-        return open(self.out_dir / name, "w", encoding="utf-8", newline="")
+        try:
+            return open(self.out_dir / name, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise UsageError(f"cannot write {self.out_dir / name}: {exc.strerror}") from None
 
     def write_json(self, name: str, payload) -> None:
         """Write a JSON report artifact: indented, keys sorted."""
@@ -121,7 +125,8 @@ class _Run:
         }
         if self.saved_model_kind is not None:
             manifest["saved_model_kind"] = self.saved_model_kind
-        (self.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        with self.open_output("manifest.json") as stream:  # listed after its list is taken
+            stream.write(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _locate(run: _Run, configured: str | None, fallback_name: str) -> Path | None:
@@ -227,15 +232,18 @@ def _mel_artifacts(run: _Run, model, panel) -> None:
     run.write_json("mel_risk.json", {"specs": results})
 
 
-def _labor_artifacts(run: _Run, records, panel) -> None:
-    """Per-vehicle weekly labor-hours series from the raw records, on the
-    panel's week index."""
-    totals: dict[tuple[str, int], float] = {}
-    for r in records:
-        key = (r.asset_id, week_index(r.approval_date, panel.start_monday))
-        totals[key] = totals.get(key, 0.0) + (r.labor_hours or 0.0)
+def _labor_artifacts(run: _Run, orders, panel) -> None:
+    """Per-vehicle weekly labor-hours series from the work orders, on the panel's week index:
+    each (vehicle, week) sums its hours in record order from 0.0, a blank cell adding 0.0."""
+    asset_ids, asset = level_codes(orders.columns["asset_id"])
+    day = np.fromiter(map(date.toordinal, orders.columns["approval_date"]), np.int64, len(orders))
+    week = (day - panel.start_monday.toordinal()) // 7
+    span = int(week.max() - week.min()) + 1
+    keys, key = np.unique(asset * span + week - week.min(), return_inverse=True)  # in (vehicle, week) order
+    hours = np.bincount(key, [h or 0.0 for h in orders.columns["labor_hours"]]).tolist()
+    ids = np.array(asset_ids, dtype=object)[keys // span].tolist()
     with run.open_output("labor_hours.csv") as stream:
-        write_csv(stream, ["asset_id", "week", "labor_hours"], ((*key, hours) for key, hours in sorted(totals.items())))
+        write_csv(stream, ["asset_id", "week", "labor_hours"], zip(ids, (keys % span + week.min()).tolist(), hours))
 
 
 # ---------------------------------------------------------------------------

@@ -87,20 +87,21 @@ def fit_logistic(matrix: FeatureMatrix, hyper: LogisticHyper = LogisticHyper()) 
     b = 0.0
     z = np.zeros(n)
 
-    def grads(z):
-        r = (expit(z) - y) / n
+    def grads(q):
+        r = (q - y) / n
         return X.T @ r + lam * w, float(r.sum())
 
     obj = _objective(z, y, w, lam)
     # n_iters counts the steps taken; the gradient is checked before each and after the last
     for n_iters in range(hyper.max_iters + 1):
-        gw, gb = grads(z)
+        q = expit(z)  # once per iteration: the gradient and the Newton step share it
+        gw, gb = grads(q)
         converged = float(np.sqrt(gw @ gw + gb * gb)) <= hyper.tol
         if converged or n_iters == hyper.max_iters:
             break
 
         if hyper.solver == "newton":
-            step_w, step_b = _newton_step(layout, z, gw, gb, lam, n)
+            step_w, step_b = _newton_step(layout, q, gw, gb, lam, n)
         else:
             step_w, step_b = -gw, -gb
 
@@ -129,11 +130,10 @@ def _layout(X, columns):
     return block, X[:, block].T.tocsr(), rest, dense
 
 
-def _newton_step(layout, z, gw, gb, lam, n):
-    """Solve [[D, B], [B', C]] step = -gradient, D the block's diagonal, through C - B' D^-1 B.
-    Levenberg damping on every diagonal entry keeps collinear columns solvable."""
+def _newton_step(layout, q, gw, gb, lam, n):
+    """Solve [[D, B], [B', C]] step = -gradient at probabilities q, D the block's diagonal, through
+    C - B' D^-1 B. Levenberg damping on every diagonal entry keeps collinear columns solvable."""
     block, G, rest, dense = layout
-    q = expit(z)
     d = q * (1.0 - q) / n
     D = G.power(2) @ d + lam + 1e-10
     B = np.column_stack([G @ (d * column) for column in dense.T])

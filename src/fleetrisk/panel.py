@@ -12,14 +12,15 @@ import csv
 from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import cached_property
-from itertools import compress, repeat, zip_longest
+from itertools import compress
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import EmptyDatasetError, InvalidConfigError, NonPositiveSpanError
-from .ingest import SubWorkOrderRecord, WorkPlanClass, acquisition_year, classify_work_plan, source_text, write_csv
+from .ingest import SubWorkOrderRecord, WorkOrders, WorkPlanClass, acquisition_year, classify_work_plan, level_codes
+from .ingest import read_table, source_text, write_csv
 
 UTILIZATION_COLUMNS = ("asset_id", "week", "cumulative_units")
 GAP_CAP = 104  # default cap on weeks since the last visit; synth plants its hazard with it
@@ -111,13 +112,6 @@ def _panel(vocab: PanelVocab, columns: dict[str, np.ndarray], start_monday: date
     return Panel(PanelVocab(**levels), start_monday=start_monday, **columns)
 
 
-def _codes(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted distinct values and each value's index among them."""
-    levels = tuple(sorted(set(values)))
-    index = dict(zip(levels, range(len(levels))))
-    return levels, np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
-
-
 class Utilization(NamedTuple):
     """Sidecar readings as columns sorted by (asset, week); `asset` codes index `asset_ids`."""
 
@@ -149,7 +143,7 @@ def panel_from_rows(rows: Iterable[PanelRow], start_monday: date | None = None) 
     values = list(zip(*rows)) or [()] * len(PANEL_COLUMNS)
     vocab, columns = {}, {}
     for (code, field), names in zip(CODED.items(), values):
-        vocab[field], columns[code] = _codes(names)
+        vocab[field], columns[code] = level_codes(names)
     for name, column in zip(NUMERIC, values[len(CODED):]):
         columns[name] = np.array(column, dtype=np.float64 if name == "utilization" else np.int64)
     repeated = np.flatnonzero((columns["asset"][1:] == columns["asset"][:-1]) & (np.diff(columns["week"]) == 0))
@@ -159,8 +153,8 @@ def panel_from_rows(rows: Iterable[PanelRow], start_monday: date | None = None) 
     return Panel(PanelVocab(**vocab), start_monday=start_monday, **columns)
 
 
-def build_panel(records: Sequence[SubWorkOrderRecord], options: PanelOptions | None = None) -> Panel:
-    """Expand records into one row per (vehicle, week).
+def build_panel(records: WorkOrders | Sequence[SubWorkOrderRecord], options: PanelOptions | None = None) -> Panel:
+    """Expand work orders into one row per (vehicle, week).
 
     Rows run from each vehicle's start week (acquisition-year anchor when
     the asset ID yields one, else first appearance, clamped to week >= 0)
@@ -172,13 +166,14 @@ def build_panel(records: Sequence[SubWorkOrderRecord], options: PanelOptions | N
     if not records:
         raise EmptyDatasetError("no records to build a panel from")
 
-    day = np.fromiter((r.approval_date.toordinal() for r in records), dtype=np.int64, count=len(records))
+    records = WorkOrders.of(records)  # hand-built records become columns
+    day = np.fromiter(map(date.toordinal, records.columns["approval_date"]), np.int64, len(records))
     start = monday_of(options.start_date or date.fromordinal(int(day.min())))
     week = (day - start.toordinal()) // 7  # week_index of each record
     end_week = options.end_week if options.end_week is not None else int(week.max())
 
     # per vehicle, in asset_id order: its first record and first record week
-    asset_ids, asset = _codes([r.asset_id for r in records])
+    asset_ids, asset = level_codes(records.columns["asset_id"])
     by_asset = np.argsort(asset, kind="stable")
     starts = np.searchsorted(asset[by_asset], np.arange(len(asset_ids)))
     first = by_asset[starts]
@@ -201,9 +196,8 @@ def build_panel(records: Sequence[SubWorkOrderRecord], options: PanelOptions | N
     row_week = row - (first_row - start_week)[vehicle]
 
     # flags, then each row's gap since the row after the last earlier flag in its vehicle
-    qualifying = np.fromiter(
-        (classify_work_plan(r.work_plan_type) is WorkPlanClass.UNSCHEDULED for r in records), dtype=bool, count=len(records)
-    ) | options.include_scheduled
+    plans, plan = level_codes(records.columns["work_plan_type"])
+    qualifying = np.array([classify_work_plan(p) is WorkPlanClass.UNSCHEDULED for p in plans])[plan] | options.include_scheduled
     hit = qualifying & (week >= start_week[asset]) & (week <= end_week)
     repair_flag = np.zeros(len(row), dtype=np.int64)
     repair_flag[(first_row - start_week)[asset[hit]] + week[hit]] = 1
@@ -214,17 +208,17 @@ def build_panel(records: Sequence[SubWorkOrderRecord], options: PanelOptions | N
     age = row_week - anchor[vehicle]
     utilization = age.astype(np.float64) * options.default_weekly_rate
     sidecar = options.utilization
-    if sidecar is not None:  # a listed vehicle reads its latest reading at or before each week, else 0
-        bounds = np.searchsorted(sidecar.asset, np.arange(len(sidecar.asset_ids) + 1))
-        readings = {a: slice(lo, hi) for a, lo, hi in zip(sidecar.asset_ids, bounds, bounds[1:])}
-        for v in np.flatnonzero(counts).tolist():
-            if asset_ids[v] in readings:
-                mine, rows = readings[asset_ids[v]], slice(first_row[v], first_row[v] + counts[v])
-                j = np.searchsorted(sidecar.week[mine], row_week[rows], side="right")
-                utilization[rows] = np.where(j > 0, sidecar.value[mine][j - 1], 0.0)
+    if sidecar is not None and len(sidecar.asset):  # a listed vehicle reads its latest reading at or before each week, else 0
+        listed = dict(zip(sidecar.asset_ids, range(len(sidecar.asset_ids))))
+        code = np.array([listed.get(a, -1) for a in asset_ids])[vehicle]  # each row's vehicle in the sidecar, or -1
+        low = min(int(sidecar.week.min()), 0)
+        span = max(int(sidecar.week.max()), end_week) - low + 1  # (vehicle, week) keys sort as the sidecar does
+        j = np.searchsorted(sidecar.asset * span + sidecar.week - low, code * span + row_week - low, side="right") - 1
+        reading = np.where((j >= 0) & (sidecar.asset[j] == code), sidecar.value[j], 0.0)
+        utilization = np.where(code >= 0, reading, utilization)
 
-    vehicle_types, type_code = _codes([records[i].lin_tamcn for i in first])
-    units, unit_code = _codes([records[i].equipment_pool for i in first])
+    vehicle_types, type_code = level_codes([records.columns["lin_tamcn"][i] for i in first.tolist()])
+    units, unit_code = level_codes([records.columns["equipment_pool"][i] for i in first.tolist()])
     columns = dict(
         asset=vehicle, vehicle_type=type_code[vehicle], unit=unit_code[vehicle], week=row_week, operational_weeks=age,
         weeks_since_last_visit=gap, utilization=utilization, repair_flag=repair_flag,
@@ -238,21 +232,12 @@ def load_utilization_csv(source: str | Path | IO[str] | bytes) -> Utilization:
     Values must be finite, non-negative and non-decreasing per vehicle, with
     one reading per vehicle and week.
     """
-    text = source_text(source)
-    lines = text.splitlines()
-    header = next(csv.reader(lines[:1]), [])
+    header, columns, _lines, _widths = read_table(source_text(source))
     missing = set(UTILIZATION_COLUMNS) - set(header)
     if missing:
         raise ValueError(f"utilization CSV missing columns: {sorted(missing)}")
-    body = list(filter(None, lines[1:]))  # a blank line holds no reading
-    # unquoted rows as wide as the header split as one string, 4x faster than csv.reader
-    if '"' not in text and set(map(str.count, body, repeat(","))) == {len(header) - 1}:
-        cells = ",".join(body).split(",")
-        columns = [cells[i :: len(header)] for i in range(len(header))]
-    else:  # no rows, or quoted or ragged ones: csv splits them, and a short row reads "" past its end
-        columns = [column[1:] for column in zip_longest(header, *csv.reader(body), fillvalue="")]
     position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
-    asset_ids, asset = _codes(columns[position["asset_id"]])
+    asset_ids, asset = level_codes(columns[position["asset_id"]])
     week = np.fromiter(map(int, columns[position["week"]]), dtype=np.int64, count=len(asset))
     value = np.fromiter(map(float, columns[position["cumulative_units"]]), dtype=np.float64, count=len(asset))
     order = np.lexsort((week, asset))

@@ -76,18 +76,18 @@ def simulate_policy(model, test_panel: Panel, policy: PolicyKind) -> PolicyTrace
 
     rng = np.random.default_rng(policy.seed) if isinstance(policy, RandomUniform) else None
     repaired_at = np.full(len(first_week), -np.inf)  # each vehicle's last proactive repair week
-    entries: list[TraceEntry] = []
+    entries, picks = [], []  # the trace, and each week's chosen row with its gap
 
     for w, rows in zip(weeks.tolist(), np.split(by_week, starts[1:])):
         a = asset[rows]
         # a vehicle repaired at `repaired_at` was serviced then: its gap runs
         # from there unless an actual visit since then is more recent
         gap = np.minimum(test_panel.weeks_since_last_visit[rows], w - repaired_at[a] - 1)
-        scores = predict_panel(model, replace(test_panel.take(rows), weeks_since_last_visit=gap))
-
-        # highest risk takes the first max, which is the smallest asset id
+        scores = predict_panel(model, replace(test_panel.take(rows), weeks_since_last_visit=gap)) if rng is None else None
+        # highest risk takes the first max, which is the smallest asset id; the random draw reads no score
         chosen = int(np.argmax(scores)) if rng is None else int(rng.integers(0, len(rows)))
         row, vehicle = rows[chosen], a[chosen]
+        picks.append((row, gap[chosen]))
 
         # the vehicle's flagged rows before and after the chosen one
         i = np.searchsorted(flagged, row)
@@ -99,13 +99,17 @@ def simulate_policy(model, test_panel: Panel, policy: PolicyKind) -> PolicyTrace
             TraceEntry(
                 week=w,
                 chosen_asset=test_panel.vocab.asset_ids[vehicle],
-                score=float(scores[chosen]),
+                score=float(scores[chosen]) if rng is None else np.nan,
                 weeks_since_last_actual_service=w - int(first_week[vehicle] if before is None else week[before]),
                 weeks_until_next_actual_service=None if after is None else int(week[after]) - w,
             )
         )
         repaired_at[vehicle] = w
 
+    if rng is not None:  # a row's score does not depend on its batch: score every pick at once
+        rows, gaps = map(np.array, zip(*sorted(picks)))
+        score = dict(zip(rows.tolist(), predict_panel(model, replace(test_panel.take(rows), weeks_since_last_visit=gaps)).tolist()))
+        entries = [replace(entry, score=score[row]) for entry, (row, _) in zip(entries, picks)]
     return PolicyTrace(entries=entries)
 
 

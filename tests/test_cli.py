@@ -6,6 +6,7 @@ import io
 import json
 import tempfile
 from dataclasses import fields, replace
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -17,12 +18,13 @@ from fleetrisk.config import RunConfig, build_run_config, fleet_config
 from fleetrisk.errors import InvalidConfigError, UsageError
 from fleetrisk.evaluation import ChronologicalSplit, RandomRowSplit
 from fleetrisk.features import FeatureSpec
+from fleetrisk.ingest import parse_subworkorders
 from fleetrisk.models import MODELS
 from fleetrisk.models.forest import ForestHyper
 from fleetrisk.models.gbt import GbtHyper
 from fleetrisk.models.logistic import LogisticHyper
 from fleetrisk.models.tree import check_tree_size
-from fleetrisk.panel import PanelOptions
+from fleetrisk.panel import PanelOptions, week_index
 from fleetrisk.policy import MelSpec
 
 SMALL = ["--n-vehicles", "18", "--n-weeks", "60"]
@@ -177,6 +179,38 @@ def test_labor_hours_keep_an_asset_id_with_a_comma(tmp_path):
     assert renamed in {row[0] for row in labor[1:]}
 
 
+def test_labor_hours_add_each_vehicle_week_in_record_order(tmp_path):
+    """labor_hours.csv against a per-record dict sum: blank and -0 labor, and
+    approvals before --start-date (negative weeks) and after --end-week."""
+    assert main(["synth", "-o", str(tmp_path), *SMALL]) == 0
+    with open(tmp_path / "subworkorders.csv", newline="") as stream:
+        rows = list(csv.reader(stream))
+    header, first = rows[0], rows[1]
+    at = {name: header.index(name) for name in ("Work Order ID", "Approval Dt", "Closed Dt", "Labor Hours")}
+    for n, (approval, labor) in enumerate([("2015-01-05", "0.1"), ("2015-01-06", ""), ("2015-01-07", "-0"),
+                                           ("2015-06-01", "0.2"), ("2015-06-02", "0.3"), ("2015-06-03", "0.1")]):
+        extra = list(first)
+        extra[at["Work Order ID"]], extra[at["Approval Dt"]], extra[at["Closed Dt"]] = f"X{n}", approval, ""
+        extra[at["Labor Hours"]] = labor
+        rows.append(extra)
+    source = tmp_path / "edited.csv"
+    with open(source, "w", newline="") as stream:
+        csv.writer(stream, lineterminator="\n").writerows(rows)
+    out = tmp_path / "out"
+    assert main(["report", "-o", str(out), "--input", str(source), "--start-date", "2015-01-19", "--end-week", "40"]) == 0
+
+    records, errors = parse_subworkorders(source.read_bytes())
+    assert errors == []
+    totals = {}
+    for r in records:
+        key = (r.asset_id, week_index(r.approval_date, date(2015, 1, 19)))
+        totals[key] = totals.get(key, 0.0) + (r.labor_hours or 0.0)
+    assert min(week for _, week in totals) < 0 and max(week for _, week in totals) > 40
+    with open(out / "labor_hours.csv", newline="") as stream:
+        written = list(csv.reader(stream))
+    assert written == [["asset_id", "week", "labor_hours"], *([a, str(w), repr(h)] for (a, w), h in sorted(totals.items()))]
+
+
 def test_ingest_splits_good_and_bad_rows(tmp_path):
     src = tmp_path / "raw.csv"
     header = (
@@ -280,6 +314,22 @@ def test_eval_on_a_model_with_an_unknown_column_is_data_error(tmp_path, capsys, 
     assert main(["eval", "-o", str(tmp_path)]) == 1
     assert capsys.readouterr().err.splitlines() == [message]
     assert not (tmp_path / "eval_report.json").exists()
+
+
+@pytest.mark.parametrize("name, what", [("subworkorders.csv", "input CSV"), ("utilization.csv", "utilization sidecar")])
+def test_a_stray_carriage_return_is_one_data_error_line(tmp_path, capsys, name, what):
+    """csv.reader refuses a lone \r inside an unquoted cell; either reader
+    reports it as bad input, where the export's was a csv.Error traceback."""
+    assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "6", "--n-weeks", "20"]) == 0
+    source = tmp_path / name
+    lines = source.read_text().splitlines()
+    lines[1] = lines[1].replace(",", ",x\ry", 1)
+    source.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["panel", "-o", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: bad {what}: ")
+    assert not (tmp_path / "panel.csv").exists()
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -712,6 +762,17 @@ def test_an_unreadable_path_is_one_error_line_and_writes_nothing(tmp_path, capsy
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named.format(**paths) in err[0]
     assert {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize("command, artifact", [("train", "model.json"), ("panel", "manifest.json")])
+def test_an_artifact_path_that_is_a_directory_is_one_error_line(tmp_path, capsys, command, artifact):
+    assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "6", "--n-weeks", "20"]) == 0
+    (tmp_path / artifact).unlink(missing_ok=True)
+    (tmp_path / artifact).mkdir()
+    capsys.readouterr()
+    assert main([command, "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path / artifact) in err[0]
 
 
 def test_mel_with_several_specs_writes_each_single_spec_risk(trained_dir):

@@ -2,11 +2,15 @@
 
 import csv
 import io
+import math
+import re
 from dataclasses import replace
 from datetime import date, datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetrisk.errors import MissingColumnError
 from fleetrisk.ingest import (
@@ -18,6 +22,8 @@ from fleetrisk.ingest import (
     classify_work_plan,
     load_alias_map,
     parse_subworkorders,
+    read_table,
+    source_text,
     write_csv,
     write_subworkorders,
 )
@@ -378,3 +384,160 @@ def test_ingest_oracle(case):
     records, errors = parse_subworkorders("\n".join([header, *lines]) + "\n")
     assert [(e.line, e.field, e.reason) for e in errors] == expected_errors
     assert records == expected_records
+
+
+# ---------------------------------------------------------------------------
+# property oracle: the columnar parse against the per-row reference below
+# (one `_record` call per data row, with its own date parsers), on exports
+# that take either reader path
+
+
+_US_DATE_RE = re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{4})$")
+_US_DATETIME_RE = re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{4})\s+(\d{1,2}):(\d{2})(?::(\d{2}))?$")
+
+
+def _parse_date(text):
+    text = text.strip()
+    m = _US_DATE_RE.match(text)
+    if m:
+        month, day, year = (int(g) for g in m.groups())
+        return date(year, month, day)
+    return date.fromisoformat(text)
+
+
+def _parse_datetime(text):
+    text = text.strip()
+    m = _US_DATETIME_RE.match(text)
+    if m:
+        month, day, year, hour, minute, second = m.groups()
+        return datetime(int(year), int(month), int(day), int(hour), int(minute), int(second or 0))
+    m = _US_DATE_RE.match(text)
+    if m:
+        month, day, year = (int(g) for g in m.groups())
+        return datetime(year, month, day)
+    return datetime.fromisoformat(text)
+
+
+class _Rejected(Exception):
+    """A row check failed: raised with (field, reason)."""
+
+
+def _parsed(parse, text, field, what):
+    try:
+        return parse(text)
+    except ValueError:
+        raise _Rejected(field, f"{what} {text!r}") from None
+
+
+def _record(row, at, labor_at, seen_pairs):
+    if len(row) <= max(at):
+        raise _Rejected("", "row has fewer cells than the header")
+    wo, sub, approval_text, asset_id, closed_text, desc, lin, pool, team, estbd_text, plan = (row[i].strip() for i in at)
+    if not asset_id:
+        raise _Rejected("Asset Id", "empty asset id")
+    approval = _parsed(_parse_date, approval_text, "Approval Dt", "unparseable date")
+    closed = None
+    if closed_text:
+        closed = _parsed(_parse_date, closed_text, "Closed Dt", "unparseable date")
+        if closed < approval:
+            raise _Rejected("Closed Dt", "closed date precedes approval date")
+    estbd = _parsed(_parse_datetime, estbd_text, "Estbd Dt/Time", "unparseable timestamp")
+    labor = None
+    labor_text = row[labor_at].strip() if labor_at is not None and labor_at < len(row) else ""
+    if labor_text:
+        labor = _parsed(float, labor_text, LABOR_COLUMN, "not a number:")
+        if not math.isfinite(labor):
+            raise _Rejected(LABOR_COLUMN, f"non-finite labor hours: {labor_text!r}")
+        if labor < 0.0:
+            raise _Rejected(LABOR_COLUMN, f"negative labor hours: {labor}")
+    pair = (wo, sub)
+    if pair in seen_pairs:
+        raise _Rejected("Sub Work Order Id", f"duplicate work order / sub-work-order pair {pair}")
+    seen_pairs.add(pair)
+    return SubWorkOrderRecord(wo, sub, approval, closed, asset_id, desc, lin, pool, team, estbd, plan, labor)
+
+
+def reference_parse(source):
+    """Rows one at a time through csv.reader and `_record`."""
+    reader = csv.reader(io.StringIO(source_text(source)))
+    header = [h.strip() for h in next(reader)]
+    at = tuple(header.index(c) for c in REQUIRED_COLUMNS)
+    labor_at = header.index(LABOR_COLUMN) if LABOR_COLUMN in header else None
+    records, errors, seen_pairs = [], [], set()
+    for row in reader:
+        if all(not cell.strip() for cell in row):
+            continue
+        try:
+            records.append(_record(row, at, labor_at, seen_pairs))
+        except _Rejected as rejected:
+            errors.append((reader.line_num, *rejected.args))
+    return records, errors
+
+
+DATES = [
+    "2020-01-06", " 2020-01-08 ", "2019-12-31", "1/6/2020", "01/08/2020", "20200106", "2020-W02-1", "2020-01-06T00:00",
+    "1/6/2020 8:00", "١/٦/٢٠٢٠", "2020-02-30", "13/45/2020", "2020-01", "0000-01-01", "today", "NaT", "garbage", "",
+]
+STAMPS = [
+    "2020-01-06 08:00:00", "2020-01-06T08:00:00", "2020-01-06 08:00", "2020-01-06", "2020-01-06 08:00:00.250",
+    "2020-01-06T08:00:00+05:30", "2020-01-06 08:00:00Z", "20200106T080000", "1/6/2020 8:05:09", "1/6/2020",
+    "2020-01-06 24:00:00", "2020-02-30 08:00:00", "0000-01-01 00:00:00", "soon", "",
+]
+LABOR = ["", " 2.5 ", "0", "-0", "1e-3", "nan", "inf", "-inf", "1e999", "-1", "lots", "1_0"]
+CELL_CHOICES = {
+    "Work Order ID": ["W1", "W2", " W1 "],
+    "Sub Work Order Id": ["S1", "S2"],
+    "Approval Dt": DATES,
+    "Asset Id": ["AF150001", " AF150002 ", "ZZ1", "", "  "],
+    "Closed Dt": DATES,
+    "Item Desc": ["coolant leak", "brake, worn", "two\nlines", 'say "hi"'],
+    "Asset LIN/TAMCN": ["truck", "bus"],
+    "Equipment Pool": ["82 LRS"],
+    "Maint Team Name": ["alpha", " bravo "],
+    "Estbd Dt/Time": STAMPS,
+    "Work Plan Type CD": ["UM", "PREV"],
+    LABOR_COLUMN: LABOR,
+    "Notes": ["", "x"],
+}
+PLAIN_DESCS = CELL_CHOICES["Item Desc"][:1]
+
+
+@st.composite
+def exports(draw):
+    """An export and whether it is clean: unquoted, "\n"-ended, with no empty
+    line and every row as wide as the header, which read_table splits as one
+    string. Any other export goes through csv.reader."""
+    clean = draw(st.booleans())
+    columns = list(REQUIRED_COLUMNS) + draw(st.sampled_from([[], [LABOR_COLUMN], [LABOR_COLUMN, "Notes"]]))
+    columns = draw(st.permutations(columns))
+    shapes = ["full", "commas"] + ([] if clean else ["empty", "spaces", "short", "long"])
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        shape = draw(st.sampled_from(shapes))
+        choices = {c: PLAIN_DESCS if clean and c == "Item Desc" else CELL_CHOICES[c] for c in columns}
+        row = [draw(st.sampled_from(choices[c])) for c in columns]
+        rows.append({
+            "full": row, "empty": [], "commas": [""] * len(columns), "spaces": [" "] * draw(st.integers(1, 3)),
+            "short": row[: draw(st.integers(1, len(columns) - 1))], "long": row + ["extra"],
+        }[shape])
+    stream = io.StringIO()
+    csv.writer(stream, lineterminator="\n" if clean else draw(st.sampled_from(["\n", "\r\n"]))).writerows([columns, *rows])
+    text = stream.getvalue()
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return clean, (("﻿" + text).encode("utf-8") if draw(st.booleans()) else text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exports())
+def test_the_columnar_parse_matches_the_row_by_row_reference(export):
+    clean, source = export
+    text = source_text(source)
+    lines = read_table(text)[2]
+    if clean and len(lines):
+        assert isinstance(lines, range)  # the one-string path numbers its rows as a range
+    expected_records, expected_errors = reference_parse(source)
+    records, errors = parse_subworkorders(source)
+    assert [(e.line, e.field, e.reason) for e in errors] == expected_errors
+    assert records == expected_records
+    assert list(map(repr, records)) == list(map(repr, expected_records))  # -0.0 and timezones included

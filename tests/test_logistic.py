@@ -201,7 +201,7 @@ def test_the_block_newton_step_matches_the_dense_hessian_step(groups, n_numeric,
 
     layout = _layout(X, columns)
     assert len(layout[0]) == block_width
-    step_w, step_b = _newton_step(layout, z, gw, gb, lam, n)
+    step_w, step_b = _newton_step(layout, expit(z), gw, gb, lam, n)
     ref_w, ref_b = dense_newton_step(X, z, gw, gb, lam, n)
     step, ref = np.append(step_w, step_b), np.append(ref_w, ref_b)
     assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)

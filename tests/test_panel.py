@@ -12,7 +12,15 @@ import pytest
 from fleetrisk.config import RunConfig, fleet_config
 from fleetrisk.errors import EmptyDatasetError, NonPositiveSpanError
 from fleetrisk.evaluation import ChronologicalSplit, RandomRowSplit, split
-from fleetrisk.ingest import SubWorkOrderRecord, WorkPlanClass, acquisition_year, classify_work_plan, parse_subworkorders
+from fleetrisk.ingest import (
+    SubWorkOrderRecord,
+    WorkOrders,
+    WorkPlanClass,
+    acquisition_year,
+    classify_work_plan,
+    parse_subworkorders,
+    write_subworkorders,
+)
 from fleetrisk.panel import (
     CODED,
     NUMERIC,
@@ -450,6 +458,38 @@ def test_build_panel_matches_the_per_row_reference_byte_for_byte(synth_fleet, ca
     if case == "end-week-before-some-starts":
         assert {r.asset_id for r in rows} < {r.asset_id for r in records}
     assert_panel_holds(panel, rows, start)
+
+
+def _edge_records(records):
+    """Hand-built records around a start date of MONDAY and an end week of 8:
+    blank and -0 labor, approvals before the start and after the end week."""
+    return [
+        replace(rec("AF150001", -3), labor_hours=None),
+        replace(rec("AF150001", 0, day_offset=4), labor_hours=-0.0),
+        replace(rec("ZZ1", 2, plan="PREV"), labor_hours=1.5),
+        replace(rec("ZZ1", 12), labor_hours=0.1),
+        rec("TRUCK-9", 5, lin="bus", pool="83 LRS"),
+    ]
+
+
+COLUMN_CASES = {**BUILD_CASES, "edge-records": (_edge_records, {"start_date": MONDAY, "end_week": 8}, None)}
+
+
+@pytest.mark.parametrize("case", COLUMN_CASES)
+def test_a_record_list_builds_the_panel_its_parsed_columns_build(synth_fleet, case):
+    change_records, settings, change_series = COLUMN_CASES[case]
+    records, series = synth_fleet
+    records = list(change_records(records))
+    stream = io.StringIO()
+    write_subworkorders(records, stream)
+    orders, errors = parse_subworkorders(stream.getvalue())
+    assert errors == [] and isinstance(orders, WorkOrders) and orders == records
+    options = PanelOptions(**settings, utilization=sidecar(change_series(series)) if change_series else None)
+    from_records, from_columns = build_panel(records, options), build_panel(orders, options)
+    assert from_records.vocab == from_columns.vocab and from_records.start_monday == from_columns.start_monday
+    for name in (*CODED, *NUMERIC):
+        column, again = getattr(from_records, name), getattr(from_columns, name)
+        assert column.dtype == again.dtype and column.tobytes() == again.tobytes(), name
 
 
 @pytest.mark.parametrize("spec", [ChronologicalSplit(0.3), RandomRowSplit(0.3, seed=5)], ids=["chronological", "random"])

@@ -115,6 +115,15 @@ def test_random_policy_applies_same_mutation_rule():
         last_proactive[e.chosen_asset] = e.week
 
 
+def test_the_random_arm_scores_its_picks_in_one_batch():
+    """Its draws read no score, so it scores the ten weeks' picks in one call;
+    test_random_policy_applies_same_mutation_rule checks the scores."""
+    model, batches = GapModel(), []
+    model.predict_proba = lambda X: batches.append(X.shape[0]) or GapModel.predict_proba(model, X)
+    assert len(simulate_policy(model, growing_gap_panel(n_weeks=10), RandomUniform(seed=5))) == 10
+    assert batches == [10]
+
+
 def test_empty_panel_rejected():
     with pytest.raises(EmptyTestRangeError):
         simulate_policy(GapModel(), panel_from_rows([]), HighestRisk())
