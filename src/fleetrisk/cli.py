@@ -31,17 +31,17 @@ from . import config as cfg
 from .errors import FleetRiskError, UsageError
 from .evaluation import (
     ablation,
+    fit_and_score,
     fit_on_train,
     score_panel,
     split,
-    train_matrix,
     write_ablation_csv,
     write_eval_report,
     write_histogram_csv,
 )
 from .features import FeatureSpec
 from .ingest import level_codes, parse_subworkorders, write_csv, write_subworkorders
-from .models import MODEL_KINDS, fit_model, load_model, predict_panel, save_model
+from .models import MODEL_KINDS, load_model, predict_panel, save_model
 from .panel import PanelOptions, build_panel, load_utilization_csv, write_panel_csv
 from .policy import (
     HighestRisk,
@@ -69,7 +69,7 @@ class _Run:
         self.inputs: dict[str, str] = {}
         file_values = self.read(Path(config_path), "config file", cfg.load_config_file) if config_path else {}
         self.config = config = cfg.build_run_config(file_values, overrides)
-        # every setting is built before mkdir, so a refused one leaves nothing
+        # every setting is built before any input is read
         self.panel_options = cfg.panel_options(config)
         self.split_spec = cfg.split_spec(config)
         self.fleet = cfg.fleet_config(config)
@@ -79,11 +79,7 @@ class _Run:
         keys = sorted(config.tune_grid)
         points = [dict(zip(keys, combo)) for combo in itertools.product(*(config.tune_grid[k] for k in keys))]
         self.tune_points = [(point, cfg.model_hyper(replace(config, **point))) for point in points]
-        self.out_dir = Path(config.out_dir)
-        try:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise UsageError(f"cannot make output directory {self.out_dir}: {exc.strerror}") from None
+        self.out_dir = Path(config.out_dir)  # made by open_output, so a run that fails before it leaves none
         self.outputs: list[str] = []
         self.saved_model_kind: str | None = None  # set by eval, simulate and mel
 
@@ -102,7 +98,13 @@ class _Run:
             raise FleetRiskError(f"bad {what}: {exc}") from None
 
     def open_output(self, name: str) -> IO[str]:
-        """Open an artifact for writing and list it in the manifest; an unwritable path is a usage error."""
+        """Open an artifact for writing and list it in the manifest, making the
+        output directory for the first; an unwritable path is a usage error."""
+        if not self.outputs:
+            try:
+                self.out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise UsageError(f"cannot make output directory {self.out_dir}: {exc.strerror}") from None
         self.outputs.append(name)
         try:
             return open(self.out_dir / name, "w", encoding="utf-8", newline="")
@@ -166,8 +168,7 @@ def _load_saved_model(run: _Run):
     return model
 
 
-def _eval_artifacts(run: _Run, model, test_panel) -> None:
-    report = score_panel(model, test_panel)
+def _eval_artifacts(run: _Run, report) -> None:
     with run.open_output("eval_report.json") as stream:
         write_eval_report(report, stream)
     for name, counts in (("histogram_true.csv", report.histogram_true), ("histogram_false.csv", report.histogram_false)):
@@ -175,10 +176,9 @@ def _eval_artifacts(run: _Run, model, test_panel) -> None:
             write_histogram_csv(counts, stream)
 
 
-def _ablate_artifacts(run: _Run, train, test) -> None:
-    rows = ablation(train, test, run.subsets, run.config.model, run.hyper)
+def _ablation_artifacts(run: _Run, reports) -> None:
     with run.open_output("ablation.csv") as stream:
-        write_ablation_csv(rows, stream)
+        write_ablation_csv(run.subsets, reports, stream)
 
 
 def _simulate_artifacts(run: _Run, model, test_panel) -> None:
@@ -284,11 +284,12 @@ def _cmd_train(run: _Run) -> None:
 def _cmd_eval(run: _Run) -> None:
     model = _load_saved_model(run)
     _train, test = split(_build_panel(run), run.split_spec)
-    _eval_artifacts(run, model, test)
+    _eval_artifacts(run, score_panel(model, test))
 
 
 def _cmd_ablate(run: _Run) -> None:
-    _ablate_artifacts(run, *split(_build_panel(run), run.split_spec))
+    train, test = split(_build_panel(run), run.split_spec)
+    _ablation_artifacts(run, ablation(train, test, run.subsets, run.config.model, run.hyper))
 
 
 def _cmd_simulate(run: _Run) -> None:
@@ -306,30 +307,26 @@ def _cmd_report(run: _Run) -> None:
     records, _errors = _load_records(run)
     panel = build_panel(records, _panel_options(run))
     train, test = split(panel, run.split_spec)
-    model = fit_on_train(train, run.features, run.config.model, run.hyper)
+    # the configured features, then each ablation subset: the first is the model saved and rolled out
+    variants = [(spec, run.hyper) for spec in (run.features, *run.subsets)]
+    (model, report), *ablated = fit_and_score(train, test, variants, run.config.model)
     _labor_artifacts(run, records, panel)
     with run.open_output(MODEL_JSON) as stream:
         save_model(model, stream)
-    _eval_artifacts(run, model, test)
-    _ablate_artifacts(run, train, test)
+    _eval_artifacts(run, report)
+    _ablation_artifacts(run, [report for _model, report in ablated])
     _simulate_artifacts(run, model, test)
 
 
 def _cmd_tune(run: _Run) -> None:
     train, test = split(_build_panel(run), run.split_spec)
-
-    # encode once; each grid point only refits
-    matrix = train_matrix(train, run.features)
-    results = []
-    best = None
-    for overrides, hyper in run.tune_points:
-        report = score_panel(fit_model(run.config.model, matrix, hyper), test)
-        results.append([json.dumps(overrides, sort_keys=True), report.ratio, report.mean_pred_true, report.mean_pred_false])
-        if best is None or report.ratio > best[1]:
-            best = (overrides, report.ratio)
+    sweep = fit_and_score(train, test, [(run.features, hyper) for _point, hyper in run.tune_points], run.config.model)
+    results = [(point, report) for (point, _hyper), (_model, report) in zip(run.tune_points, sweep)]
+    rows = ([json.dumps(point, sort_keys=True), r.ratio, r.mean_pred_true, r.mean_pred_false] for point, r in results)
     with run.open_output("tune_results.csv") as stream:
-        write_csv(stream, ["params", "ratio", "mean_pred_true", "mean_pred_false"], results)
-    run.write_json("tune_best.json", {"params": best[0], "ratio": best[1]})
+        write_csv(stream, ["params", "ratio", "mean_pred_true", "mean_pred_false"], rows)
+    best, report = max(results, key=lambda result: result[1].ratio)  # the first of equal ratios
+    run.write_json("tune_best.json", {"params": best, "ratio": report.ratio})
 
 
 _COMMANDS = {

@@ -1,4 +1,4 @@
-"""Train/test splits, the separation-ratio metric, and the ablation harness.
+"""Train/test splits, the separation-ratio metric, and the fit-and-score sweep.
 
 The headline metric is the ratio of mean predicted probability on rows
 where a repair actually happened to the mean on rows where it did not.
@@ -9,15 +9,15 @@ model pushes mass toward the true breakdowns.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
 import numpy as np
 
 from .errors import DegeneratePanelError, InvalidConfigError, SingleClassLabelsError, ZeroFalseMeanError
-from .features import FeatureMatrix, FeatureSpec, build_columns, encode, standardize
+from .features import FeatureMatrix, FeatureSpec, build_columns, encode, standardize, transform
 from .ingest import write_csv
-from .models import fit_model, predict_panel
+from .models import fit_model, predict_panel, predict_proba
 from .panel import Panel
 
 N_BINS = 50
@@ -122,27 +122,28 @@ def score_panel(model, panel: Panel) -> EvalReport:
     return separation_ratio(predict_panel(model, panel), panel.repair_flag)
 
 
-@dataclass
-class AblationRow:
-    features: tuple[str, ...]
-    mean_pred_true: float
-    mean_pred_false: float
-    ratio: float
-
-
-def ablation(train: Panel, test: Panel, subsets: Sequence[FeatureSpec], model_kind: str, hyper) -> list[AblationRow]:
-    """One fit per feature subset, all on the same train and test halves. The
-    train half is encoded once, over the union of the subsets; each fit takes
-    its subset's columns, the bytes `fit_on_train` would encode for it."""
-    if not subsets:
+def fit_and_score(train: Panel, test: Panel, variants: Sequence[tuple[FeatureSpec, object]], model_kind: str) -> list:
+    """One (model, EvalReport) per (feature spec, hyper) variant, each fit on
+    the train half and scored on the test half. Both halves are encoded once,
+    over the union of the variants' features, with the train half's layout and
+    scale; each fit and each score takes its variant's columns, the bytes
+    `fit_on_train` and `score_panel` would encode for it alone."""
+    if not variants:
         return []
-    full = train_matrix(train, FeatureSpec.of([name for spec in subsets for name in spec.names()]))
-    out = []
-    for spec in subsets:
-        model = fit_model(model_kind, full.select(build_columns(spec, train.vocab)), hyper)
-        report = score_panel(model, test)
-        out.append(AblationRow(spec.names(), report.mean_pred_true, report.mean_pred_false, report.ratio))
-    return out
+    matrix = train_matrix(train, FeatureSpec.of([name for spec, _ in variants for name in spec.names()]))
+    layouts = [build_columns(spec, train.vocab) for spec, _ in variants]
+    fitted = [fit_model(model_kind, matrix.select(columns), hyper) for columns, (_, hyper) in zip(layouts, variants)]
+    # the test half is encoded after the fits, so it adds nothing to their peak memory
+    held_out = replace(matrix, values=transform(test, matrix.columns, matrix.scale), labels=test.repair_flag)
+    return [
+        (model, separation_ratio(predict_proba(model, held_out.select(columns).values), test.repair_flag))
+        for model, columns in zip(fitted, layouts)
+    ]
+
+
+def ablation(train: Panel, test: Panel, subsets: Sequence[FeatureSpec], model_kind: str, hyper) -> list[EvalReport]:
+    """The test-half report of one fit per feature subset, all on the same halves."""
+    return [report for _model, report in fit_and_score(train, test, [(spec, hyper) for spec in subsets], model_kind)]
 
 
 def report_to_dict(report: EvalReport) -> dict:
@@ -167,9 +168,7 @@ def write_histogram_csv(counts: np.ndarray, stream: IO[str]) -> None:
     write_csv(stream, ["bin_low", "bin_high", "count"], zip(edges, edges[1:], map(int, counts)))
 
 
-def write_ablation_csv(rows: Sequence[AblationRow], stream: IO[str]) -> None:
-    write_csv(
-        stream,
-        ["features", "mean_pred_true", "mean_pred_false", "ratio"],
-        (["+".join(row.features), row.mean_pred_true, row.mean_pred_false, row.ratio] for row in rows),
-    )
+def write_ablation_csv(subsets: Sequence[FeatureSpec], reports: Sequence[EvalReport], stream: IO[str]) -> None:
+    """One row per feature subset: its names joined by "+", then its report's means and ratio."""
+    rows = (["+".join(s.names()), r.mean_pred_true, r.mean_pred_false, r.ratio] for s, r in zip(subsets, reports, strict=True))
+    write_csv(stream, ["features", "mean_pred_true", "mean_pred_false", "ratio"], rows)

@@ -8,7 +8,6 @@ the asset ID encodes one, otherwise at its first appearance.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import cached_property
@@ -263,9 +262,11 @@ def write_panel_csv(panel: Panel, stream: IO[str]) -> None:
 
 
 def read_panel_csv(source: str | Path | IO[str] | bytes) -> Panel:
-    reader = csv.DictReader(source_text(source).splitlines())
-    missing = set(PANEL_COLUMNS) - set(reader.fieldnames or ())
+    """Read a `write_panel_csv` file back; a cell that does not parse, a short row's included, raises ValueError."""
+    header, columns, _lines, _widths = read_table(source_text(source))
+    table = dict(zip(header, columns))  # a repeated name reads its last column
+    missing = set(PANEL_COLUMNS) - set(table)
     if missing:
         raise ValueError(f"panel CSV missing columns: {sorted(missing)}")
-    types = dict(zip(PANEL_COLUMNS, (str, str, str, int, int, int, float, int)))
-    return panel_from_rows(PanelRow(**{name: t(row[name]) for name, t in types.items()}) for row in reader)
+    cells = (map(t, table[name]) for name, t in zip(PANEL_COLUMNS, (str, str, str, int, int, int, float, int)))
+    return panel_from_rows(PanelRow(*row) for row in zip(*cells))

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import sys
 import tempfile
 from dataclasses import fields, replace
 from datetime import date
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleetrisk import features, models
 from fleetrisk.cli import build_parser, main
 from fleetrisk.config import RunConfig, build_run_config, fleet_config
 from fleetrisk.errors import InvalidConfigError, UsageError
@@ -762,6 +764,52 @@ def test_an_unreadable_path_is_one_error_line_and_writes_nothing(tmp_path, capsy
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named.format(**paths) in err[0]
     assert {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "--input", "{tmp}/missing.csv"], ["eval", "--input", "{tmp}/fleet/subworkorders.csv"]],
+    ids=["train-input-missing", "eval-no-saved-model"],
+)
+def test_a_run_that_fails_before_its_first_artifact_makes_no_output_directory(tmp_path, capsys, argv):
+    assert main(["synth", "-o", str(tmp_path / "fleet"), "--n-vehicles", "6", "--n-weeks", "20"]) == 0
+    capsys.readouterr()
+    assert main([*(arg.format(tmp=tmp_path) for arg in argv), "-o", str(tmp_path / "new" / "out")]) == 2
+    assert _single_error_line(capsys)
+    assert not (tmp_path / "new").exists()
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """The arguments of each call to `module.name`, through every fleetrisk module that binds it."""
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for loaded in [m for key, m in sys.modules.items() if key.split(".")[0] == "fleetrisk"]:
+        for attr, value in list(vars(loaded).items()):
+            if value is original:
+                monkeypatch.setattr(loaded, attr, counted)
+    return calls
+
+
+def test_report_and_tune_encode_each_half_once(tmp_path, monkeypatch):
+    """One fit-and-score sweep per run: a report encodes the train half once
+    for its main fit and six ablation fits, and a two-point tune also
+    transforms its test half once."""
+    assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "10", "--n-weeks", "40"]) == 0
+    encodes = _count_calls(monkeypatch, features, "encode")
+    transforms = _count_calls(monkeypatch, features, "transform")
+    fits = _count_calls(monkeypatch, models, "fit_model")
+    assert main(["report", "-o", str(tmp_path)]) == 0
+    assert (len(encodes), len(fits)) == (1, 7)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"tune_grid": {"l2_lambda": [0.0001, 1.0]}}))
+    for calls in (encodes, transforms, fits):
+        calls.clear()
+    assert main(["tune", "--config", str(config), "-o", str(tmp_path)]) == 0
+    assert (len(encodes), len(transforms), len(fits)) == (1, 1, 2)
 
 
 @pytest.mark.parametrize("command, artifact", [("train", "model.json"), ("panel", "manifest.json")])

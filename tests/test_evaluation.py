@@ -1,4 +1,4 @@
-"""Split semantics, the separation-ratio metric, and the ablation harness."""
+"""Split semantics, the separation-ratio metric, and the fit-and-score sweep."""
 
 import io
 from dataclasses import replace
@@ -13,6 +13,7 @@ from fleetrisk.evaluation import (
     ChronologicalSplit,
     RandomRowSplit,
     ablation,
+    fit_and_score,
     fit_on_train,
     report_to_dict,
     score_panel,
@@ -24,7 +25,7 @@ from fleetrisk.evaluation import (
 )
 from fleetrisk.features import FEATURE_NAMES, FeatureSpec, transform
 from fleetrisk.ingest import parse_subworkorders
-from fleetrisk.models import ForestHyper, GbtHyper, LogisticHyper, predict_proba
+from fleetrisk.models import ForestHyper, GbtHyper, LogisticHyper, model_to_dict, predict_proba
 from fleetrisk.panel import PanelOptions, PanelRow, build_panel, load_utilization_csv, panel_from_rows
 from fleetrisk.synth import generate_fleet
 
@@ -185,34 +186,49 @@ def test_ablation_shares_one_split():
         FeatureSpec.of(["weeks_since_last_visit"]),
     ]
     train, test = split(panel, ChronologicalSplit())
-    rows = ablation(train, test, subsets, "logistic", LogisticHyper(solver="newton"))
-    assert [r.features for r in rows] == [
+    reports = ablation(train, test, subsets, "logistic", LogisticHyper(solver="newton"))
+    assert [spec.names() for spec in subsets] == [
         ("vehicle_type", "weeks_since_last_visit"),
         ("weeks_since_last_visit",),
     ]
-    for r in rows:
-        assert r.ratio == pytest.approx(r.mean_pred_true / r.mean_pred_false)
+    assert len(reports) == len(subsets)
+    for report in reports:
+        assert report.n_test == len(test)
+        assert report.ratio == pytest.approx(report.mean_pred_true / report.mean_pred_false)
+
+
+# a second grid point per kind, for the tune-shaped sweep
+TUNED = {"logistic": {"l2_lambda": 0.1}, "gbt": {"max_depth": 2}, "forest": {"min_leaf": 10}}
 
 
 @pytest.mark.parametrize("kind, hyper", [
     ("logistic", LogisticHyper(solver="newton")),
     ("gbt", GbtHyper(n_estimators=5)),
+    ("forest", ForestHyper(n_estimators=5)),
 ])
 def test_ablation_ratios_equal_one_fit_per_subset(kind, hyper):
-    """Ablation encodes the train half once and selects each subset's columns;
-    its ratios are those of encoding and fitting each subset on its own."""
+    """fit_and_score encodes each half once, over the union of its variants'
+    features, and selects each variant's columns. Every model and report is
+    that of encoding, fitting and scoring the variant on its own, for a
+    report's sweep (the full features, then each ablation subset), a tune's
+    (one spec, several hypers) and `ablation`'s (the subsets alone)."""
     config = replace(fleet_config(RunConfig()), seed=7, n_vehicles=20, n_weeks=60)
     csv_bytes, sidecar, _ = generate_fleet(config)
     records, _ = parse_subworkorders(csv_bytes)
     panel = build_panel(records, PanelOptions(utilization=load_utilization_csv(sidecar)))
     train, test = split(panel, ChronologicalSplit())
     subsets = [FeatureSpec.of(names) for names in DEFAULT_ABLATION_SUBSETS]
-    rows = ablation(train, test, subsets, kind, hyper)
-    for spec, row in zip(subsets, rows, strict=True):
-        report = score_panel(fit_on_train(train, spec, kind, hyper), test)
-        assert (row.mean_pred_true, row.mean_pred_false, row.ratio) == (
-            report.mean_pred_true, report.mean_pred_false, report.ratio,
-        ), spec.names()
+    sweeps = {
+        "report": [(spec, hyper) for spec in (FeatureSpec.full(), *subsets)],
+        "tune": [(FeatureSpec.full(), hyper), (FeatureSpec.full(), replace(hyper, **TUNED[kind]))],
+    }
+    for name, variants in sweeps.items():
+        for (spec, point), (model, report) in zip(variants, fit_and_score(train, test, variants, kind), strict=True):
+            alone = fit_on_train(train, spec, kind, point)
+            assert model_to_dict(model) == model_to_dict(alone), (name, spec.names(), point)
+            assert report_to_dict(report) == report_to_dict(score_panel(alone, test)), (name, spec.names(), point)
+    expected = [score_panel(fit_on_train(train, spec, kind, hyper), test) for spec in subsets]
+    assert list(map(report_to_dict, ablation(train, test, subsets, kind, hyper))) == list(map(report_to_dict, expected))
 
 
 @pytest.fixture(scope="module")
@@ -272,15 +288,11 @@ def test_write_histogram_csv():
 
 def test_write_ablation_csv():
     panel = grid_panel(n_assets=8, n_weeks=30)
-    rows = ablation(
-        *split(panel, ChronologicalSplit()),
-        [FeatureSpec.of(["weeks_since_last_visit"])],
-        "logistic",
-        LogisticHyper(solver="newton"),
-    )
+    subsets = [FeatureSpec.of(["weeks_since_last_visit"])]
+    reports = ablation(*split(panel, ChronologicalSplit()), subsets, "logistic", LogisticHyper(solver="newton"))
     buf = io.StringIO()
-    write_ablation_csv(rows, buf)
+    write_ablation_csv(subsets, reports, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "features,mean_pred_true,mean_pred_false,ratio"
     assert lines[1].startswith("weeks_since_last_visit,")
-    assert float(lines[1].split(",")[3]) == pytest.approx(rows[0].ratio)
+    assert float(lines[1].split(",")[3]) == pytest.approx(reports[0].ratio)

@@ -273,6 +273,14 @@ def test_panel_csv_round_trip():
     assert back.vocab == panel.vocab
 
 
+def test_read_panel_csv_reads_a_short_row_as_blank_cells_and_refuses_them():
+    """A short row reads "" past its end, as in every table reader, so its
+    cells fail to parse with a ValueError rather than a TypeError on None."""
+    text = "asset_id,vehicle_type,unit,week,operational_weeks,weeks_since_last_visit,utilization,repair_flag\n"
+    with pytest.raises(ValueError, match="could not convert string to float: ''"):
+        read_panel_csv(text + "A,truck,82 LRS,0,0,0\n")
+
+
 def test_load_utilization_csv():
     text = "asset_id,week,cumulative_units\nA,2,5.5\nA,0,1.0\nB,0,0.0\n"
     out = load_utilization_csv(text)
