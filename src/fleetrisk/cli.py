@@ -1,9 +1,10 @@
 """Command-line pipeline driver.
 
-Subcommands compose the library stages and drop their artifacts plus a
-manifest into the output directory. Exit codes: 0 success, 1 data errors
-(malformed or inconsistent inputs), 2 usage errors (bad flags, missing
-prerequisite artifacts).
+Subcommands compose the library stages and stage their artifacts. Once a
+body returns, `_Run.commit` writes them and a manifest into the output
+directory, so a run that fails writes nothing. Exit codes: 0 success, 1 data
+errors (malformed or inconsistent inputs), 2 usage errors (bad flags, missing
+prerequisite artifacts, an output path that cannot be written).
 
 When --input is not given, commands look for a previous `synth` run's
 subworkorders.csv in the output directory, so
@@ -19,11 +20,12 @@ import csv
 import hashlib
 import itertools
 import json
+import os
 import sys
 from dataclasses import replace
 from datetime import date, datetime, timezone
+from functools import partial
 from pathlib import Path
-from typing import IO
 
 import numpy as np
 
@@ -62,7 +64,7 @@ MODEL_JSON = "model.json"
 
 class _Run:
     """One invocation: each setting built into the library object that takes
-    it, each input file read once and hashed, and the artifacts written."""
+    it, each input file read once and hashed, and its artifacts staged to commit."""
 
     def __init__(self, command: str, config_path: str | None, overrides: dict):
         self.command = command
@@ -79,8 +81,11 @@ class _Run:
         keys = sorted(config.tune_grid)
         points = [dict(zip(keys, combo)) for combo in itertools.product(*(config.tune_grid[k] for k in keys))]
         self.tune_points = [(point, cfg.model_hyper(replace(config, **point))) for point in points]
-        self.out_dir = Path(config.out_dir)  # made by open_output, so a run that fails before it leaves none
-        self.outputs: list[str] = []
+        self.out_dir = Path(config.out_dir)  # made by commit, so a run that fails leaves none
+        ancestor = next(path for path in (self.out_dir, *self.out_dir.parents) if path.exists())
+        if not ancestor.is_dir():
+            raise UsageError(f"cannot make output directory {self.out_dir}: {ancestor} is not a directory")
+        self.staged: dict = {}  # artifact name -> its writer, in staging order
         self.saved_model_kind: str | None = None  # set by eval, simulate and mel
 
     def read(self, path: Path, what: str, parse):
@@ -97,38 +102,50 @@ class _Run:
         except (OverflowError, ValueError, csv.Error) as exc:
             raise FleetRiskError(f"bad {what}: {exc}") from None
 
-    def open_output(self, name: str) -> IO[str]:
-        """Open an artifact for writing and list it in the manifest, making the
-        output directory for the first; an unwritable path is a usage error."""
-        if not self.outputs:
-            try:
-                self.out_dir.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise UsageError(f"cannot make output directory {self.out_dir}: {exc.strerror}") from None
-        self.outputs.append(name)
-        try:
-            return open(self.out_dir / name, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise UsageError(f"cannot write {self.out_dir / name}: {exc.strerror}") from None
+    def write(self, name: str, write) -> None:
+        """Stage an artifact; `write(stream)` writes it when the run commits."""
+        self.staged[name] = write
 
-    def write_json(self, name: str, payload) -> None:
-        """Write a JSON report artifact: indented, keys sorted."""
-        with self.open_output(name) as stream:
-            json.dump(payload, stream, indent=2, sort_keys=True)
-
-    def write_manifest(self) -> None:
+    def commit(self) -> None:
+        """Write each staged artifact, then the manifest that lists them, to a
+        temporary name in the output directory and rename them into place, the
+        manifest last. An artifact path that is a directory is refused before any
+        byte is written; an OSError is a usage error and leaves no temporary file."""
         manifest = {
             "command": self.command,
             "seed": self.config.seed,
             "config": vars(self.config),
             "inputs": self.inputs,
-            "outputs": sorted(self.outputs),
+            "outputs": sorted(self.staged),
             "created_utc": datetime.now(timezone.utc).isoformat(),
         }
         if self.saved_model_kind is not None:
             manifest["saved_model_kind"] = self.saved_model_kind
-        with self.open_output("manifest.json") as stream:  # listed after its list is taken
-            stream.write(json.dumps(manifest, indent=2, sort_keys=True))
+        self.write("manifest.json", _json(manifest))
+        for name in self.staged:
+            if (self.out_dir / name).is_dir():
+                raise UsageError(f"cannot write {self.out_dir / name}: Is a directory")
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot make output directory {self.out_dir}: {exc.strerror}") from None
+        temps = {name: self.out_dir / f".{name}.{os.getpid()}.tmp" for name in self.staged}
+        try:
+            for name, temp in temps.items():
+                with open(temp, "w", encoding="utf-8", newline="") as stream:
+                    self.staged[name](stream)
+            for name, temp in temps.items():
+                temp.replace(self.out_dir / name)
+        except OSError as exc:
+            raise UsageError(f"cannot write {self.out_dir / name}: {exc.strerror}") from None
+        finally:
+            for temp in temps.values():
+                temp.unlink(missing_ok=True)
+
+
+def _json(payload):
+    """A JSON artifact's writer: indented, keys sorted."""
+    return lambda stream: json.dump(payload, stream, indent=2, sort_keys=True)
 
 
 def _locate(run: _Run, configured: str | None, fallback_name: str) -> Path | None:
@@ -169,27 +186,18 @@ def _load_saved_model(run: _Run):
 
 
 def _eval_artifacts(run: _Run, report) -> None:
-    with run.open_output("eval_report.json") as stream:
-        write_eval_report(report, stream)
-    for name, counts in (("histogram_true.csv", report.histogram_true), ("histogram_false.csv", report.histogram_false)):
-        with run.open_output(name) as stream:
-            write_histogram_csv(counts, stream)
-
-
-def _ablation_artifacts(run: _Run, reports) -> None:
-    with run.open_output("ablation.csv") as stream:
-        write_ablation_csv(run.subsets, reports, stream)
+    run.write("eval_report.json", partial(write_eval_report, report))
+    run.write("histogram_true.csv", partial(write_histogram_csv, report.histogram_true))
+    run.write("histogram_false.csv", partial(write_histogram_csv, report.histogram_false))
 
 
 def _simulate_artifacts(run: _Run, model, test_panel) -> None:
     proactive = simulate_policy(model, test_panel, HighestRisk())
     random_arm = simulate_policy(model, test_panel, RandomUniform(seed=cfg.child_seed(run.config.seed, "policy")))
 
-    with run.open_output("policy_trace.csv") as stream:
-        write_trace_csv(proactive, stream)
+    run.write("policy_trace.csv", partial(write_trace_csv, proactive))
     for name, trace in (("policy_hist_proactive.csv", proactive), ("policy_hist_random.csv", random_arm)):
-        with run.open_output(name) as stream:
-            write_trace_histograms_csv(trace_histograms(trace), stream)
+        run.write(name, partial(write_trace_histograms_csv, trace_histograms(trace)))
 
     summary = {}
     for arm, trace in (("proactive", proactive), ("random", random_arm)):
@@ -199,12 +207,74 @@ def _simulate_artifacts(run: _Run, model, test_panel) -> None:
             "mean_weeks_since_last_actual_service": trace.mean_weeks_since(),
             "mean_weeks_until_next_actual_service": trace.mean_weeks_until(),
         }
-    run.write_json("policy_summary.json", summary)
+    run.write("policy_summary.json", _json(summary))
 
 
-def _mel_artifacts(run: _Run, model, panel) -> None:
+def _labor_artifacts(run: _Run, orders, start_monday: date) -> None:
+    """Per-vehicle weekly labor-hours series from the work orders, on the panel's week index:
+    each (vehicle, week) sums its hours in record order from 0.0, a blank cell adding 0.0."""
+    asset_ids, asset = level_codes(orders.columns["asset_id"])
+    day = np.fromiter(map(date.toordinal, orders.columns["approval_date"]), np.int64, len(orders))
+    week = (day - start_monday.toordinal()) // 7
+    span = int(week.max() - week.min()) + 1
+    keys, key = np.unique(asset * span + week - week.min(), return_inverse=True)  # in (vehicle, week) order
+    hours = np.bincount(key, [h or 0.0 for h in orders.columns["labor_hours"]]).tolist()
+    ids = np.array(asset_ids, dtype=object)[keys // span].tolist()
+    rows = zip(ids, (keys % span + week.min()).tolist(), hours)
+    run.write("labor_hours.csv", lambda stream: write_csv(stream, ["asset_id", "week", "labor_hours"], rows))
+
+
+# ---------------------------------------------------------------------------
+# subcommand bodies: each stages its artifacts or raises; `main` commits them
+# when the body returns and picks the exit code.
+
+
+def _cmd_synth(run: _Run) -> None:
+    work_orders, sidecar, truth = generate_fleet(run.fleet)
+    run.write(SUBWORKORDERS_CSV, lambda stream: stream.write(work_orders))
+    run.write(UTILIZATION_CSV, lambda stream: stream.write(sidecar))
+    run.write("ground_truth.json", truth.save)
+
+
+def _cmd_ingest(run: _Run) -> None:
+    records, errors = _load_records(run)
+    run.write("records.csv", partial(write_subworkorders, records))
+    rows = (vars(e).values() for e in errors)
+    run.write("row_errors.csv", lambda stream: write_csv(stream, ["line", "field", "reason"], rows))
+
+
+def _cmd_panel(run: _Run) -> None:
+    run.write("panel.csv", partial(write_panel_csv, _build_panel(run)))
+
+
+def _cmd_train(run: _Run) -> None:
+    train, _test = split(_build_panel(run), run.split_spec)
+    run.write(MODEL_JSON, partial(save_model, fit_on_train(train, run.features, run.config.model, run.hyper)))
+
+
+def _cmd_eval(run: _Run) -> None:
+    model = _load_saved_model(run)
+    _train, test = split(_build_panel(run), run.split_spec)
+    _eval_artifacts(run, score_panel(model, test))
+
+
+def _cmd_ablate(run: _Run) -> None:
+    train, test = split(_build_panel(run), run.split_spec)
+    reports = ablation(train, test, run.subsets, run.config.model, run.hyper)
+    run.write("ablation.csv", partial(write_ablation_csv, run.subsets, reports))
+
+
+def _cmd_simulate(run: _Run) -> None:
+    model = _load_saved_model(run)
+    _train, test = split(_build_panel(run), run.split_spec)
+    _simulate_artifacts(run, model, test)
+
+
+def _cmd_mel(run: _Run) -> None:
     if not run.config.mel_specs:
         raise UsageError("mel requires mel_specs in the config or --mel TYPE=COUNT flags")
+    model = _load_saved_model(run)
+    panel = _build_panel(run)
     # rows are sorted by (asset, week): each vehicle's last row is its latest week
     latest = panel.take(np.append(panel.asset[1:] != panel.asset[:-1], True))
     types = np.array(latest.vocab.vehicle_types, dtype=object)[latest.vehicle_type]
@@ -229,92 +299,21 @@ def _mel_artifacts(run: _Run, model, panel) -> None:
                 "risk": mel_risk(fleet, spec),
             }
         )
-    run.write_json("mel_risk.json", {"specs": results})
-
-
-def _labor_artifacts(run: _Run, orders, panel) -> None:
-    """Per-vehicle weekly labor-hours series from the work orders, on the panel's week index:
-    each (vehicle, week) sums its hours in record order from 0.0, a blank cell adding 0.0."""
-    asset_ids, asset = level_codes(orders.columns["asset_id"])
-    day = np.fromiter(map(date.toordinal, orders.columns["approval_date"]), np.int64, len(orders))
-    week = (day - panel.start_monday.toordinal()) // 7
-    span = int(week.max() - week.min()) + 1
-    keys, key = np.unique(asset * span + week - week.min(), return_inverse=True)  # in (vehicle, week) order
-    hours = np.bincount(key, [h or 0.0 for h in orders.columns["labor_hours"]]).tolist()
-    ids = np.array(asset_ids, dtype=object)[keys // span].tolist()
-    with run.open_output("labor_hours.csv") as stream:
-        write_csv(stream, ["asset_id", "week", "labor_hours"], zip(ids, (keys % span + week.min()).tolist(), hours))
-
-
-# ---------------------------------------------------------------------------
-# subcommand bodies: each writes its artifacts or raises; `main` picks the exit code.
-
-
-def _cmd_synth(run: _Run) -> None:
-    work_orders, sidecar, truth = generate_fleet(run.fleet)
-    with run.open_output(SUBWORKORDERS_CSV) as stream:
-        stream.write(work_orders)
-    with run.open_output(UTILIZATION_CSV) as stream:
-        stream.write(sidecar)
-    with run.open_output("ground_truth.json") as stream:
-        truth.save(stream)
-
-
-def _cmd_ingest(run: _Run) -> None:
-    records, errors = _load_records(run)
-    with run.open_output("records.csv") as stream:
-        write_subworkorders(records, stream)
-    with run.open_output("row_errors.csv") as stream:
-        write_csv(stream, ["line", "field", "reason"], (vars(e).values() for e in errors))
-
-
-def _cmd_panel(run: _Run) -> None:
-    panel = _build_panel(run)
-    with run.open_output("panel.csv") as stream:
-        write_panel_csv(panel, stream)
-
-
-def _cmd_train(run: _Run) -> None:
-    train, _test = split(_build_panel(run), run.split_spec)
-    model = fit_on_train(train, run.features, run.config.model, run.hyper)
-    with run.open_output(MODEL_JSON) as stream:
-        save_model(model, stream)
-
-
-def _cmd_eval(run: _Run) -> None:
-    model = _load_saved_model(run)
-    _train, test = split(_build_panel(run), run.split_spec)
-    _eval_artifacts(run, score_panel(model, test))
-
-
-def _cmd_ablate(run: _Run) -> None:
-    train, test = split(_build_panel(run), run.split_spec)
-    _ablation_artifacts(run, ablation(train, test, run.subsets, run.config.model, run.hyper))
-
-
-def _cmd_simulate(run: _Run) -> None:
-    model = _load_saved_model(run)
-    _train, test = split(_build_panel(run), run.split_spec)
-    _simulate_artifacts(run, model, test)
-
-
-def _cmd_mel(run: _Run) -> None:
-    model = _load_saved_model(run)
-    _mel_artifacts(run, model, _build_panel(run))
+    run.write("mel_risk.json", _json({"specs": results}))
 
 
 def _cmd_report(run: _Run) -> None:
-    records, _errors = _load_records(run)
-    panel = build_panel(records, _panel_options(run))
+    orders = _load_records(run)[0]
+    panel = build_panel(orders, _panel_options(run))
+    _labor_artifacts(run, orders, panel.start_monday)
     train, test = split(panel, run.split_spec)
+    del orders, panel  # the fits below need only the two halves
     # the configured features, then each ablation subset: the first is the model saved and rolled out
     variants = [(spec, run.hyper) for spec in (run.features, *run.subsets)]
     (model, report), *ablated = fit_and_score(train, test, variants, run.config.model)
-    _labor_artifacts(run, records, panel)
-    with run.open_output(MODEL_JSON) as stream:
-        save_model(model, stream)
+    run.write(MODEL_JSON, partial(save_model, model))
     _eval_artifacts(run, report)
-    _ablation_artifacts(run, [report for _model, report in ablated])
+    run.write("ablation.csv", partial(write_ablation_csv, run.subsets, [report for _model, report in ablated]))
     _simulate_artifacts(run, model, test)
 
 
@@ -323,10 +322,10 @@ def _cmd_tune(run: _Run) -> None:
     sweep = fit_and_score(train, test, [(run.features, hyper) for _point, hyper in run.tune_points], run.config.model)
     results = [(point, report) for (point, _hyper), (_model, report) in zip(run.tune_points, sweep)]
     rows = ([json.dumps(point, sort_keys=True), r.ratio, r.mean_pred_true, r.mean_pred_false] for point, r in results)
-    with run.open_output("tune_results.csv") as stream:
-        write_csv(stream, ["params", "ratio", "mean_pred_true", "mean_pred_false"], rows)
+    header = ["params", "ratio", "mean_pred_true", "mean_pred_false"]
+    run.write("tune_results.csv", lambda stream: write_csv(stream, header, rows))
     best, report = max(results, key=lambda result: result[1].ratio)  # the first of equal ratios
-    run.write_json("tune_best.json", {"params": best, "ratio": report.ratio})
+    run.write("tune_best.json", _json({"params": best, "ratio": report.ratio}))
 
 
 _COMMANDS = {
@@ -434,7 +433,7 @@ def main(argv=None) -> int:
     try:
         run = _Run(args.command, args.config, _overrides_from_args(args))
         _COMMANDS[args.command][0](run)
-        run.write_manifest()
+        run.commit()
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line pipeline and its exit codes."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -14,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetrisk import features, models
+from fleetrisk import cli, features, models
 from fleetrisk.cli import build_parser, main
 from fleetrisk.config import RunConfig, build_run_config, fleet_config
-from fleetrisk.errors import InvalidConfigError, UsageError
+from fleetrisk.errors import FleetRiskError, InvalidConfigError, UsageError
 from fleetrisk.evaluation import ChronologicalSplit, RandomRowSplit
 from fleetrisk.features import FeatureSpec
 from fleetrisk.ingest import parse_subworkorders
@@ -555,9 +556,10 @@ def test_every_refused_setting_is_one_error_type(build):
         (["panel", "--gap-cap", "0"], "gap_cap must be >= 1, got 0"),
         (["train", {"default_weekly_rate": -1}], "default_weekly_rate must be in [0, 168] hours a week, got -1"),
         (["mel", {"mel_specs": [{"vehicle_type": "truck", "mel": 3, "assigned": 2}]}], "assigned for 'truck' must be >= mel"),
+        (["mel"], "mel requires mel_specs in the config or --mel TYPE=COUNT flags"),
     ],
     ids=["report-start-date", "synth-start-date", "test-fraction", "gap-cap", "default-weekly-rate",
-         "mel-assigned-below-mel"],
+         "mel-assigned-below-mel", "mel-no-specs"],
 )
 def test_a_refused_setting_is_named_before_any_input_is_read(tmp_path, capsys, argv, message):
     """The input named is missing and the output directory does not exist:
@@ -746,10 +748,11 @@ def test_a_bad_hyperparameter_stops_a_run_before_it_reads_input(tmp_path, capsys
         (["panel", "--input", "{latin1}", "-o", "{fleet}"], 1, "bad input CSV"),
         (["panel", "--utilization", "{dir}", "-o", "{fleet}"], 2, "{dir}"),
         (["synth", "-o", "{file}"], 2, "{file}"),
+        (["report", "--input", "{dir}", "-o", "{file}"], 2, "{file}"),
         (["eval", "-o", "{fleet}"], 2, "{fleet}/model.json"),
     ],
     ids=["config-dir", "config-not-utf8", "input-dir", "input-not-utf8", "utilization-dir", "out-is-a-file",
-         "model-is-a-dir"],
+         "report-out-is-a-file-before-input", "model-is-a-dir"],
 )
 def test_an_unreadable_path_is_one_error_line_and_writes_nothing(tmp_path, capsys, argv, code, named):
     paths = {"fleet": tmp_path / "fleet", "dir": tmp_path / "dir", "latin1": tmp_path / "latin1", "file": tmp_path / "file"}
@@ -812,15 +815,85 @@ def test_report_and_tune_encode_each_half_once(tmp_path, monkeypatch):
     assert (len(encodes), len(transforms), len(fits)) == (1, 1, 2)
 
 
-@pytest.mark.parametrize("command, artifact", [("train", "model.json"), ("panel", "manifest.json")])
+def _snapshot(directory: Path) -> dict:
+    """Each entry's name, bytes (None for a directory) and mtime."""
+    return {p.name: (p.read_bytes() if p.is_file() else None, p.stat().st_mtime_ns) for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "command, artifact", [("train", "model.json"), ("panel", "manifest.json"), ("report", "eval_report.json")]
+)
 def test_an_artifact_path_that_is_a_directory_is_one_error_line(tmp_path, capsys, command, artifact):
+    """Refused before any artifact is written: the directory is left as it was."""
     assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "6", "--n-weeks", "20"]) == 0
     (tmp_path / artifact).unlink(missing_ok=True)
     (tmp_path / artifact).mkdir()
+    before = _snapshot(tmp_path)
     capsys.readouterr()
     assert main([command, "-o", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path / artifact) in err[0]
+    assert _snapshot(tmp_path) == before
+
+
+def test_a_run_that_fails_after_its_fits_writes_nothing(tmp_path, capsys, monkeypatch):
+    """A report whose rollout fails has fitted and scored its model, yet
+    leaves an existing directory as it was and makes no new one."""
+    fleet = tmp_path / "fleet"
+    assert main(["synth", "-o", str(fleet), "--n-vehicles", "6", "--n-weeks", "20"]) == 0
+    before = _snapshot(fleet)
+
+    def fail(*_args):
+        raise FleetRiskError("rollout failed")
+
+    monkeypatch.setattr(cli, "simulate_policy", fail)
+    capsys.readouterr()
+    assert main(["report", "-o", str(fleet)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: rollout failed"]
+    assert _snapshot(fleet) == before
+    assert main(["report", "--input", str(fleet / "subworkorders.csv"), "-o", str(tmp_path / "new" / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: rollout failed"]
+    assert not (tmp_path / "new").exists()
+
+
+def test_every_command_adds_only_the_outputs_its_manifest_lists(tmp_path):
+    """No temporary file is left behind, and nothing unlisted appears."""
+    commands = [["synth", *SMALL], ["ingest"], ["panel"], ["train"], ["eval"], ["ablate"], ["simulate"],
+                ["mel", "--mel", "truck=1"], ["report"], ["tune"]]
+    for argv in commands:
+        before = {p.name for p in tmp_path.iterdir()}
+        assert main([*argv, "-o", str(tmp_path)]) == 0
+        outputs = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
+        assert "manifest.json" not in outputs
+        assert {p.name for p in tmp_path.iterdir()} == before | set(outputs) | {"manifest.json"}, argv[0]
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """A call that makes a directory, writes a path's contents, or opens a file in any mode but reading."""
+    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    if name in ("write_text", "write_bytes", "mkdir"):
+        return True
+    if name != "open":
+        return False
+    modes = [*(call.args[1:2] if isinstance(call.func, ast.Name) else call.args[:1]),
+             *(k.value for k in call.keywords if k.arg == "mode")]
+    return any(not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+") for mode in modes)
+
+
+def test_only_the_run_commit_writes_files():
+    """One way to write an artifact: `cli._Run.commit` is the package's only
+    call that opens a file for writing or makes a directory."""
+    package = Path(cli.__file__).parent
+    trees = {path.relative_to(package).as_posix(): ast.parse(path.read_text()) for path in package.rglob("*.py")}
+    run = next(n for n in trees["cli.py"].body if isinstance(n, ast.ClassDef) and n.name == "_Run")
+    commit = next(n for n in run.body if isinstance(n, ast.FunctionDef) and n.name == "commit")
+
+    def writes(tree, where):
+        return {(where, call.lineno) for call in ast.walk(tree) if isinstance(call, ast.Call) and _writes_a_file(call)}
+
+    committed = writes(commit, "cli.py")
+    assert len(committed) == 2  # the temporary file's open and the output directory's mkdir
+    assert set().union(*(writes(tree, where) for where, tree in trees.items())) == committed
 
 
 def test_mel_with_several_specs_writes_each_single_spec_risk(trained_dir):
