@@ -16,6 +16,7 @@ labeled child seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -51,7 +52,6 @@ from .policy import (
     RandomUniform,
     mel_risk,
     simulate_policy,
-    trace_histograms,
     write_trace_csv,
     write_trace_histograms_csv,
 )
@@ -110,7 +110,8 @@ class _Run:
         """Write each staged artifact, then the manifest that lists them, to a
         temporary name in the output directory and rename them into place, the
         manifest last. An artifact path that is a directory is refused before any
-        byte is written; an OSError is a usage error and leaves no temporary file."""
+        byte is written; an OSError is a usage error and leaves no temporary file
+        and no directory that the commit made."""
         manifest = {
             "command": self.command,
             "seed": self.config.seed,
@@ -125,6 +126,8 @@ class _Run:
         for name in self.staged:
             if (self.out_dir / name).is_dir():
                 raise UsageError(f"cannot write {self.out_dir / name}: Is a directory")
+        # the output directory and its parents that the mkdir makes, deepest first
+        made = list(itertools.takewhile(lambda path: not path.exists(), (self.out_dir, *self.out_dir.parents)))
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -136,11 +139,15 @@ class _Run:
                     self.staged[name](stream)
             for name, temp in temps.items():
                 temp.replace(self.out_dir / name)
-        except OSError as exc:
-            raise UsageError(f"cannot write {self.out_dir / name}: {exc.strerror}") from None
-        finally:
+        except BaseException as exc:
             for temp in temps.values():
                 temp.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):  # a directory that a rename went into stays
+                for path in made:
+                    path.rmdir()
+            if isinstance(exc, OSError):
+                raise UsageError(f"cannot write {self.out_dir / name}: {exc.strerror}") from None
+            raise
 
 
 def _json(payload):
@@ -196,11 +203,9 @@ def _simulate_artifacts(run: _Run, model, test_panel) -> None:
     random_arm = simulate_policy(model, test_panel, RandomUniform(seed=cfg.child_seed(run.config.seed, "policy")))
 
     run.write("policy_trace.csv", partial(write_trace_csv, proactive))
-    for name, trace in (("policy_hist_proactive.csv", proactive), ("policy_hist_random.csv", random_arm)):
-        run.write(name, partial(write_trace_histograms_csv, trace_histograms(trace)))
-
     summary = {}
     for arm, trace in (("proactive", proactive), ("random", random_arm)):
+        run.write(f"policy_hist_{arm}.csv", partial(write_trace_histograms_csv, trace))
         summary[arm] = {
             "n_weeks": len(trace),
             "censored": trace.censored_count(),
@@ -291,14 +296,7 @@ def _cmd_mel(run: _Run) -> None:
                 f"mel spec for {vtype!r} says assigned={entry['assigned']} but the panel has {len(fleet)}"
             )
         spec = MelSpec(vehicle_type=vtype, mel=entry["mel"], assigned=len(fleet))
-        results.append(
-            {
-                "vehicle_type": vtype,
-                "mel": spec.mel,
-                "assigned": spec.assigned,
-                "risk": mel_risk(fleet, spec),
-            }
-        )
+        results.append({**vars(spec), "risk": mel_risk(fleet, spec)})
     run.write("mel_risk.json", _json({"specs": results}))
 
 

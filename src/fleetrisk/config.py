@@ -183,10 +183,11 @@ def _validate(config: RunConfig) -> None:
     for key, values in grid.items():
         if not _fits(values, list[_KEY_TYPES[key]]):
             raise UsageError(f"tune_grid {key} must be a list of {_type_name(_KEY_TYPES[key])}, got {values!r}")
-    # zero iterations leave the origin model, which scores every row 0.5
-    for value in (config.max_iters, *grid.get("max_iters", ())):
-        if value is not None and value < 1:
-            raise UsageError(f"max_iters must be >= 1, got {value}")
+    # zero iterations or boosting rounds leave the origin or the prior, which score every row alike
+    for key in ("max_iters", "n_estimators"):
+        for value in (getattr(config, key), *grid.get(key, ())):
+            if value is not None and value < 1:
+                raise UsageError(f"{key} must be >= 1, got {value}")
 
 
 def model_hyper(config: RunConfig):

@@ -178,8 +178,10 @@ def _fill(panel: Panel, columns: Sequence[Column]) -> sp.csr_matrix:
             col_idx[:, k] = where
             data[:, k] = cells
     keep = data != 0.0  # numeric zeros are skipped
-    row_idx, col_idx, data = np.nonzero(keep)[0], col_idx[keep], data[keep]
-    return sp.csr_matrix((data, (row_idx, col_idx)), shape=(n, len(columns)), dtype=np.float64)
+    indptr = np.append(0, np.cumsum(keep.sum(axis=1)))
+    matrix = sp.csr_matrix((data[keep], col_idx[keep], indptr), shape=(n, len(columns)))
+    matrix.sort_indices()  # a row's parts are in column order unless a group's columns are not contiguous
+    return matrix
 
 
 def encode(panel: Panel, spec: FeatureSpec) -> FeatureMatrix:

@@ -9,7 +9,7 @@ gaps to actual service always come from the untouched panel.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import IO, Sequence
 
 import numpy as np
@@ -36,31 +36,29 @@ class RandomUniform:
 PolicyKind = HighestRisk | RandomUniform
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    week: int
-    chosen_asset: str
-    score: float
-    weeks_since_last_actual_service: int
-    weeks_until_next_actual_service: int | None  # None = censored at panel end
-
-
 @dataclass
 class PolicyTrace:
-    entries: list[TraceEntry]
+    """The rollout's weeks as columns, one entry a week in week order; a
+    None in weeks_until_next_actual_service marks a week censored at the panel's end."""
+
+    week: list[int] = field(default_factory=list)
+    chosen_asset: list[str] = field(default_factory=list)
+    score: list[float] = field(default_factory=list)
+    weeks_since_last_actual_service: list[int] = field(default_factory=list)
+    weeks_until_next_actual_service: list[int | None] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.week)
 
     def censored_count(self) -> int:
-        return sum(1 for e in self.entries if e.weeks_until_next_actual_service is None)
+        return self.weeks_until_next_actual_service.count(None)
 
     def mean_weeks_until(self) -> float | None:
-        gaps = [e.weeks_until_next_actual_service for e in self.entries if e.weeks_until_next_actual_service is not None]
+        gaps = [gap for gap in self.weeks_until_next_actual_service if gap is not None]
         return sum(gaps) / len(gaps) if gaps else None
 
     def mean_weeks_since(self) -> float:
-        return sum(e.weeks_since_last_actual_service for e in self.entries) / len(self.entries)
+        return sum(self.weeks_since_last_actual_service) / len(self)
 
 
 def simulate_policy(model, test_panel: Panel, policy: PolicyKind) -> PolicyTrace:
@@ -74,20 +72,23 @@ def simulate_policy(model, test_panel: Panel, policy: PolicyKind) -> PolicyTrace
     first_week = week[np.searchsorted(asset, np.arange(len(test_panel.vocab.asset_ids)))]
     flagged = np.flatnonzero(test_panel.repair_flag)
 
+    def scores(rows, gap):  # the rows (ascending) scored with these gaps
+        return predict_panel(model, replace(test_panel.take(rows), weeks_since_last_visit=gap))
+
     rng = np.random.default_rng(policy.seed) if isinstance(policy, RandomUniform) else None
     repaired_at = np.full(len(first_week), -np.inf)  # each vehicle's last proactive repair week
-    entries, picks = [], []  # the trace, and each week's chosen row with its gap
+    trace, picks, gaps = PolicyTrace(), [], []  # the trace, and each week's chosen row and its gap
 
     for w, rows in zip(weeks.tolist(), np.split(by_week, starts[1:])):
         a = asset[rows]
         # a vehicle repaired at `repaired_at` was serviced then: its gap runs
         # from there unless an actual visit since then is more recent
         gap = np.minimum(test_panel.weeks_since_last_visit[rows], w - repaired_at[a] - 1)
-        scores = predict_panel(model, replace(test_panel.take(rows), weeks_since_last_visit=gap)) if rng is None else None
         # highest risk takes the first max, which is the smallest asset id; the random draw reads no score
-        chosen = int(np.argmax(scores)) if rng is None else int(rng.integers(0, len(rows)))
+        chosen = int(np.argmax(scores(rows, gap)) if rng is None else rng.integers(0, len(rows)))
         row, vehicle = rows[chosen], a[chosen]
-        picks.append((row, gap[chosen]))
+        picks.append(row)
+        gaps.append(gap[chosen])
 
         # the vehicle's flagged rows before and after the chosen one
         i = np.searchsorted(flagged, row)
@@ -95,45 +96,16 @@ def simulate_policy(model, test_panel: Panel, policy: PolicyKind) -> PolicyTrace
         j = np.searchsorted(flagged, row, side="right")
         after = flagged[j] if j < len(flagged) and asset[flagged[j]] == vehicle else None
 
-        entries.append(
-            TraceEntry(
-                week=w,
-                chosen_asset=test_panel.vocab.asset_ids[vehicle],
-                score=float(scores[chosen]) if rng is None else np.nan,
-                weeks_since_last_actual_service=w - int(first_week[vehicle] if before is None else week[before]),
-                weeks_until_next_actual_service=None if after is None else int(week[after]) - w,
-            )
-        )
+        trace.week.append(w)
+        trace.chosen_asset.append(test_panel.vocab.asset_ids[vehicle])
+        trace.weeks_since_last_actual_service.append(w - int(first_week[vehicle] if before is None else week[before]))
+        trace.weeks_until_next_actual_service.append(None if after is None else int(week[after]) - w)
         repaired_at[vehicle] = w
 
-    if rng is not None:  # a row's score does not depend on its batch: score every pick at once
-        rows, gaps = map(np.array, zip(*sorted(picks)))
-        score = dict(zip(rows.tolist(), predict_panel(model, replace(test_panel.take(rows), weeks_since_last_visit=gaps)).tolist()))
-        entries = [replace(entry, score=score[row]) for entry, (row, _) in zip(entries, picks)]
-    return PolicyTrace(entries=entries)
-
-
-@dataclass
-class TraceHistograms:
-    since_last: dict[int, int]
-    until_next: dict[int, int]
-    censored: int
-
-
-def trace_histograms(trace: PolicyTrace) -> TraceHistograms:
-    """Integer-binned counts of both gap columns; censored rows are tallied
-    separately rather than folded into the until-next histogram."""
-    since = Counter(e.weeks_since_last_actual_service for e in trace.entries)
-    until = Counter(
-        e.weeks_until_next_actual_service
-        for e in trace.entries
-        if e.weeks_until_next_actual_service is not None
-    )
-    return TraceHistograms(
-        since_last=dict(sorted(since.items())),
-        until_next=dict(sorted(until.items())),
-        censored=trace.censored_count(),
-    )
+    # a row's score does not depend on its batch: score every pick at once, in row order
+    order = np.argsort(picks)
+    trace.score = scores(np.array(picks)[order], np.array(gaps)[order])[np.argsort(order)].tolist()
+    return trace
 
 
 @dataclass(frozen=True)
@@ -173,13 +145,18 @@ def mel_risk(per_vehicle_breakdown_prob: Sequence[float], spec: MelSpec) -> floa
 
 
 def write_trace_csv(trace: PolicyTrace, stream: IO[str]) -> None:
-    """One row per week; the columns are TraceEntry's fields, in order."""
-    write_csv(stream, [f.name for f in fields(TraceEntry)], (vars(e).values() for e in trace.entries))
+    """One row per week; the columns are PolicyTrace's fields, in order."""
+    names = [f.name for f in fields(PolicyTrace)]
+    write_csv(stream, names, zip(*(getattr(trace, name) for name in names)))
 
 
-def write_trace_histograms_csv(hists: TraceHistograms, stream: IO[str]) -> None:
+def write_trace_histograms_csv(trace: PolicyTrace, stream: IO[str]) -> None:
+    """Integer-binned counts of both gap columns; censored weeks are tallied
+    separately rather than folded into the until-next counts."""
+    since = Counter(trace.weeks_since_last_actual_service)
+    until = Counter(gap for gap in trace.weeks_until_next_actual_service if gap is not None)
     write_csv(stream, ["metric", "weeks", "count"], [
-        *(["since_last", weeks, count] for weeks, count in hists.since_last.items()),
-        *(["until_next", weeks, count] for weeks, count in hists.until_next.items()),
-        ["until_next_censored", "", hists.censored],
+        *(["since_last", weeks, count] for weeks, count in sorted(since.items())),
+        *(["until_next", weeks, count] for weeks, count in sorted(until.items())),
+        ["until_next_censored", "", trace.censored_count()],
     ])

@@ -3,8 +3,10 @@
 import ast
 import contextlib
 import csv
+import errno
 import io
 import json
+import os
 import sys
 import tempfile
 from dataclasses import fields, replace
@@ -28,7 +30,7 @@ from fleetrisk.models.gbt import GbtHyper
 from fleetrisk.models.logistic import LogisticHyper
 from fleetrisk.models.tree import check_tree_size
 from fleetrisk.panel import PanelOptions, week_index
-from fleetrisk.policy import MelSpec
+from fleetrisk.policy import MelSpec, simulate_policy
 
 SMALL = ["--n-vehicles", "18", "--n-weeks", "60"]
 
@@ -493,6 +495,8 @@ def test_help_still_prints_usage(capsys):
         ["tune", "--config", {"tune_grid": {"max_iters": [5, -1]}}],
         ["train", "--max-iters", "0"],
         ["tune", "--config", {"tune_grid": {"max_iters": [0, 5]}}],
+        ["train", "--model", "gbt", "--n-estimators", "0"],
+        ["tune", "--config", {"model": "gbt", "tune_grid": {"n_estimators": [0, 3]}}],
     ],
     ids=[
         "start-date", "forest-n-estimators", "forest-max-features", "forest-min-leaf", "forest-max-depth",
@@ -505,7 +509,8 @@ def test_help_still_prints_usage(capsys):
         "tune-grid-float-for-int", "tune-grid-bool-for-float", "synth-beta0-nan", "synth-beta-gap-inf",
         "gap-cap-negative", "gap-cap-0", "mel-specs-unknown-key", "ablation-subset-empty", "report-ablation-subset-empty",
         "l2-lambda-nan", "l2-lambda-inf", "tol-inf", "tol-nan", "tol-negative", "max-iters-negative",
-        "tune-grid-max-iters-negative", "max-iters-0", "tune-grid-max-iters-0",
+        "tune-grid-max-iters-negative", "max-iters-0", "tune-grid-max-iters-0", "gbt-n-estimators-0",
+        "tune-grid-gbt-n-estimators-0",
     ],
 )
 def test_bad_values_reaching_the_pipeline_are_usage_errors(trained_dir, tmp_path, capsys, argv):
@@ -838,7 +843,8 @@ def test_an_artifact_path_that_is_a_directory_is_one_error_line(tmp_path, capsys
 
 def test_a_run_that_fails_after_its_fits_writes_nothing(tmp_path, capsys, monkeypatch):
     """A report whose rollout fails has fitted and scored its model, yet
-    leaves an existing directory as it was and makes no new one."""
+    leaves an existing directory as it was and makes no new one; so does a
+    report whose commit runs out of disk after making the directories."""
     fleet = tmp_path / "fleet"
     assert main(["synth", "-o", str(fleet), "--n-vehicles", "6", "--n-weeks", "20"]) == 0
     before = _snapshot(fleet)
@@ -853,6 +859,17 @@ def test_a_run_that_fails_after_its_fits_writes_nothing(tmp_path, capsys, monkey
     assert _snapshot(fleet) == before
     assert main(["report", "--input", str(fleet / "subworkorders.csv"), "-o", str(tmp_path / "new" / "out")]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: rollout failed"]
+    assert not (tmp_path / "new").exists()
+
+    def full_disk(*_args):  # a writer that fails once commit has made the output directory
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "simulate_policy", simulate_policy)
+    monkeypatch.setattr(cli, "write_eval_report", full_disk)
+    for out in (fleet, tmp_path / "new" / "out"):
+        assert main(["report", "--input", str(fleet / "subworkorders.csv"), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: cannot write {out / 'eval_report.json'}: No space left on device"]
+    assert _snapshot(fleet) == before
     assert not (tmp_path / "new").exists()
 
 

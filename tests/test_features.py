@@ -258,3 +258,12 @@ def test_fill_matches_the_per_row_reference_byte_for_byte(synth_halves, subset):
     picked = standardize(encode(train, FeatureSpec.full())).select(alone.columns)
     assert_same_bytes(picked.values, alone.values)
     assert picked.scale.tobytes() == alone.scale.tobytes()
+
+
+def test_fill_matches_the_reference_on_a_layout_with_split_groups(synth_halves):
+    """A hand-edited layout whose one-hot groups are not contiguous still encodes to canonical CSR."""
+    train, held_out = synth_halves
+    columns = encode(train, FeatureSpec.full()).columns
+    permuted = columns[1::2] + columns[::2]
+    for rows in (train, held_out):
+        assert_same_bytes(transform(rows, permuted), reference_fill(rows.rows, permuted))
