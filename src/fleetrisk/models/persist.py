@@ -67,10 +67,16 @@ def _check_tree(tree: RegressionTree, width: int) -> None:
 
 
 def _check(model) -> None:
-    """Reject what parsed but no fit produces: an array whose length is not
+    """Reject what parsed but no fit produces: a column field that is not a
+    string (a group or level may be null), an array whose length is not
     the model's width, a non-finite or non-positive number where a fit
-    gives a finite or positive one, or a tree that cannot be walked."""
+    gives a finite or positive one, an ensemble without trees, or a tree
+    that cannot be walked."""
     width = len(model.columns)
+    for j, c in enumerate(model.columns):
+        strings = (c.name, c.kind, *(v for v in (c.group, c.level) if v is not None))
+        if not all(isinstance(v, str) for v in strings):
+            raise ValueError(f"column {j} needs a string name and kind, and a string or null group and level")
     for f in _saved_fields(model):
         value = getattr(model, f.name)
         if f.type == "np.ndarray" and (value.shape != (width,) or not np.all(np.isfinite(value))):
@@ -78,10 +84,14 @@ def _check(model) -> None:
         if f.type == "float" and not np.isfinite(value):
             raise ValueError(f"{f.name} must be finite")
         if f.type == "list[RegressionTree]":
+            if not value:
+                raise ValueError("an ensemble needs at least one tree")
             for tree in value:
                 _check_tree(tree, width)
     if not np.all(model.scale > 0):
         raise ValueError("scale must be positive")
+    if model.kind == "gbt" and not model.learning_rate > 0:
+        raise ValueError("learning_rate must be positive")
 
 
 def model_to_dict(model) -> dict:
@@ -94,7 +104,7 @@ def model_from_dict(payload: dict):
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ModelFormatError("not a model payload")
     version = payload.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # true == 1, so bool is refused by type
         raise ModelFormatError(f"unsupported format version {version!r}")
     kind = payload["kind"]
     if kind not in MODEL_KINDS:

@@ -6,7 +6,10 @@ and each breakdown becomes one unscheduled sub-work-order row. The
 covariates are computed with exactly the panel's conventions (same age
 anchor, same gap reset-and-cap), so a generated dataset pushed back
 through ingestion reproduces the generating features bit for bit and the
-planted betas are recoverable by the estimators.
+planted betas are recoverable by the estimators. For the same reason
+`ground_truth.json` saves no per-week series: the hazard follows from the
+betas and the panel's features through `hazard_probability`, and the
+utilization is the sidecar's.
 
 Vehicle 0 always carries a preventive row in week 0, which pins the
 panel's derived start date to the configured start Monday.
@@ -19,7 +22,6 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
-from pathlib import Path
 from typing import IO
 
 import numpy as np
@@ -81,10 +83,8 @@ class VehicleTruth:
     unit: str
     acquisition_year: int
     age_anchor_week: int  # panel week index of Jan 1 of the acquisition year
-    hazard: list[float]          # one probability per week 0..n_weeks-1
     breakdown_weeks: list[int]
     prev_weeks: list[int]
-    utilization: list[float]
 
 
 @dataclass
@@ -97,28 +97,17 @@ class GroundTruth:
     n_weeks: int
     start_monday: date
     vehicles: list[VehicleTruth]
+    hazard: np.ndarray  # n_vehicles x n_weeks, not saved: the betas and the panel's features give it
 
     def to_dict(self) -> dict:
         return {
-            **vars(self),
+            **{name: value for name, value in vars(self).items() if name != "hazard"},
             "start_monday": self.start_monday.isoformat(),
             "vehicles": [dict(vars(v)) for v in self.vehicles],
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GroundTruth":
-        start_monday = date.fromisoformat(payload["start_monday"])
-        vehicles = [VehicleTruth(**v) for v in payload["vehicles"]]
-        return cls(**dict(payload, start_monday=start_monday, vehicles=vehicles))
-
     def save(self, stream: IO[str]) -> None:
         stream.write(json.dumps(self.to_dict()))
-
-    @classmethod
-    def load(cls, source: str | Path | IO[str]) -> "GroundTruth":
-        if hasattr(source, "read"):
-            return cls.from_dict(json.load(source))
-        return cls.from_dict(json.loads(Path(source).read_text()))
 
 
 def hazard_probability(
@@ -132,8 +121,8 @@ def hazard_probability(
     util: float | np.ndarray,
 ) -> float | np.ndarray:
     """The generating hazard, for scalars or for arrays element by element.
-    Kept as one function so tests can recompute stored series from panel
-    features and demand exact equality."""
+    Kept as one function so tests can recompute the generated hazard from
+    panel features and demand exact equality."""
     z = beta0 + np.log(multiplier) + beta_age * age + beta_gap * gap + beta_util * util
     return expit(z)
 
@@ -205,10 +194,8 @@ def generate_fleet(config: FleetConfig) -> tuple[str, str, GroundTruth]:
                 unit=unit,
                 acquisition_year=acq_years[v],
                 age_anchor_week=anchors[v],
-                hazard=hazard[v].tolist(),
                 breakdown_weeks=breakdown_weeks,
                 prev_weeks=prev_weeks,
-                utilization=utilization[v].tolist(),
             )
         )
 
@@ -231,5 +218,6 @@ def generate_fleet(config: FleetConfig) -> tuple[str, str, GroundTruth]:
         n_weeks=config.n_weeks,
         start_monday=START_MONDAY,
         vehicles=vehicles,
+        hazard=hazard,
     )
     return work_orders.getvalue(), sidecar.getvalue(), truth

@@ -304,8 +304,12 @@ def test_eval_on_a_forest_with_no_trees_is_data_error(tmp_path, capsys):
         ("utilization", {"name": "bogus"}, "error: column 'bogus' of kind 'numeric' is not a panel feature"),
         ("utilization", {"kind": "weird"}, "error: column 'utilization' of kind 'weird' is not a panel feature"),
         ("unit=<unknown>", {"level": "zzz"}, "error: one-hot group 'unit' has no '<unknown>' column"),
+        ("unit=<unknown>", {"group": []}, "error: malformed model payload: column 19 needs a string name and kind,"
+                                          " and a string or null group and level"),
+        ("utilization", {"name": {}}, "error: malformed model payload: column 22 needs a string name and kind,"
+                                      " and a string or null group and level"),
     ],
-    ids=["name", "kind", "unknown-level"],
+    ids=["name", "kind", "unknown-level", "list-group", "object-name"],
 )
 def test_eval_on_a_model_with_an_unknown_column_is_data_error(tmp_path, capsys, column, edit, message):
     assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "12", "--n-weeks", "40"]) == 0

@@ -93,7 +93,7 @@ GOLDEN = {
     "simulate/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "simulate/policy_summary.json": "984dacf0f8d68fccbb19fb923b74424addb0322ce4b3fe4a1ef0d9edbb1e6855",
     "simulate/policy_trace.csv": "6a4fb2440d04e27af5f8d81d805bda4a96327f3ee65a45c221d15eea982adf68",
-    "synth/ground_truth.json": "9c741c3525e315483e6049f73d77e1ded7588ef793612b47b554bc4eeedfbb46",
+    "synth/ground_truth.json": "3cf470da6d5b0d173ed0cbb30923dcbfddc1139c61f1e70c7f58d9cb7b190f6e",
     "synth/subworkorders.csv": "363365d1aaa837c7df06b973ee714e32697a610272aac84a6ae5852f4064158a",
     "synth/utilization.csv": "500c405b36d10382860c2cb6eaf81849a91ed7126e92ae30ab59bc1c487d9a63",
     "train-forest/model.json": "4398fafb9f0fefeb29671de750ad814f6715cf37bf7c4e0e9480f43d68e71061",

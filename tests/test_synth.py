@@ -1,6 +1,7 @@
 """Synthetic fleet generation and its closure with panel ingestion."""
 
 import io
+import json
 import math
 from dataclasses import replace
 from datetime import date, datetime, timedelta
@@ -116,6 +117,7 @@ def test_generation_is_deterministic():
     assert a[0] == b[0]
     assert a[1] == b[1]
     assert a[2].to_dict() == b[2].to_dict()
+    assert a[2].hazard.tobytes() == b[2].hazard.tobytes()
     c = generate_fleet(small_config(seed=4))
     assert c[0] != a[0]
 
@@ -137,17 +139,17 @@ def test_panel_features_reproduce_hazard_exactly():
     cfg = small_config()
     csv_bytes, sidecar, truth = generate_fleet(cfg)
     panel = panel_of(csv_bytes, sidecar, cfg.n_weeks)
-    by_asset = {v.asset_id: v for v in truth.vehicles}
+    by_asset = {v.asset_id: i for i, v in enumerate(truth.vehicles)}
     assert len(panel.rows) == cfg.n_vehicles * cfg.n_weeks
     for r in panel.rows:
-        v = by_asset[r.asset_id]
+        i = by_asset[r.asset_id]
         p = hazard_probability(
-            cfg.beta0, v.hazard_multiplier,
+            cfg.beta0, truth.vehicles[i].hazard_multiplier,
             cfg.beta_age, r.operational_weeks,
             cfg.beta_gap, r.weeks_since_last_visit,
             cfg.beta_util, r.utilization,
         )
-        assert p == v.hazard[r.week]
+        assert p == truth.hazard[i, r.week]
 
 
 def test_preventive_schedule_matches_vehicle_phase():
@@ -187,18 +189,19 @@ def test_sidecar_is_loadable_and_increasing():
     for v in truth.vehicles:
         values = series.value[series.asset == series.asset_ids.index(v.asset_id)].tolist()
         assert len(values) == cfg.n_weeks
-        assert values == v.utilization
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_ground_truth_round_trip(tmp_path):
+def test_ground_truth_saves_no_per_week_series():
+    """The betas and the panel's features give the hazard, and the sidecar
+    holds the utilization, so the saved truth holds neither."""
     _, _, truth = generate_fleet(small_config())
-    back = GroundTruth.from_dict(truth.to_dict())
-    assert back.to_dict() == truth.to_dict()
-    path = tmp_path / "truth.json"
-    with open(path, "w") as stream:
-        truth.save(stream)
-    assert GroundTruth.load(path).to_dict() == truth.to_dict()
+    stream = io.StringIO()
+    truth.save(stream)
+    assert stream.getvalue() == json.dumps(truth.to_dict())
+    saved = json.loads(stream.getvalue())
+    assert "hazard" not in saved
+    assert all("hazard" not in v and "utilization" not in v for v in saved["vehicles"])
 
 
 def test_gap_feedback_caps():
@@ -209,7 +212,7 @@ def test_gap_feedback_caps():
     _, _, truth = generate_fleet(cfg)
     v = truth.vehicles[0]
     assert v.breakdown_weeks == []
-    hz = v.hazard
+    hz = truth.hazard[0]
     assert hz[GAP_CAP - 2] < hz[GAP_CAP]
     assert hz[GAP_CAP] == hz[GAP_CAP + 5]
 
@@ -239,7 +242,7 @@ def test_zero_betas_break_down_half_the_time():
     rate = sum(len(v.breakdown_weeks) for v in truth.vehicles) / n
     sigma = (0.25 / n) ** 0.5
     assert abs(rate - 0.5) <= 3 * sigma
-    assert all(p == 0.5 for v in truth.vehicles for p in v.hazard)
+    assert np.all(truth.hazard == 0.5)
 
 
 def test_default_fleet_breakdown_rate_band():
@@ -272,6 +275,8 @@ def reference_fleet(config):
     start_year = START_MONDAY.year
     records = []
     vehicles = []
+    hazards = []
+    utilizations = []
     for v in range(config.n_vehicles):
         vtype = config.vehicle_types[v % len(config.vehicle_types)]
         unit = config.units[v % len(config.units)]
@@ -327,16 +332,18 @@ def reference_fleet(config):
             unit=unit,
             acquisition_year=acq_year,
             age_anchor_week=anchor,
-            hazard=hazard,
             breakdown_weeks=breakdown_weeks,
             prev_weeks=prev_weeks,
-            utilization=utilization.tolist(),
         ))
+        hazards.append(hazard)
+        utilizations.append(utilization.tolist())
 
     work_orders = io.StringIO()
     write_subworkorders(records, work_orders)
     sidecar = io.StringIO()
-    write_csv(sidecar, UTILIZATION_COLUMNS, ((v.asset_id, w, u) for v in vehicles for w, u in enumerate(v.utilization)))
+    write_csv(sidecar, UTILIZATION_COLUMNS, (
+        (v.asset_id, w, u) for v, series in zip(vehicles, utilizations) for w, u in enumerate(series)
+    ))
     truth = GroundTruth(
         beta0=config.beta0,
         beta_age=config.beta_age,
@@ -346,20 +353,22 @@ def reference_fleet(config):
         n_weeks=config.n_weeks,
         start_monday=START_MONDAY,
         vehicles=vehicles,
+        hazard=np.array(hazards),
     )
     return work_orders.getvalue(), sidecar.getvalue(), truth
 
 
 def assert_same_fleet_bytes(config):
     """generate_fleet writes the reference generator's three artifacts byte
-    for byte. A mismatch names the first differing offset, not a diff of
-    megabytes."""
+    for byte, and holds its hazard bit for bit. A mismatch names the first
+    differing offset, not a diff of megabytes."""
     texts = []
     for work_orders, sidecar, truth in (generate_fleet(config), reference_fleet(config)):
         stream = io.StringIO()
         truth.save(stream)
-        texts.append((work_orders, sidecar, stream.getvalue()))
-    for name, got, expected in zip(("work orders", "sidecar", "ground truth"), *texts):
+        assert truth.hazard.shape == (config.n_vehicles, config.n_weeks)
+        texts.append((work_orders, sidecar, stream.getvalue(), truth.hazard.tobytes()))
+    for name, got, expected in zip(("work orders", "sidecar", "ground truth", "hazard bytes"), *texts):
         if got != expected:
             at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), min(len(got), len(expected)))
             window = slice(max(at - 30, 0), at + 30)

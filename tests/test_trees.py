@@ -724,7 +724,11 @@ INCONSISTENT = [
     ("null leaf value", "forest", _tree_edit("value", "leaf", None)),
     ("short value array", "forest", lambda p: p["trees"][0]["value"].pop()),
     ("tree with no nodes", "forest", lambda p: p["trees"][0].update(feature=[], threshold=[], left=[], right=[], value=[])),
+    ("boolean format version", "logistic", lambda p: p.update(format_version=True)),
     ("NaN learning rate", "gbt", lambda p: p.update(learning_rate=float("nan"))),
+    ("zero learning rate", "gbt", lambda p: p.update(learning_rate=0)),
+    ("negative learning rate", "gbt", lambda p: p.update(learning_rate=-1)),
+    ("no boosted trees", "gbt", lambda p: p.update(trees=[])),
     ("self-looping boosted node", "gbt", _tree_edit("right", "split", "self")),
 ]
 
