@@ -15,7 +15,7 @@ from .forest import ForestHyper, ForestModel, fit_random_forest
 from .gbt import GbtHyper, GbtModel, fit_gbt
 from .logistic import LogisticHyper, LogisticModel, fit_logistic
 from .persist import load_model, model_from_dict, model_to_dict, save_model
-from .tree import RegressionTree, fit_tree
+from .tree import RegressionTree
 
 # kind -> (fit function, Hyper class, model class); the Hyper classes hold
 # every default and each model class names its kind
@@ -66,7 +66,6 @@ __all__ = [
     "RegressionTree",
     "default_hyper",
     "fit_model",
-    "fit_tree",
     "fit_random_forest",
     "fit_gbt",
     "fit_logistic",

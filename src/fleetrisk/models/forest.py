@@ -1,8 +1,9 @@
 """Random forest: bagged regression trees averaged into a probability.
 
-Each tree draws its bootstrap sample from its own stream, so the trees are
-grown across the usable cores in forked worker processes, with results
-identical to growing them one after another.
+Each tree draws its bootstrap sample and its nodes' candidate columns from
+its own stream, so a tree is the same whichever trees grow beside it: the
+pool's forked workers grow batches of up to WALK_BLOCK (tree, row) entries
+together, a depth at a time, and without a pool the trees grow one by one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from ..errors import InvalidConfigError, SingleClassLabelsError
 from ..features import FeatureMatrix, Fitted
-from .tree import RegressionTree, TreeEnsemble, check_tree_size, feature_view, grow_tree
+from .tree import WALK_BLOCK, RegressionTree, TreeEnsemble, check_tree_size, feature_view, grow_forest
 
 
 @dataclass(frozen=True)
@@ -59,15 +60,16 @@ def _start_worker(*inputs) -> None:
     _worker_inputs = inputs
 
 
-def _grow(i: int, inputs=None) -> RegressionTree:
-    """Tree i of the forest on `inputs`, which are (view, y, hyper,
-    max_features); by default those the pool worker was started with."""
+def _grow(indices, inputs=None) -> list[RegressionTree]:
+    """The trees of the forest on `inputs` with these indices, grown
+    together; `inputs` are (view, y, hyper, max_features), by default those
+    the pool worker was started with."""
     view, y, hyper, max_features = inputs or _worker_inputs
     # spawn-style per-tree stream: reordering or dropping trees cannot
     # perturb the others
-    rng = np.random.default_rng([hyper.seed, i])
-    rows = rng.integers(0, len(y), size=len(y))
-    return grow_tree(view, y, rows, hyper.max_depth, hyper.min_leaf, max_features, rng)[0]
+    rngs = [np.random.default_rng([hyper.seed, i]) for i in indices]
+    counts = np.array([np.bincount(rng.integers(0, len(y), size=len(y)), minlength=len(y)) for rng in rngs])
+    return grow_forest(view, counts, y, hyper.max_depth, hyper.min_leaf, max_features, rngs)
 
 
 def fit_random_forest(matrix: FeatureMatrix, hyper: ForestHyper = ForestHyper()) -> ForestModel:
@@ -87,8 +89,11 @@ def fit_random_forest(matrix: FeatureMatrix, hyper: ForestHyper = ForestHyper())
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cores, hyper.n_estimators)
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # a worker grows up to WALK_BLOCK (tree, row) entries together, and at least a batch each
+        per = max(1, min(WALK_BLOCK // len(y), -(-hyper.n_estimators // workers)))
+        batches = [range(i, min(i + per, hyper.n_estimators)) for i in range(0, hyper.n_estimators, per)]
         with multiprocessing.get_context("fork").Pool(workers, _start_worker, inputs) as pool:
-            trees = pool.map(_grow, range(hyper.n_estimators), chunksize=1)
-    else:
-        trees = [_grow(i, inputs) for i in range(hyper.n_estimators)]
-    return ForestModel.of(matrix, trees=trees)
+            grown = pool.map(_grow, batches, chunksize=1)
+    else:  # in process, a tree at a time, so the caller holds no batch
+        grown = [_grow([i], inputs) for i in range(hyper.n_estimators)]
+    return ForestModel.of(matrix, trees=[tree for batch in grown for tree in batch])

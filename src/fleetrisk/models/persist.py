@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import IO
 
 import numpy as np
+from scipy.special import expit
 
 from ..errors import ModelFormatError
 from ..features import Column
@@ -70,8 +71,9 @@ def _check(model) -> None:
     """Reject what parsed but no fit produces: a column field that is not a
     string (a group or level may be null), an array whose length is not
     the model's width, a non-finite or non-positive number where a fit
-    gives a finite or positive one, an ensemble without trees, or a tree
-    that cannot be walked."""
+    gives a finite or positive one, a GBT initial score that is not the
+    logit of a prevalence strictly between 0 and 1, an ensemble without
+    trees, or a tree that cannot be walked."""
     width = len(model.columns)
     for j, c in enumerate(model.columns):
         strings = (c.name, c.kind, *(v for v in (c.group, c.level) if v is not None))
@@ -92,6 +94,8 @@ def _check(model) -> None:
         raise ValueError("scale must be positive")
     if model.kind == "gbt" and not model.learning_rate > 0:
         raise ValueError("learning_rate must be positive")
+    if model.kind == "gbt" and not 0 < expit(model.init_score) < 1:
+        raise ValueError("init_score must be the logit of a prevalence strictly between 0 and 1")
 
 
 def model_to_dict(model) -> dict:

@@ -6,22 +6,28 @@ indices, and leaf value. That keeps models cheap to serialize and traverse.
 
 Fitting is exact greedy search on a `feature_view` of the matrix, built
 once per fit (so once for all of a forest's trees or boosting's rounds)
-without making the matrix dense; `grow_tree` grows a tree on row indices
-into it. A numeric column keeps its values and dense rank codes, which
-order rows as the values do, so a node scores numeric candidates in
-blocks with one stable sort of the codes (radix up to 65,536 values) and
-one prefix sum, only where the sorted codes step. A one-hot group whose
+without making the matrix dense. A numeric column keeps its values and
+dense rank codes, which order rows as the values do; a one-hot group whose
 rows store at most one of its columns, each column one positive value,
-becomes one level code per row, read from the CSR indices: a node scores
-each drawn level's one-vs-rest split from one `np.bincount` of counts and
-one of target sums over the codes, the left side being every row outside
-the level. Any other column is scored as a numeric one. Every float a
-split produces (sums, gains, thresholds, leaf means) is what a per-feature
-float sort gives, bit for bit, for integer targets such as a forest's 0/1
-labels; a boosting residual's level sums may differ in the last bit. Ties
-go to the first column. A threshold is the midpoint of the two values it
-separates (the lower one when the midpoint of adjacent doubles rounds up);
-rows route on X <= threshold, and while growing, on level codes.
+becomes one level code per row, read from the CSR indices, and a level
+split leaves every row outside the level on the left. Any other column is
+scored as a numeric one. Ties go to the first column, then the lower
+threshold. A threshold is the midpoint of the two values it separates (the
+lower one when the midpoint of adjacent doubles rounds up); rows route on
+X <= threshold, and while growing, on level codes.
+
+Boosting grows its one tree per round with `grow_tree`, depth-first on row
+indices: a node scores numeric candidates in blocks with one stable sort
+of the codes (radix up to 65,536 values) and one prefix sum, and each drawn
+level from one `np.bincount` of counts and one of target sums, so every
+float is what a per-feature float sort gives, bit for bit (a residual's
+level sums may differ in the last bit). A forest grows its trees with
+`grow_forest`, a batch of bootstrap samples together a depth at a time:
+each distinct (tree, row) is one entry weighted by its count, and per depth
+a stable sort by node and code of the entries of the nodes that draw a
+numeric column, one prefix sum, and one `np.bincount` per group score every
+open node at once. Its 0/1 labels make every sum an integer, the same in
+any order.
 
 A `TreeWalk` stacks trees into one node array whose leaves point at
 themselves and walks them all at once, one level per step, over blocks of
@@ -41,7 +47,7 @@ from ..features import onehot_groups
 
 ZERO_REDUCTION = 1e-12
 FEATURE_BLOCK = 8        # candidate features scored together in one node
-WALK_BLOCK = 1 << 15     # (row, tree) pairs, or (row, column) cells, walked together in one block
+WALK_BLOCK = 1 << 15     # (row, tree) pairs grown or walked together, or (row, column) cells walked together
 
 
 @dataclass(eq=False)  # identity equality: a walk is rebuilt for a tree list that holds other trees
@@ -65,9 +71,6 @@ class RegressionTree:
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
-
-    def predict(self, X) -> np.ndarray:
-        return TreeWalk([self]).sum_leaves(X, 0.0, 1.0)
 
 
 class TreeWalk:
@@ -99,8 +102,8 @@ class TreeWalk:
     def sum_leaves(self, X, start, weight: float) -> np.ndarray:
         """start (a scalar or one value per row) + weight * leaf value of
         each tree in turn, per row of X (dense or CSR). The sum runs tree by
-        tree in list order, so it equals a loop of ``out += weight *
-        tree.predict(X)`` bit for bit."""
+        tree in list order, as a loop that adds each tree's leaf value
+        times `weight` to `start` would, bit for bit."""
         X = sp.csr_matrix(X, dtype=np.float64)
         n = X.shape[0]
         out = np.empty(n)
@@ -256,7 +259,7 @@ def grow_tree(
     """Grow a tree greedily on `rows` of the view and y (they may repeat,
     as a bootstrap sample does); returns it and the leaf each row of y ends
     in, -1 outside `rows`. `max_features` (with `rng`) samples a candidate
-    feature subset per split, as random forests require; None means all."""
+    feature subset per split; None means all."""
     p = len(view.group)
     all_features = np.arange(p)
     leaf_of = np.full(len(y), -1, dtype=np.intp)
@@ -308,10 +311,136 @@ def grow_tree(
     return RegressionTree(feature, threshold, left, right, value), leaf_of
 
 
-def fit_tree(
-    X, y: np.ndarray, max_depth: int = 12, min_leaf: int = 5,
-    max_features: int | None = None, rng: np.random.Generator | None = None,
-) -> RegressionTree:
-    """Grow one tree on every row of X, every column numeric (see `grow_tree`)."""
-    y = np.asarray(y, dtype=np.float64)
-    return grow_tree(feature_view(X), y, np.arange(len(y)), max_depth, min_leaf, max_features, rng)[0]
+
+def _prefix(values, count, i, a):
+    """At positions `i`, in runs `a` of the consecutive runs of `count`
+    values, the sum of the run's values up to i; exact for integers."""
+    out, start = np.cumsum(values), (np.cumsum(count) - count)[a]
+    return out[i] - (out[start] - values[start])
+
+
+def _first_best(node, gain):
+    """For each run of equal `node`, its first position and the position of its first highest gain."""
+    seg = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
+    hit = np.flatnonzero(gain == np.repeat(np.maximum.reduceat(gain, seg), np.diff(np.append(seg, len(gain)))))
+    return seg, hit[np.searchsorted(hit, seg)]
+
+
+def grow_forest(
+    view: FeatureView, counts: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int,
+    max_features: int, rngs,
+) -> list[RegressionTree]:
+    """A tree per row of `counts` (each view row's count in that tree's
+    bootstrap sample, its generator in `rngs`), grown together a depth at a
+    time, on 0/1 labels `y`. A node draws its candidate columns as
+    `grow_tree` does, but depth by depth, left before right, and splits by
+    the same rules; each (tree, row) is one entry weighted by its count, so
+    every sum is an integer, the same in any order."""
+    tree, row = np.nonzero(counts)
+    numeric, one_hot = np.flatnonzero(view.group < 0), np.flatnonzero(view.group >= 0)
+    first = np.cumsum(np.append(0, np.bincount(view.group[one_hot], minlength=len(view.levels)) + 1))  # each group's first level
+    L, X = first[-1], np.vstack([view.values, *view.levels])  # X: a row per numeric column, then per group
+    level_of = [2 * (f + levels) for f, levels in zip(first, view.levels)]  # each row's level among all groups', twice
+    T, p, least = len(counts), len(view.group), max(min_leaf, 1)
+    # the entries of this depth's open nodes, in (tree, row) order: their row, count, label and node
+    r, w, label, at = row, counts[tree, row].astype(np.float64), y[row].astype(np.intp), tree
+    open_tree, base, depths = np.arange(T), 0, []
+    for depth in range(max_depth + 1):
+        A = len(open_tree)
+        by_label = np.bincount(at * 2 + label, w, 2 * A).reshape(A, 2)  # each node's count of 0 and of 1 labels
+        n_w, total = by_label.sum(1), by_label[:, 1]
+        ready = np.flatnonzero((depth < max_depth) & (n_w >= 2 * least))
+        drawn = np.zeros((p, A), bool)  # whether node a draws column f
+        if max_features >= p:
+            drawn[:, ready] = True
+        elif len(ready):
+            draws = [rngs[t].choice(p, size=max_features, replace=False) for t in open_tree[ready]]
+            drawn[np.concatenate(draws), np.repeat(ready, max_features)] = True
+        best, feature, threshold = np.full(A, ZERO_REDUCTION), np.full(A, -1), np.zeros(A)
+
+        def keep_best(a, left, n_left, f, t):  # each node's first best split; keep the higher gain, then the lower column
+            gain = left**2 / n_left + (total[a] - left) ** 2 / (n_w[a] - n_left) - total[a] * total[a] / n_w[a]
+            seg, hit = _first_best(a, gain)
+            a, gain, f, t = a[seg], gain[hit], f[hit], t[hit]
+            better = (gain > best[a]) | ((gain == best[a]) & (f < feature[a]))
+            best[a[better]], feature[a[better]], threshold[a[better]] = gain[better], f[better], t[better]
+
+        for k, f in ((k, f) for k, f in enumerate(numeric) if drawn[f].any()):
+            # the entries of the nodes that draw f, by node, each node's in (value, row) order
+            e = np.flatnonzero(drawn[f].take(at))
+            e = e[np.argsort(view.codes[k].take(r[e]), kind="stable")]
+            e = e[np.argsort(at[e].astype(np.uint16 if A <= 1 << 16 else np.intp), kind="stable")]
+            count = np.bincount(at[e], minlength=A)
+            v = X[k].take(r[e])
+            # split after position i: between two values of one node, leaving min_leaf rows a side
+            cut = np.cumsum(count)
+            step = v[:-1] != v[1:]
+            step[cut[(cut > 0) & (cut < len(v))] - 1] = False
+            i = np.flatnonzero(step)
+            a = np.searchsorted(cut, i, side="right")
+            we = w.take(e)
+            n_left = _prefix(we, count, i, a)
+            ok = (n_left >= least) & (n_w[a] - n_left >= least)
+            i, a, n_left = i[ok], a[ok], n_left[ok]
+            if len(i):
+                left = _prefix(we * label.take(e), count, i, a)
+                below, above = v[i], v[i + 1]
+                t = 0.5 * (below + above)
+                # the midpoint of adjacent doubles can round up; X <= t must
+                # send the upper value right, or a child ends up empty
+                keep_best(a, left, n_left, np.full(len(i), f), np.where(t < above, t, below))
+        a, c = np.nonzero(drawn[one_hot].T)  # each node's drawn one-hot columns
+        if len(a):
+            # per drawn (node, level, label): the count of its entries, one bincount per group
+            f = one_hot[c]
+            pair = np.full((A * L, 2), 2 * len(a))
+            pair[a * L + first[view.group[f]] + view.slot[f]] = 2 * np.arange(len(a))[:, None] + [0, 1]
+            key = at * (2 * L) + label
+            by_label = sum(np.bincount(pair.ravel().take(key + levels.take(r)), w, 2 * len(a) + 2) for levels in level_of)
+            count, level_sum = by_label[:-2].reshape(-1, 2).sum(1), by_label[1:-2:2]
+            # a level split leaves the rows outside the level on the left; a
+            # node's only two levels of a group score the same gain, their
+            # terms swapped, so the lower column wins the tie
+            ok = np.flatnonzero((count >= least) & (n_w[a] - count >= least))
+            a, f, count, level_sum = a[ok], f[ok], count[ok], level_sum[ok]
+            if len(a):
+                keep_best(a, total[a] - level_sum, n_w[a] - count, f, view.split_at[f])
+
+        split = feature >= 0
+        rank = np.cumsum(split) - 1
+        depths.append((open_tree, feature, threshold, np.where(split, np.nan, total / n_w),
+                       np.where(split, base + A + 2 * rank, -1)))
+        if not split.any():
+            break
+        if not split.all():  # the entries of nodes that do not split end there
+            keep = np.flatnonzero(split.take(at))
+            r, w, label, at = r[keep], w[keep], label[keep], at[keep]
+        # the threshold lies at or above the last value on the left and below
+        # the first on the right; a row goes right above it, or at the level split off
+        g, s = view.group[feature], view.slot[feature]
+        x = X.ravel().take(np.where(g < 0, s, len(numeric) + g).take(at) * X.shape[1] + r)
+        right = (x > np.where(g < 0, threshold, s - 0.5).take(at)) & (x < np.where(g < 0, np.inf, s + 0.5).take(at))
+        at = (2 * rank).take(at) + right
+        open_tree, base = np.repeat(open_tree[split], 2), base + A
+    return _depth_first(depths, T)
+
+
+def _depth_first(depths, n_trees):
+    """The trees of `depths` (per depth, its nodes' tree, feature, threshold,
+    value and first child), numbered as depth-first growth numbers them:
+    each split node in preorder gives its children the next two ids."""
+    tree, feature, threshold, value, child = map(np.concatenate, zip(*depths))
+    new, first = np.zeros(len(tree), np.intp), child.tolist()
+    for root in range(n_trees):
+        stack, free = [root], 1
+        while stack:
+            c = first[stack.pop()]
+            if c >= 0:
+                new[c], new[c + 1], free = free, free + 1, free + 2
+                stack += [c + 1, c]
+    sizes = np.bincount(tree, minlength=n_trees)
+    starts, at = np.cumsum(sizes) - sizes, np.empty(len(tree), np.intp)
+    at[starts[tree] + new] = np.arange(len(tree))
+    left, right = np.where(child >= 0, new[child], -1), np.where(child >= 0, new[child + 1], -1)
+    arrays = [a[at] for a in (feature, threshold, left, right, value)]
+    return [RegressionTree(*(a[s:s + m] for a in arrays)) for s, m in zip(starts.tolist(), sizes.tolist())]

@@ -298,6 +298,24 @@ def test_eval_on_a_forest_with_no_trees_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "eval_report.json").exists()
 
 
+@pytest.mark.parametrize("init_score", [1e308, 40.0, -1e308])
+def test_eval_on_a_gbt_whose_initial_score_is_no_prevalence_logit_is_data_error(tmp_path, capsys, init_score):
+    """A saved GBT starts from the logit of a prevalence strictly between 0
+    and 1. One that saturates the sigmoid (every score alike, or a zero
+    mean over the false rows) is refused at load, and nothing is written."""
+    assert main(["synth", "-o", str(tmp_path), "--seed", "7", "--n-vehicles", "30", "--n-weeks", "80"]) == 0
+    assert main(["train", "-o", str(tmp_path), "--model", "gbt", "--n-estimators", "10", "--seed", "7"]) == 0
+    model_json = tmp_path / "model.json"
+    model_json.write_text(json.dumps({**json.loads(model_json.read_text()), "init_score": init_score}))
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    assert main(["eval", "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: malformed model payload: init_score must be the logit of a prevalence strictly between 0 and 1"
+    ]
+    assert _snapshot(tmp_path) == before
+
+
 @pytest.mark.parametrize(
     "column, edit, message",
     [

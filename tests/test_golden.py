@@ -23,32 +23,32 @@ GOLDEN = {
     "eval/histogram_true.csv": "72cbda638f3589bf11c3a53a64b7f435809d9db91e2562fbf1d78bfe5e866a8a",
     "ingest/records.csv": "363365d1aaa837c7df06b973ee714e32697a610272aac84a6ae5852f4064158a",
     "ingest/row_errors.csv": "76b0425701d089ebeda4a24a13dad7cf2e5a1f732c629cf13ab7f1659a8e0915",
-    "mel-forest/mel_risk.json": "574c33262fa6d61de90f4499bdcef7fea311531ecdd4cf95f8e61331e0f503de",
+    "mel-forest/mel_risk.json": "0619b45533f876d23ed2804cd7ba764720e27bf5bb2dcac4d2074c02ebffd3f5",
     "mel/mel_risk.json": "c00d40c8be04ee4ddaa693433b9df971c7f647e3efad0c0a36bffbf84c3b04a1",
     "panel-early-start/panel.csv": "598102c9d665730818e307e5b54a40926b1dba93e7bec030d6477721b55d448d",
     "panel-no-sidecar/panel.csv": "6d521cda7d1606045facc5a37cd6fde4fd0f9f261d33b58b19f7068fb1e78be7",
     "panel-options/panel.csv": "0485afea285356802522f7b5172e2e46ba0d2af0ceba1da4aaa7998f2e061b5c",
     "panel/panel.csv": "dc4f7dcb0ede504cf01abb6aa9edcb5f88d56400fea7bd23e968eb121340830f",
-    "report-forest-leaf1/ablation.csv": "f918695417aefe2744c154cc8a856fb8036566724d3b3fe7c790dbfc9505a94a",
-    "report-forest-leaf1/eval_report.json": "549ad52014478a2edfc72d7c963cb062de4e540be1e6bb3f7a534e97f2304d31",
-    "report-forest-leaf1/histogram_false.csv": "9e3c6668d739eb76dc687f62d2e99c59979c832147247214e047990800463901",
-    "report-forest-leaf1/histogram_true.csv": "805327f260eff18745e96f1c01537c5452cd3345b1ca1a38f7c83acf9b126888",
+    "report-forest-leaf1/ablation.csv": "1ccd2c1237f25cd40bffe69e5b294cecdda7cc2aee6980b81af073021443f79d",
+    "report-forest-leaf1/eval_report.json": "c64584110e18eacd82ce0d980b351eed6385e4a3aee100006aa82373bc66984a",
+    "report-forest-leaf1/histogram_false.csv": "7cb5834a164759e4b6fd4e18970e004f20d749fe937d3439c80a85bc53d9a0fb",
+    "report-forest-leaf1/histogram_true.csv": "75d7bf8ee13b705bcbaf162ad68f9647103a218df6f1e9c0d5642e1b2d89e67f",
     "report-forest-leaf1/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
-    "report-forest-leaf1/model.json": "1a7ea449db223f03d4050e650371f8b3667f02d5186816e299aea0fae9778d2e",
-    "report-forest-leaf1/policy_hist_proactive.csv": "dcc970fabc910e0b99bf23e953be5c6fb6d4e9861e96ffaf3f83f436c18130e9",
+    "report-forest-leaf1/model.json": "9b7235c91f7e736500bcf38bf22b37dafd9ae70e0f904e2ab01281270497d82a",
+    "report-forest-leaf1/policy_hist_proactive.csv": "6fa82b90dc63345b6a88e80ed846fbd0e6a9dc5916de16d06196b06161efd77a",
     "report-forest-leaf1/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
-    "report-forest-leaf1/policy_summary.json": "d1b85fdb9a393491c51b186445a6b0bf2220109a8ad40b694a807336620f53ea",
-    "report-forest-leaf1/policy_trace.csv": "14b799de405b1064b602167a465c43e8e39823093645aa80cc22edd1da20d6ea",
-    "report-forest/ablation.csv": "66241d0058074894c76bfbfae1ba31e86eefb238b72d7f51ec7d2f2f4bea0ae5",
-    "report-forest/eval_report.json": "bde4d28d67fc78e8c1ae902bf61f0f24ed6c6f6a52e806f7996634cf77c5097e",
-    "report-forest/histogram_false.csv": "6283996ef1a4cf8e7e00d661a68652585050b98cd5bf9926a9cb0af270c55355",
-    "report-forest/histogram_true.csv": "d494ffada81962a2a3c04fe30c96d786278ee11cf874d6a58b1368d71871bd9e",
+    "report-forest-leaf1/policy_summary.json": "0bef4e95e756c52116d624fb8fd52c96f46e2db7d78224ea35ea2f70a18631db",
+    "report-forest-leaf1/policy_trace.csv": "7e8631fac587fc8cc7cadc169b5187253aa88219841659c6833078f11193e077",
+    "report-forest/ablation.csv": "ec9850e62b247a1ed2abceb7cee60f817e5992cbbef7f217e88e4e634901c505",
+    "report-forest/eval_report.json": "3b623bdbd0e96217d18e03717af2820d42a510309ae67eac0d4d2a085ebb258d",
+    "report-forest/histogram_false.csv": "708e96288c12703b862a2f8eba082e160aeb27ae6e658ea2bb895c5d643685df",
+    "report-forest/histogram_true.csv": "8565d38459229f363adea93de02b3da4dd453246e5bc5db930463fc40724060d",
     "report-forest/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
-    "report-forest/model.json": "4398fafb9f0fefeb29671de750ad814f6715cf37bf7c4e0e9480f43d68e71061",
-    "report-forest/policy_hist_proactive.csv": "d4bb77d5456bb813f116535c9400f5866cd5ac12f22ad9c45134bbf843d41a90",
+    "report-forest/model.json": "767f4a949df07ffe442adae62a3d611f088f948c9145d9e7d222914d7536b203",
+    "report-forest/policy_hist_proactive.csv": "edfd7275f325e223b4c8b445a9ef0f99693b9856391b3e5c113a298b78f6a8d8",
     "report-forest/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
-    "report-forest/policy_summary.json": "2dd4c609736541bc1dac198c1a89af5e0f317570431a0f5a78f3d2badad5110c",
-    "report-forest/policy_trace.csv": "a2011589c245f3f4abf43cc9a78a4d9a966ffeee53123073795f9e03e6cd2b86",
+    "report-forest/policy_summary.json": "2489ef32e6097a2cd737cd277cdb776636a8039b37e12ca30f52adf76a8a42b1",
+    "report-forest/policy_trace.csv": "0a2186e369e8422f33105474e7543f3bb893ae1448500ca42ef5b6040bf34342",
     "report-gbt-deep/ablation.csv": "735090ad629935c961ae930c7fd5a7ebfeeec2eca8a68824e7c2ff08ebaf6260",
     "report-gbt-deep/eval_report.json": "5f136bd6d18f42bdd541c5f5448ce80264909f9250284f06fa1eef4df46ae585",
     "report-gbt-deep/histogram_false.csv": "d97e600c75181613ca668d4854290f86866db4dfbc504bbe26d607b916f53da6",
@@ -96,7 +96,7 @@ GOLDEN = {
     "synth/ground_truth.json": "3cf470da6d5b0d173ed0cbb30923dcbfddc1139c61f1e70c7f58d9cb7b190f6e",
     "synth/subworkorders.csv": "363365d1aaa837c7df06b973ee714e32697a610272aac84a6ae5852f4064158a",
     "synth/utilization.csv": "500c405b36d10382860c2cb6eaf81849a91ed7126e92ae30ab59bc1c487d9a63",
-    "train-forest/model.json": "4398fafb9f0fefeb29671de750ad814f6715cf37bf7c4e0e9480f43d68e71061",
+    "train-forest/model.json": "767f4a949df07ffe442adae62a3d611f088f948c9145d9e7d222914d7536b203",
     "train/model.json": "9220fd3dccf042f285755de4c89f51614e58afcd5cee3baa57d1971e2f039588",
     "tune/tune_best.json": "7f2053b3e1d6046114e2d697493744ab3588eebb26a7c4836bbbaab1c29ef16c",
     "tune/tune_results.csv": "8ccdacb69a647c390e3a94f16ad6afbbcd64fd595d6de7a01bd05a700a1f3b7a",

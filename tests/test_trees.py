@@ -8,6 +8,7 @@ import multiprocessing.pool
 import os
 import tracemalloc
 import warnings
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +34,6 @@ from fleetrisk.models import (
     fit_logistic,
     fit_model,
     fit_random_forest,
-    fit_tree,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -41,7 +41,7 @@ from fleetrisk.models import (
     save_model,
 )
 from fleetrisk.models import forest as forest_module
-from fleetrisk.models.tree import ZERO_REDUCTION, RegressionTree, feature_view, grow_tree
+from fleetrisk.models.tree import ZERO_REDUCTION, RegressionTree, TreeWalk, feature_view, grow_tree
 from fleetrisk.panel import PanelOptions, build_panel, load_utilization_csv
 from fleetrisk.synth import generate_fleet
 
@@ -77,6 +77,34 @@ def brute_force_root_split(X, y, min_leaf):
     return best[1], best[2]
 
 
+def fit_tree(X, y, max_depth=12, min_leaf=5, max_features=None, rng=None):
+    """One tree on every row of X, every column numeric, through the
+    depth-first builder that grows boosting rounds."""
+    y = np.asarray(y, dtype=np.float64)
+    return grow_tree(feature_view(X), y, np.arange(len(y)), max_depth, min_leaf, max_features, rng)[0]
+
+
+def walk_sum(trees, X, start, weight):
+    """The reference for `TreeWalk.sum_leaves`: each row walks each tree
+    node by node from its root (X <= threshold goes left), and adds weight
+    times the leaf's value to start, tree by tree."""
+    X = sp.csr_matrix(X, dtype=np.float64).toarray()
+    out = np.empty(len(X))
+    for i, x in enumerate(X):
+        total = np.float64(start if np.ndim(start) == 0 else start[i])
+        for tree in trees:
+            node = 0
+            while tree.feature[node] >= 0:
+                node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+            total += weight * tree.value[node]
+        out[i] = total
+    return out
+
+
+def predict(tree, X):
+    return walk_sum([tree], X, 0.0, 1.0)
+
+
 def leaf_assignment(tree, X):
     idx = np.zeros(X.shape[0], dtype=np.int32)
     active = tree.feature[idx] >= 0
@@ -89,19 +117,27 @@ def leaf_assignment(tree, X):
     return idx
 
 
-def reference_tree(X, y, max_depth, min_leaf, max_features=None, rng=None):
+def reference_tree(X, y, max_depth, min_leaf, max_features=None, rng=None, breadth_first=False):
     """Per-node, per-feature float argsort: the split search that the
-    rank-code kernel replaces. Trees must match it bit for bit. A midpoint
-    that rounds up to the upper value falls back to the lower one."""
+    rank-code kernel replaces. Trees must match it bit for bit. Nodes grow
+    depth-first, left before right, as boosting grows them, or with
+    `breadth_first` depth by depth, left before right, as a forest grows
+    them; each node draws its candidate features when it grows. Either way
+    the tree is numbered as depth-first growth numbers it: each split node,
+    in preorder, gives its children the next two ids. A midpoint that
+    rounds up to the upper value falls back to the lower one."""
     n, p = X.shape
-    nodes = [[-1, 0.0, -1, -1, np.nan]]  # feature, threshold, left, right, value
-    stack = [(0, np.arange(n), 0)]
-    while stack:
-        node, rows, depth = stack.pop()
+    nodes = []  # in growth order: feature, threshold, children, value
+    pending = deque([(np.arange(n), 0, None)])  # rows, depth, the parent's child slot
+    while pending:
+        rows, depth, slot = pending.popleft() if breadth_first else pending.pop()
+        if slot is not None:
+            slot[0][slot[1]] = len(nodes)
         y_rows = y[rows]
         m = len(rows)
+        nodes.append([-1, 0.0, [-1, -1], np.nan])
         if depth >= max_depth or m < 2 * min_leaf or m < 2:
-            nodes[node][4] = float(y_rows.mean())
+            nodes[-1][3] = float(y_rows.mean())
             continue
         if max_features is not None and max_features < p:
             candidates = np.sort(rng.choice(p, size=max_features, replace=False))
@@ -123,20 +159,22 @@ def reference_tree(X, y, max_depth, min_leaf, max_features=None, rng=None):
                     best = (gains[k], int(f), t if t < col[k + 1] else col[k])
         _, f, t = best
         if f < 0:
-            nodes[node][4] = float(y_rows.mean())
+            nodes[-1][3] = float(y_rows.mean())
             continue
         go_left = X[rows, f] <= t
-        nodes[node][:4] = [f, t, len(nodes), len(nodes) + 1]
-        nodes += [[-1, 0.0, -1, -1, np.nan], [-1, 0.0, -1, -1, np.nan]]
-        stack += [(len(nodes) - 1, rows[~go_left], depth + 1), (len(nodes) - 2, rows[go_left], depth + 1)]
-    f, t, lc, rc, v = zip(*nodes)
-    return RegressionTree(
-        feature=np.array(f, dtype=np.int32),
-        threshold=np.array(t, dtype=np.float64),
-        left=np.array(lc, dtype=np.int32),
-        right=np.array(rc, dtype=np.int32),
-        value=np.array(v, dtype=np.float64),
-    )
+        nodes[-1][:2] = [f, t]
+        children = [(rows[go_left], depth + 1, (nodes[-1][2], 0)), (rows[~go_left], depth + 1, (nodes[-1][2], 1))]
+        pending += children if breadth_first else children[::-1]
+    new, stack = {0: 0}, [0]
+    while stack:
+        left, right = nodes[stack.pop()][2]
+        if left >= 0:
+            new[left], new[right] = len(new), len(new) + 1
+            stack += [right, left]
+    out = np.zeros((len(nodes), 5))
+    for i, (f, t, (left, right), v) in enumerate(nodes):
+        out[new[i]] = [f, t, new[left] if left >= 0 else -1, new[right] if right >= 0 else -1, v]
+    return RegressionTree(*(out[:, j] if j in (1, 4) else out[:, j].astype(np.int32) for j in range(5)))
 
 
 def tree_bytes(tree):
@@ -149,7 +187,7 @@ def test_perfectly_separable_split():
     tree = fit_tree(X, y, max_depth=1, min_leaf=1)
     assert tree.feature[0] == 0
     assert tree.threshold[0] == 6.5
-    np.testing.assert_array_equal(tree.predict(X), y)
+    np.testing.assert_array_equal(predict(tree, X), y)
 
 
 def test_root_split_matches_brute_force():
@@ -169,7 +207,7 @@ def test_leaves_predict_training_means():
     y = rng.random(200)
     tree = fit_tree(X, y, max_depth=4, min_leaf=5)
     leaves = leaf_assignment(tree, X)
-    preds = tree.predict(X)
+    preds = predict(tree, X)
     for leaf in np.unique(leaves):
         mask = leaves == leaf
         assert preds[mask][0] == pytest.approx(y[mask].mean(), abs=1e-12)
@@ -191,7 +229,7 @@ def test_depth_zero_is_global_mean():
     y = rng.random(30)
     tree = fit_tree(X, y, max_depth=0)
     assert tree.n_nodes == 1
-    np.testing.assert_allclose(tree.predict(X), y.mean())
+    np.testing.assert_allclose(predict(tree, X), y.mean())
 
 
 def test_constant_target_never_splits():
@@ -199,7 +237,7 @@ def test_constant_target_never_splits():
     X = rng.random((40, 3))
     tree = fit_tree(X, np.full(40, 0.7), max_depth=5, min_leaf=1)
     assert tree.n_nodes == 1
-    np.testing.assert_allclose(tree.predict(X), 0.7)
+    np.testing.assert_allclose(predict(tree, X), 0.7)
 
 
 def test_split_tie_prefers_lower_feature_index():
@@ -253,7 +291,7 @@ def test_root_split_on_adjacent_doubles_matches_brute_force_and_routes_by_thresh
     assert (tree.feature[0], tree.threshold[0]) == (f, t)
     assert tree.threshold[0] == levels[2]  # the midpoint of levels 2 and 3 rounds down
     left = col <= tree.threshold[0]
-    np.testing.assert_array_equal(tree.predict(X), np.where(left, y[left].mean(), y[~left].mean()))
+    np.testing.assert_array_equal(predict(tree, X), np.where(left, y[left].mean(), y[~left].mean()))
 
 
 def test_a_midpoint_that_rounds_up_splits_at_the_lower_value():
@@ -267,7 +305,7 @@ def test_a_midpoint_that_rounds_up_splits_at_the_lower_value():
     assert 0.5 * (levels[1] + levels[2]) == levels[2]
     assert tree.threshold[0] == levels[1]
     assert not np.isnan(tree.value[tree.feature == -1]).any()
-    np.testing.assert_array_equal(tree.predict(col[:, None]), y)
+    np.testing.assert_array_equal(predict(tree, col[:, None]), y)
 
 
 def test_tree_fits_reject_non_finite_features():
@@ -292,7 +330,7 @@ def test_deeper_trees_fit_no_worse():
     sse = []
     for depth in (0, 1, 3, 6):
         tree = fit_tree(X, y, max_depth=depth, min_leaf=5)
-        sse.append(((tree.predict(X) - y) ** 2).sum())
+        sse.append(((predict(tree, X) - y) ** 2).sum())
     assert sse == sorted(sse, reverse=True) or all(
         later <= earlier + 1e-9 for earlier, later in zip(sse, sse[1:])
     )
@@ -423,6 +461,108 @@ def test_a_forest_grows_the_same_trees_from_level_codes_as_from_numeric_columns(
         assert tree_bytes(fit_random_forest(grouped, hyper).trees[0]) == tree_bytes(want)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 150),
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    n_numeric=st.integers(0, 3),
+    max_features=st.integers(1, 8),
+    min_leaf=st.integers(1, 6),
+    max_depth=st.integers(1, 6),
+    first=st.integers(0, 100),
+    n_trees=st.integers(2, 5),
+)
+def test_a_forest_tree_is_the_same_whichever_trees_grow_beside_it(
+    seed, n, sizes, n_numeric, max_features, min_leaf, max_depth, first, n_trees
+):
+    """Oracle: a chunk of a forest's trees grown together in one batch
+    equals, byte for byte, each of them grown in a batch of its own."""
+    m = grouped_matrix(np.random.default_rng(seed), n, sizes, n_numeric)
+    hyper = ForestHyper(max_features=max_features, min_leaf=min_leaf, max_depth=max_depth, seed=seed % 1000)
+    inputs = (feature_view(m.values, m.columns), np.asarray(m.labels, dtype=np.float64), hyper, min(max_features, m.width))
+    together = forest_module._grow(range(first, first + n_trees), inputs)
+    alone = [forest_module._grow([i], inputs)[0] for i in range(first, first + n_trees)]
+    assert [tree_bytes(t) for t in together] == [tree_bytes(t) for t in alone]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 150),
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    n_numeric=st.integers(0, 3),
+    onehot=st.booleans(),
+    max_features=st.integers(1, 8),
+    min_leaf=st.integers(1, 6),
+    max_depth=st.integers(2, 6),
+)
+def test_forest_trees_match_the_breadth_first_float_sort_reference(
+    seed, n, sizes, n_numeric, onehot, max_features, min_leaf, max_depth
+):
+    """Oracle: each forest tree equals, byte for byte, the float-sort
+    reference grown on the dense rows of its bootstrap sample, repeats and
+    all, from the same generator; with and without one-hot groups, so the
+    counted entries, their integer sums and the level splits all meet an
+    independent per-node recount."""
+    m = grouped_matrix(np.random.default_rng(seed), n, sizes, n_numeric, onehot)
+    hyper = ForestHyper(n_estimators=3, max_features=max_features, min_leaf=min_leaf, max_depth=max_depth, seed=seed % 1000)
+    X, y = m.values.toarray(), np.asarray(m.labels, dtype=np.float64)
+    inputs = (feature_view(m.values, m.columns), y, hyper, min(max_features, m.width))
+    for i, tree in enumerate(forest_module._grow(range(3), inputs)):
+        rng = np.random.default_rng([hyper.seed, i])
+        rows = rng.integers(0, n, size=n)
+        want = reference_tree(X[rows], y[rows], max_depth, min_leaf, min(max_features, m.width), rng, breadth_first=True)
+        assert tree_bytes(tree) == tree_bytes(want)
+
+
+def random_tree(rng, width, levels, n_splits):
+    """A tree with `n_splits` splits on random columns at thresholds drawn
+    from `levels`, its nodes numbered in a random order that keeps each
+    child after its parent, so children need not be adjacent."""
+    first = [-1]  # breadth-first: each node's first child, the right one after it
+    for _ in range(n_splits):
+        leaf = rng.choice([i for i, c in enumerate(first) if c < 0])
+        first[leaf] = len(first)
+        first += [-1, -1]
+    order, frontier = [], [0]
+    while frontier:  # number the nodes in a random order that reaches each child after its parent
+        order.append(frontier.pop(rng.integers(len(frontier))))
+        if first[order[-1]] >= 0:
+            frontier += [first[order[-1]], first[order[-1]] + 1]
+    new = {node: i for i, node in enumerate(order)}
+    tree = np.full((len(first), 5), -1.0)
+    for node, child in enumerate(first):
+        split = child >= 0
+        tree[new[node]] = [rng.integers(width) if split else -1, rng.choice(levels) if split else 0.0,
+                           new[child] if split else -1, new[child + 1] if split else -1,
+                           np.nan if split else rng.normal()]
+    return RegressionTree(*(tree[:, j] if j in (1, 4) else tree[:, j].astype(np.int32) for j in range(5)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 40), n_trees=st.integers(1, 6), width=st.integers(1, 5))
+def test_the_stacked_walk_sums_leaves_as_a_node_by_node_walk_does(seed, n_rows, n_trees, width):
+    """Oracle: `TreeWalk.sum_leaves` equals, bit for bit, each row walking
+    each tree node by node and adding weight * leaf value tree by tree, on
+    hand-built trees whose children are not adjacent and on rows whose
+    values equal thresholds, and on forest and GBT models fitted here."""
+    rng = np.random.default_rng(seed)
+    levels = np.array([-1.5, 0.0, 0.25, 1.0, 2.0])
+    X = rng.choice(levels, (n_rows, width))
+    trees = [random_tree(rng, width, levels, int(rng.integers(0, 8))) for _ in range(n_trees)]
+    start, weight = rng.normal(size=n_rows), float(rng.uniform(0.05, 1.0))
+    assert TreeWalk(trees).sum_leaves(X, start, weight).tobytes() == walk_sum(trees, X, start, weight).tobytes()
+    assert TreeWalk(trees).sum_leaves(X, 0.5, 1.0).tobytes() == walk_sum(trees, X, 0.5, 1.0).tobytes()
+
+    m = grouped_matrix(rng, 60, [4, 3], 2)
+    hyper = ForestHyper(max_features=3, min_leaf=2, max_depth=4, seed=seed % 1000)
+    forest = forest_module._grow(range(3), (feature_view(m.values, m.columns), np.asarray(m.labels, dtype=np.float64), hyper, 3))
+    gbt = fit_gbt(m, GbtHyper(n_estimators=4, max_depth=3, min_leaf=2))
+    for fitted, start, weight in ((forest, 0.0, 1.0), (gbt.trees, gbt.init_score, gbt.learning_rate)):
+        assert TreeWalk(fitted).sum_leaves(m.values, start, weight).tobytes() == walk_sum(fitted, m.values, start, weight).tobytes()
+
+
 def test_a_group_whose_rows_store_two_levels_is_scored_as_numeric_columns():
     m = grouped_matrix(np.random.default_rng(3), 60, [4], 1)
     values = m.values.toarray()
@@ -451,7 +591,7 @@ def test_a_node_with_two_levels_of_a_group_splits_on_the_lower_column():
     y = np.array([0.1, 0.1, 0.2, 0.3])  # the level-b split scores the higher float gain
     tree, _ = grow_tree(feature_view(X, columns), y, np.arange(4), max_depth=1, min_leaf=1)
     assert tree.feature[0] == 0
-    assert tree.predict(np.array([[0.0, 0.0, 1.0]]))[0] == pytest.approx(0.2)  # the mean of the level-b rows
+    assert predict(tree, np.array([[0.0, 0.0, 1.0]]))[0] == pytest.approx(0.2)  # the mean of the level-b rows
 
 
 def test_a_forest_fit_and_its_scoring_never_build_the_dense_matrix(monkeypatch):
@@ -506,7 +646,7 @@ def test_a_failing_tree_fails_the_forest_and_leaves_no_worker(monkeypatch):
     def broken(*args):
         raise ValueError("tree failed")
 
-    monkeypatch.setattr(forest_module, "grow_tree", broken)
+    monkeypatch.setattr(forest_module, "grow_forest", broken)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValueError, match="tree failed"):
