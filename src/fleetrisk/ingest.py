@@ -124,17 +124,15 @@ def _parse_datetime(text: str) -> datetime:
     return datetime(year, month, day, hour, minute, second)
 
 
+def source_content(source: bytes | str | Path | IO) -> bytes | str:
+    """A CSV source's content: a str or bytes is the content itself, a Path a file to read, and a stream is read."""
+    return source.read_bytes() if isinstance(source, Path) else source if isinstance(source, (bytes, str)) else source.read()
+
+
 def source_text(source: bytes | str | Path | IO) -> str:
-    """The text of a CSV source. A str is the content itself, a Path is a
-    file to read, and bytes (from a file or a binary stream) are UTF-8 with
-    any byte-order mark dropped."""
-    if isinstance(source, Path):
-        source = source.read_bytes()
-    elif not isinstance(source, (bytes, str)):
-        source = source.read()
-    if isinstance(source, bytes):
-        return source.decode("utf-8-sig")
-    return source
+    """The text of a CSV source's content; bytes (from a file or a binary stream) are UTF-8 with any byte-order mark dropped."""
+    source = source_content(source)
+    return source.decode("utf-8-sig") if isinstance(source, bytes) else source
 
 
 def write_csv(stream: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -8,6 +8,8 @@ the asset ID encodes one, otherwise at its first appearance.
 
 from __future__ import annotations
 
+import codecs
+import io
 from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import cached_property
@@ -19,10 +21,11 @@ import numpy as np
 
 from .errors import EmptyDatasetError, InvalidConfigError, NonPositiveSpanError
 from .ingest import SubWorkOrderRecord, WorkOrders, WorkPlanClass, acquisition_year, classify_work_plan, level_codes
-from .ingest import read_table, source_text, write_csv
+from .ingest import read_table, source_content, source_text, write_csv
 
 UTILIZATION_COLUMNS = ("asset_id", "week", "cumulative_units")
 GAP_CAP = 104  # default cap on weeks since the last visit; synth plants its hazard with it
+MAX_WEEKS = (date.max - date.min).days // 7  # 521,722: the most weeks two dates lie apart
 
 
 def monday_of(d: date) -> date:
@@ -132,6 +135,9 @@ class PanelOptions:
     def __post_init__(self):
         if self.gap_cap < 1:
             raise InvalidConfigError(f"gap_cap must be >= 1, got {self.gap_cap}")
+        for name, weeks in (("gap_cap", self.gap_cap), ("end_week", self.end_week or 0)):
+            if weeks > MAX_WEEKS:
+                raise InvalidConfigError(f"{name} must be <= {MAX_WEEKS}, the most weeks two dates lie apart, got {weeks}")
         if not 0 <= self.default_weekly_rate <= 168:  # hours of use a week; a week holds 168
             raise InvalidConfigError(f"default_weekly_rate must be in [0, 168] hours a week, got {self.default_weekly_rate!r}")
 
@@ -210,9 +216,9 @@ def build_panel(records: WorkOrders | Sequence[SubWorkOrderRecord], options: Pan
     if sidecar is not None and len(sidecar.asset):  # a listed vehicle reads its latest reading at or before each week, else 0
         listed = dict(zip(sidecar.asset_ids, range(len(sidecar.asset_ids))))
         code = np.array([listed.get(a, -1) for a in asset_ids])[vehicle]  # each row's vehicle in the sidecar, or -1
-        low = min(int(sidecar.week.min()), 0)
-        span = max(int(sidecar.week.max()), end_week) - low + 1  # (vehicle, week) keys sort as the sidecar does
-        j = np.searchsorted(sidecar.asset * span + sidecar.week - low, code * span + row_week - low, side="right") - 1
+        # a reading clamped into [-1, end_week + 1] keeps its matches, and (vehicle, week) keys fit in int64
+        read_week, span = np.clip(sidecar.week, -1, end_week + 1), end_week + 3
+        j = np.searchsorted(sidecar.asset * span + read_week + 1, code * span + row_week + 1, side="right") - 1
         reading = np.where((j >= 0) & (sidecar.asset[j] == code), sidecar.value[j], 0.0)
         utilization = np.where(code >= 0, reading, utilization)
 
@@ -225,20 +231,50 @@ def build_panel(records: WorkOrders | Sequence[SubWorkOrderRecord], options: Pan
     return _panel(PanelVocab(asset_ids, vehicle_types, units), columns, start)
 
 
+def _plain_columns(data: bytes) -> tuple | None:
+    """A plain sidecar's asset levels and codes, weeks and values, parsed by numpy with no object per cell.
+    None for any other text, and for a cell numpy refuses that `int` or `float` may take, such as "1_0"."""
+    lengths = np.diff(np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n")), prepend=-1, append=len(data))  # line lengths + 1
+    names = data[:lengths[0] - 1].decode("latin-1").split(",")
+    if not (len(data) > lengths[0] and (lengths[:-1] > 1).all() and data.isascii()  # a row, and no empty line but the last
+            and not any(s in data for s in (b"\0", b'"', b"\r")) and all(names.count(name) == 1 for name in UTILIZATION_COLUMNS)):
+        return None
+    kinds = {"asset_id": f"S{lengths.max()}", "week": "i8", "cumulative_units": "f8"}  # an unsized S field reads b""
+    try:  # a ragged row is refused; with comments on, "1.0#x" would read as 1.0
+        table = np.loadtxt(io.BytesIO(data), [(str(i), kinds.get(name, "S0")) for i, name in enumerate(names)],
+                           comments=None, delimiter=",", skiprows=1, ndmin=1)
+    except ValueError:
+        return None
+    ids, week, value = (table[str(names.index(name))] for name in UTILIZATION_COLUMNS)
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))  # rows whose id differs from the row before
+    levels = np.unique(ids[starts])  # ASCII bytes sort as their strs do
+    asset = np.repeat(np.searchsorted(levels, ids[starts]), np.diff(starts, append=len(ids)))
+    return tuple(level.decode() for level in levels.tolist()), asset, week, value
+
+
 def load_utilization_csv(source: str | Path | IO[str] | bytes) -> Utilization:
     """Read the sidecar utilization CSV (asset_id, week, cumulative_units).
 
-    Values must be finite, non-negative and non-decreasing per vehicle, with
-    one reading per vehicle and week.
+    Plain text is parsed by numpy from its bytes: ASCII with no NUL, quote, carriage return or empty line but
+    the last, every line as wide as a header that names each column once, after any UTF-8 byte-order mark. Other
+    text, and plain text with a cell numpy refuses, goes through `read_table`, `int` and `float`; either way a
+    text gives the same values or the same error. Values must be finite, non-negative and non-decreasing per
+    vehicle, with one reading per vehicle and week.
     """
-    header, columns, _lines, _widths = read_table(source_text(source))
-    missing = set(UTILIZATION_COLUMNS) - set(header)
-    if missing:
-        raise ValueError(f"utilization CSV missing columns: {sorted(missing)}")
-    position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
-    asset_ids, asset = level_codes(columns[position["asset_id"]])
-    week = np.fromiter(map(int, columns[position["week"]]), dtype=np.int64, count=len(asset))
-    value = np.fromiter(map(float, columns[position["cumulative_units"]]), dtype=np.float64, count=len(asset))
+    content = source_content(source)
+    data = content.encode() if isinstance(content, str) and content.isascii() else content
+    plain = _plain_columns(data.removeprefix(codecs.BOM_UTF8)) if isinstance(data, bytes) else None
+    if plain is None:
+        header, columns, _lines, _widths = read_table(source_text(content))
+        missing = set(UTILIZATION_COLUMNS) - set(header)
+        if missing:
+            raise ValueError(f"utilization CSV missing columns: {sorted(missing)}")
+        position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+        asset_ids, asset = level_codes(columns[position["asset_id"]])
+        week = np.fromiter(map(int, columns[position["week"]]), dtype=np.int64, count=len(asset))
+        value = np.fromiter(map(float, columns[position["cumulative_units"]]), dtype=np.float64, count=len(asset))
+    else:
+        asset_ids, asset, week, value = plain
     order = np.lexsort((week, asset))
     asset, week, value = asset[order], week[order], value[order]
 

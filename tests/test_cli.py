@@ -264,6 +264,21 @@ def test_short_utilization_row_is_data_error(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("power", [60, 62])
+def test_sidecar_weeks_far_apart_leave_the_panel_as_it_is(tmp_path, power):
+    """Two more readings, at weeks -2**power and 2**power, of a seed-3 20x60
+    fleet's first vehicle: at 2**60 most panel rows used to read 0.0, and at
+    2**62 the panel build ended in an OverflowError traceback."""
+    assert main(["synth", "-o", str(tmp_path), "--seed", "3", "--n-vehicles", "20", "--n-weeks", "60"]) == 0
+    assert main(["panel", "-o", str(tmp_path)]) == 0
+    before = (tmp_path / "panel.csv").read_bytes()
+    sidecar = tmp_path / "utilization.csv"
+    first = sidecar.read_text().splitlines()[1].split(",")[0]
+    sidecar.write_text(sidecar.read_text() + f"{first},{-2**power},0.0\n{first},{2**power},1e9\n")
+    assert main(["panel", "-o", str(tmp_path)]) == 0
+    assert (tmp_path / "panel.csv").read_bytes() == before
+
+
 def test_header_only_sidecar_leaves_every_vehicle_on_the_default_rate(tmp_path):
     assert main(["synth", "-o", str(tmp_path), *SMALL]) == 0
     sidecar = tmp_path / "utilization.csv"
@@ -581,12 +596,19 @@ def test_every_refused_setting_is_one_error_type(build):
         (["synth", "--start-date", "notadate"], "start_date is not an ISO date: 'notadate'"),
         (["train", "--test-fraction", "1.5"], "test_fraction must be in (0, 1)"),
         (["panel", "--gap-cap", "0"], "gap_cap must be >= 1, got 0"),
+        (["train", "--gap-cap", "100000000000000000000"],
+         "gap_cap must be <= 521722, the most weeks two dates lie apart, got 100000000000000000000"),
+        (["train", "--end-week", "4611686018427387904"],
+         "end_week must be <= 521722, the most weeks two dates lie apart, got 4611686018427387904"),
+        (["train", "--end-week", "2000000000"], "end_week must be <= 521722, the most weeks two dates lie apart, got 2000000000"),
+        (["train", "--end-week", "99999999999999999999"],
+         "end_week must be <= 521722, the most weeks two dates lie apart, got 99999999999999999999"),
         (["train", {"default_weekly_rate": -1}], "default_weekly_rate must be in [0, 168] hours a week, got -1"),
         (["mel", {"mel_specs": [{"vehicle_type": "truck", "mel": 3, "assigned": 2}]}], "assigned for 'truck' must be >= mel"),
         (["mel"], "mel requires mel_specs in the config or --mel TYPE=COUNT flags"),
     ],
-    ids=["report-start-date", "synth-start-date", "test-fraction", "gap-cap", "default-weekly-rate",
-         "mel-assigned-below-mel", "mel-no-specs"],
+    ids=["report-start-date", "synth-start-date", "test-fraction", "gap-cap", "gap-cap-past-int64", "end-week-2**62",
+         "end-week-2e9", "end-week-past-int64", "default-weekly-rate", "mel-assigned-below-mel", "mel-no-specs"],
 )
 def test_a_refused_setting_is_named_before_any_input_is_read(tmp_path, capsys, argv, message):
     """The input named is missing and the output directory does not exist:
@@ -633,7 +655,7 @@ INVALID_CONFIG_VALUES = {
         [["bus", float("nan"), 30.0]], [["bus", 1.0, float("inf")]],
     ],
     "units": ["abc", [], [1]],
-    "gap_cap": ["x", None, 2.5, -1, 0],
+    "gap_cap": ["x", None, 2.5, -1, 0, 521_723, 10**20],
     "default_weekly_rate": [-1, float("nan"), float("inf"), 1e308],
     "seed": ["x", 1.5],
     "beta0": [float("nan"), float("inf")],
@@ -642,7 +664,7 @@ INVALID_CONFIG_VALUES = {
     "beta_util": [float("nan"), float("inf")],
     "include_scheduled": ["no", 1],
     "start_date": [5, "notadate"],
-    "end_week": ["x", 2.5],
+    "end_week": ["x", 2.5, 521_723, 2**62, 2_000_000_000, 10**20],
     "model": ["svm", 3],
     "split": ["weekly", None],
     "features": ["vehicle_type", [], ["odometer"], [3]],

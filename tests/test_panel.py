@@ -2,15 +2,18 @@
 
 import csv
 import io
+import tracemalloc
 from bisect import bisect_right
 from dataclasses import replace
 from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fleetrisk.config import RunConfig, fleet_config
-from fleetrisk.errors import EmptyDatasetError, NonPositiveSpanError
+from fleetrisk.errors import EmptyDatasetError, InvalidConfigError, NonPositiveSpanError
 from fleetrisk.evaluation import ChronologicalSplit, RandomRowSplit, split
 from fleetrisk.ingest import (
     SubWorkOrderRecord,
@@ -18,7 +21,10 @@ from fleetrisk.ingest import (
     WorkPlanClass,
     acquisition_year,
     classify_work_plan,
+    level_codes,
     parse_subworkorders,
+    read_table,
+    source_text,
     write_subworkorders,
 )
 from fleetrisk.panel import (
@@ -28,6 +34,8 @@ from fleetrisk.panel import (
     PanelOptions,
     PanelRow,
     PanelVocab,
+    UTILIZATION_COLUMNS,
+    Utilization,
     build_panel,
     load_utilization_csv,
     monday_of,
@@ -138,6 +146,17 @@ def test_gap_capped():
 def test_panel_options_reject_a_gap_cap_below_one(gap_cap):
     with pytest.raises(ValueError, match="gap_cap must be >= 1"):
         PanelOptions(gap_cap=gap_cap)
+
+
+@pytest.mark.parametrize("name, weeks", [("end_week", 521_723), ("end_week", 2**62), ("end_week", 10**20),
+                                         ("gap_cap", 521_723), ("gap_cap", 10**20)])
+def test_panel_options_reject_more_weeks_than_two_dates_lie_apart(name, weeks):
+    """No panel week lies further from week 0 than 521,722 weeks, the span of
+    `date`. A larger end week used to reach `build_panel`, where 2**62
+    crashed numpy and 2e9 asked it for hundreds of GiB; 10**20 overflowed."""
+    with pytest.raises(InvalidConfigError, match=f"{name} must be <= 521722, the most weeks two dates lie apart, got {weeks}"):
+        PanelOptions(**{name: weeks})
+    PanelOptions(**{name: 521_722})
 
 
 @pytest.mark.parametrize("rate", [-1, float("nan"), float("inf"), 1e308], ids=["negative", "nan", "inf", "huge"])
@@ -318,6 +337,116 @@ def test_load_utilization_csv_reads_quoted_and_ragged_files_like_plain_ones():
 def test_load_utilization_csv_rejects_a_repeated_week():
     with pytest.raises(ValueError, match="duplicate utilization for A at week 3"):
         load_utilization_csv("asset_id,week,cumulative_units\nA,3,1.0\nB,3,1.0\nA,3,1.0\n")
+
+
+# The reader that the bytes-to-columns `load_utilization_csv` replaced, kept
+# as the reference: every text through `read_table`, then `int` and `float`.
+def reference_load_utilization(source):
+    header, columns, _lines, _widths = read_table(source_text(source))
+    missing = set(UTILIZATION_COLUMNS) - set(header)
+    if missing:
+        raise ValueError(f"utilization CSV missing columns: {sorted(missing)}")
+    position = {name: i for i, name in enumerate(header)}
+    asset_ids, asset = level_codes(columns[position["asset_id"]])
+    week = np.fromiter(map(int, columns[position["week"]]), dtype=np.int64, count=len(asset))
+    value = np.fromiter(map(float, columns[position["cumulative_units"]]), dtype=np.float64, count=len(asset))
+    order = np.lexsort((week, asset))
+    asset, week, value = asset[order], week[order], value[order]
+    same = np.concatenate(([False], asset[1:] == asset[:-1]))
+    problems = (
+        (~np.isfinite(value), "non-finite utilization"),
+        (value < 0, "negative utilization"),
+        (same & (week == np.roll(week, 1)), "duplicate utilization"),
+        (same & (value < np.roll(value, 1)), "utilization decreases"),
+    )
+    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in problems]))
+    if bad.size:
+        i = bad[0]
+        problem = next(message for mask, message in problems if mask[i])
+        raise ValueError(f"{problem} for {asset_ids[asset[i]]} at week {week[i]}")
+    return Utilization(asset_ids, asset, week, value)
+
+
+SIDECAR_CELLS = {  # cells that numpy reads as str, int() or float() does
+    "asset_id": ["A", "B", "AF150001", "vehicle " * 9, "with space", " A", "A ", ""],
+    "week": ["0", "1", "2", "3", "12", " 2 ", "+3", "007", "-0", "\x0c5", "-1", "9223372036854775807"],
+    "cumulative_units": ["0", "1", "2.5", "12", " 2 ", "+3", ".5", "1e2", "-0", "\x0c5"],
+    "note": ["x", "1"],
+}
+# cells numpy refuses or would misread ("#" with comments on, a trailing NUL in an S field), and non-finite ones
+TRAPS = [("asset_id", "a#b"), ("asset_id", "B\x00"), ("asset_id", "Ä"), ("week", "1#x"), ("week", "1_0"),
+         ("week", "9223372036854775808"), ("week", "2.5"), ("week", ""), ("cumulative_units", "1.0#x"),
+         ("cumulative_units", "1_0"), ("cumulative_units", "4\x00"), ("cumulative_units", ""),
+         ("cumulative_units", "x"), ("cumulative_units", "0x1p3"), ("cumulative_units", "１"),
+         ("cumulative_units", "nan"), ("cumulative_units", "inf"), ("cumulative_units", "1e400")]
+
+
+@st.composite
+def sidecar_texts(draw):
+    """A sidecar text, as str or as UTF-8 bytes: plain, or with any of quoted
+    cells, ragged rows, blank lines, CRLF line ends, a BOM and extra or
+    repeated header columns."""
+    plain = draw(st.booleans())
+    header = draw(st.permutations(UTILIZATION_COLUMNS + draw(st.sampled_from([(), ("note",)] if plain else [
+        (), ("note",), ("week",), ("note", "note"), ("asset_id",)]))))
+    if not plain and draw(st.booleans()):
+        header = header[1:]
+    traps = [draw(st.sampled_from(TRAPS))] * 3 if plain else TRAPS  # a plain text holds one trap, often
+    cells = {name: plain_cells + [cell for column, cell in traps if column == name] for name, plain_cells in SIDECAR_CELLS.items()}
+    rows = []
+    for _ in range(draw(st.integers(1, 5) if plain else st.integers(0, 8))):
+        row = [draw(st.sampled_from(cells[name])) for name in header]
+        shape = draw(st.sampled_from(["full"] if plain else ["full", "full", "short", "long", "blank"]))
+        rows.append({"full": row, "short": row[:-1], "long": row + ["extra"], "blank": []}[shape])
+    stream = io.StringIO()
+    quoting = csv.QUOTE_ALL if not plain and draw(st.booleans()) else csv.QUOTE_MINIMAL
+    ending = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
+    csv.writer(stream, lineterminator=ending, quoting=quoting).writerows([header, *rows])
+    text = stream.getvalue()
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if draw(st.booleans()):
+        return ("﻿" + text if draw(st.booleans()) else text).encode("utf-8")
+    return text
+
+
+def _outcome(read, source):
+    try:
+        return read(source)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(sidecar_texts())
+@example("asset_id,week,cumulative_units\nA,1,1.0#x\n")  # read as 1.0 with comments on
+@example(b"week,cumulative_units,asset_id\n0,1,B\x00\n")  # read as b"B" by an S field
+@example("asset_id,week,cumulative_units\nA,1_0,2.5\n")  # refused by numpy, taken by int()
+def test_the_sidecar_read_from_bytes_matches_the_row_by_row_reference(source):
+    expected, got = _outcome(reference_load_utilization, source), _outcome(load_utilization_csv, source)
+    if isinstance(expected, tuple) and not isinstance(expected, Utilization):
+        assert got == expected
+        return
+    assert isinstance(got, Utilization) and got.asset_ids == expected.asset_ids
+    assert all(type(name) is str for name in got.asset_ids)
+    for name in ("asset", "week", "value"):
+        column, again = getattr(got, name), getattr(expected, name)
+        assert column.dtype == again.dtype and column.tobytes() == again.tobytes(), name
+
+
+def test_the_sidecar_read_stays_within_four_times_its_bytes():
+    """A synth sidecar of 200 vehicles x 260 weeks, read under tracemalloc:
+    one str per cell peaked at about 11x the file's bytes."""
+    _, text, _ = generate_fleet(replace(fleet_config(RunConfig()), seed=7, n_vehicles=200, n_weeks=260))
+    data = text.encode()
+    tracemalloc.start()
+    try:
+        out = load_utilization_csv(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.asset) == 200 * 260
+    assert peak <= 4 * len(data), peak / len(data)
 
 
 # The per-row builder that the columnar `build_panel` replaced, kept as the
