@@ -55,10 +55,6 @@ class FeatureSpec:
         object.__setattr__(self, "selected", tuple(n for n in FEATURE_NAMES if n in self.selected))
 
     @classmethod
-    def full(cls) -> "FeatureSpec":
-        return cls(FEATURE_NAMES)
-
-    @classmethod
     def of(cls, names: Sequence[str]) -> "FeatureSpec":
         return cls(tuple(names))
 

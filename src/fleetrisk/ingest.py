@@ -1,4 +1,4 @@
-"""Parse sub-work-order CSV exports into validated records.
+"""Parse sub-work-order CSV exports into validated work orders.
 
 The export format is a delimited text table with a header row. Only the
 columns named in REQUIRED_COLUMNS (plus the optional labor-hours column)
@@ -12,7 +12,7 @@ import csv
 import io
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import date, datetime
 from enum import Enum
 from itertools import compress, repeat, zip_longest
@@ -48,24 +48,6 @@ class WorkPlanClass(Enum):
 
 
 @dataclass(frozen=True)
-class SubWorkOrderRecord:
-    """One row of the sub-work-order export, validated."""
-
-    work_order_id: str
-    sub_work_order_id: str
-    approval_date: date
-    closed_date: date | None
-    asset_id: str
-    item_desc: str
-    lin_tamcn: str
-    equipment_pool: str
-    maint_team: str
-    estbd_datetime: datetime
-    work_plan_type: str
-    labor_hours: float | None = None
-
-
-@dataclass(frozen=True)
 class RowError:
     """A rejected data row: physical line number, offending field, cause."""
 
@@ -89,24 +71,6 @@ def classify_work_plan(code: str) -> WorkPlanClass:
     if code.strip().casefold() == "prev":
         return WorkPlanClass.SCHEDULED
     return WorkPlanClass.UNSCHEDULED
-
-
-def load_alias_map(source: bytes | str | Path | IO) -> dict[str, str]:
-    """Read ``Canonical Name=Actual Name`` alias lines from a source, taken
-    as by `source_text` (a str is the content, a Path is a file).
-
-    Blank lines and lines starting with ``#`` are skipped.
-    """
-    aliases: dict[str, str] = {}
-    for raw in source_text(source).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad alias line (expected key=value): {raw!r}")
-        key, _, value = line.partition("=")
-        aliases[key.strip()] = value.strip()
-    return aliases
 
 
 def _parse_date(text: str) -> date:
@@ -178,57 +142,38 @@ def _parsed(texts: list[str], parse) -> list:
     return list(map(values.__getitem__, texts))
 
 
-# the record field each REQUIRED_COLUMNS cell fills
+# the WorkOrders column each REQUIRED_COLUMNS cell fills
 _FIELDS = ("work_order_id", "sub_work_order_id", "approval_date", "asset_id", "closed_date", "item_desc",
            "lin_tamcn", "equipment_pool", "maint_team", "estbd_datetime", "work_plan_type")
 
 
 @dataclass(frozen=True, eq=False)
-class WorkOrders(Sequence):
-    """Accepted work orders as one list per SubWorkOrderRecord field, in file order, which the panel reads.
-    Item i is the i-th as a record, so the whole compares equal to a list of records."""
+class WorkOrders:
+    """Accepted work orders as one list per column, in file order, which the panel reads: the _FIELDS as
+    stripped strs, except approval_date and closed_date as dates (closed_date None when blank) and
+    estbd_datetime as a datetime, and labor_hours as a float, or None when blank."""
 
     columns: dict[str, list]
-
-    @classmethod
-    def of(cls, records: Iterable[SubWorkOrderRecord]) -> WorkOrders:
-        """Records as columns; work orders as they are."""
-        if isinstance(records, cls):
-            return records
-        records = list(records)
-        return cls({f.name: [getattr(r, f.name) for r in records] for f in fields(SubWorkOrderRecord)})
 
     def __len__(self) -> int:
         return len(self.columns["asset_id"])
 
-    def __getitem__(self, i: int) -> SubWorkOrderRecord:
-        return SubWorkOrderRecord(**{name: column[i] for name, column in self.columns.items()})
 
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, (list, WorkOrders)) else NotImplemented
-
-
-def parse_subworkorders(
-    source: bytes | str | Path | IO,
-    alias: dict[str, str] | None = None,
-) -> tuple[WorkOrders, list[RowError]]:
+def parse_subworkorders(source: bytes | str | Path | IO) -> tuple[WorkOrders, list[RowError]]:
     """Parse an export into work orders, collecting per-row errors.
 
-    ``alias`` maps canonical column names to the header names actually
-    present. Missing required columns are fatal (MissingColumnError); bad
-    rows are skipped and reported, so every data row lands in exactly one
-    of the two returned lists. A row of blank cells is no data row.
+    Missing required columns are fatal (MissingColumnError); bad rows are
+    skipped and reported, so every data row is either accepted or reported
+    once. A row of blank cells is no data row.
     """
-    alias = alias or {}
     header, columns, lines, widths = read_table(source_text(source))
     header = [h.strip() for h in header]
     position: dict[str, int] = {}
-    for canonical in REQUIRED_COLUMNS + (LABOR_COLUMN,):
-        actual = alias.get(canonical, canonical)
-        if actual in header:
-            position[canonical] = header.index(actual)
-        elif canonical != LABOR_COLUMN:
-            raise MissingColumnError(canonical)
+    for name in REQUIRED_COLUMNS + (LABOR_COLUMN,):
+        if name in header:
+            position[name] = header.index(name)
+        elif name != LABOR_COLUMN:
+            raise MissingColumnError(name)
     cell = {field: list(map(str.strip, columns[position[c]])) for field, c in zip(_FIELDS, REQUIRED_COLUMNS)}
     cell["labor_hours"] = list(map(str.strip, columns[position[LABOR_COLUMN]])) if LABOR_COLUMN in position else [""] * len(widths)
     data = [bool(asset) or any(c[i].strip() for c in columns) for i, asset in enumerate(cell["asset_id"])]
@@ -266,13 +211,13 @@ def parse_subworkorders(
     return WorkOrders(columns if keep.all() else {f: list(compress(c, keep.tolist())) for f, c in columns.items()}), errors
 
 
-def write_subworkorders(records: Iterable[SubWorkOrderRecord], stream: IO[str]) -> None:
-    """Serialize records back to the canonical required-column CSV.
+def write_subworkorders(orders: WorkOrders, stream: IO[str]) -> None:
+    """Serialize work orders back to the canonical required-column CSV.
 
     Dates go out as ISO-8601, so a parse -> write -> parse round trip
-    reproduces the records exactly.
+    reproduces the work orders exactly.
     """
-    columns = WorkOrders.of(records).columns
+    columns = orders.columns
     text = {"approval_date": date.isoformat, "closed_date": lambda day: day and day.isoformat(),
             "estbd_datetime": lambda stamp: stamp.strftime("%Y-%m-%d %H:%M:%S")}
     write_csv(stream, REQUIRED_COLUMNS + (LABOR_COLUMN,), zip(*(

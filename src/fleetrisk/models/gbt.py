@@ -55,12 +55,11 @@ def fit_gbt(matrix: FeatureMatrix, hyper: GbtHyper = GbtHyper()) -> GbtModel:
         raise SingleClassLabelsError("labels are single-class; cannot fit")
 
     init = float(logit(y.mean()))
-    all_rows = np.arange(len(y))
     score = np.full(len(y), init)
     trees = []
     for _ in range(hyper.n_estimators):
         residual = y - expit(score)
-        tree, leaf = grow_tree(view, residual, all_rows, hyper.max_depth, hyper.min_leaf)
+        tree, leaf = grow_tree(view, residual, hyper.max_depth, hyper.min_leaf)
         # the same bits as adding the new tree's prediction on the training rows
         score = score + hyper.learning_rate * tree.value[leaf]
         trees.append(tree)

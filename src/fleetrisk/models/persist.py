@@ -69,16 +69,28 @@ def _check_tree(tree: RegressionTree, width: int) -> None:
 
 def _check(model) -> None:
     """Reject what parsed but no fit produces: a column field that is not a
-    string (a group or level may be null), an array whose length is not
-    the model's width, a non-finite or non-positive number where a fit
-    gives a finite or positive one, a GBT initial score that is not the
-    logit of a prevalence strictly between 0 and 1, an ensemble without
-    trees, or a tree that cannot be walked."""
+    string (a numeric column's group or level may be null), a column kind
+    other than numeric or onehot, two columns for one numeric name or one
+    (group, level), an array whose length is not the model's width, a
+    non-finite or non-positive number where a fit gives a finite or
+    positive one, a GBT initial score that is not the logit of a
+    prevalence strictly between 0 and 1, an ensemble without trees, or a
+    tree that cannot be walked."""
     width = len(model.columns)
+    slots = set()  # what each column fills: a numeric column its name, a one-hot column its (group, level)
     for j, c in enumerate(model.columns):
         strings = (c.name, c.kind, *(v for v in (c.group, c.level) if v is not None))
         if not all(isinstance(v, str) for v in strings):
             raise ValueError(f"column {j} needs a string name and kind, and a string or null group and level")
+        if c.kind not in ("numeric", "onehot"):
+            raise ValueError(f"column {j} has kind {c.kind!r}, not numeric or onehot")
+        onehot = c.kind == "onehot"
+        if onehot and None in (c.group, c.level):
+            raise ValueError(f"one-hot column {j} needs a string group and level")
+        slot = (c.group, c.level) if onehot else c.name
+        if slot in slots:
+            raise ValueError(f"column {j} repeats the column for {slot!r}")
+        slots.add(slot)
     for f in _saved_fields(model):
         value = getattr(model, f.name)
         if f.type == "np.ndarray" and (value.shape != (width,) or not np.all(np.isfinite(value))):

@@ -17,8 +17,8 @@ lower one when the midpoint of adjacent doubles rounds up); rows route on
 X <= threshold, and while growing, on level codes.
 
 Boosting grows its one tree per round with `grow_tree`, depth-first on row
-indices: a node scores numeric candidates in blocks with one stable sort
-of the codes (radix up to 65,536 values) and one prefix sum, and each drawn
+indices: a node scores every numeric column, in blocks, with one stable sort
+of the codes (radix up to 65,536 values) and one prefix sum, and every
 level from one `np.bincount` of counts and one of target sums, so every
 float is what a per-feature float sort gives, bit for bit (a residual's
 level sums may differ in the last bit). A forest grows its trees with
@@ -191,8 +191,8 @@ def feature_view(X, columns=()) -> FeatureView:
     return FeatureView(values, codes, levels, group, slot, split_at)
 
 
-def _best_split(view, y_rows, rows, candidates, min_leaf):
-    """Best (feature, threshold) over the candidate features, by SSE
+def _best_split(view, y_rows, rows, min_leaf):
+    """Best (feature, threshold) over every column, by SSE
     reduction = S_L^2/n_L + S_R^2/n_R - S^2/n. Numeric splits fall between
     distinct values, each scored from the left-sum prefix of rows sorted on
     the feature; a level split leaves the rows outside the level on the
@@ -204,12 +204,11 @@ def _best_split(view, y_rows, rows, candidates, min_leaf):
     least = max(min_leaf, 1)
     # split after sorted position i leaves i + 1 rows on the left
     lo, hi = least - 1, n - least
-    group = view.group[candidates]
 
     # (gain, feature, threshold): the first best numeric split, which must
     # gain more than ZERO_REDUCTION, then each group's first best level split
     best = (ZERO_REDUCTION, -1, 0.0)
-    numeric = candidates[group < 0]
+    numeric = np.flatnonzero(view.group < 0)
     for b in range(0, len(numeric), FEATURE_BLOCK):
         block = numeric[b:b + FEATURE_BLOCK]
         block_codes = view.codes.take(view.slot[block], axis=0).take(rows, axis=1)
@@ -234,8 +233,8 @@ def _best_split(view, y_rows, rows, candidates, min_leaf):
             # send the upper value right, or a child ends up empty
             best = (gains[i], f, t if t < above else below)
     splits = [best]
-    for g in set(group[group >= 0].tolist()):
-        columns = candidates[group == g]
+    for g in set(view.group[view.group >= 0].tolist()):
+        columns = np.flatnonzero(view.group == g)
         slots = view.slot[columns]
         level, size = view.levels[g][rows], slots.max() + 1
         count = np.bincount(level, minlength=size)[slots]
@@ -252,17 +251,10 @@ def _best_split(view, y_rows, rows, candidates, min_leaf):
     return feature, threshold
 
 
-def grow_tree(
-    view: FeatureView, y: np.ndarray, rows: np.ndarray, max_depth: int, min_leaf: int,
-    max_features: int | None = None, rng: np.random.Generator | None = None,
-) -> tuple[RegressionTree, np.ndarray]:
-    """Grow a tree greedily on `rows` of the view and y (they may repeat,
-    as a bootstrap sample does); returns it and the leaf each row of y ends
-    in, -1 outside `rows`. `max_features` (with `rng`) samples a candidate
-    feature subset per split; None means all."""
-    p = len(view.group)
-    all_features = np.arange(p)
-    leaf_of = np.full(len(y), -1, dtype=np.intp)
+def grow_tree(view: FeatureView, y: np.ndarray, max_depth: int, min_leaf: int) -> tuple[RegressionTree, np.ndarray]:
+    """Grow a tree greedily on the view and y, every node scoring every
+    column; returns it and the leaf each row ends in."""
+    leaf_of = np.empty(len(y), dtype=np.intp)
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -281,18 +273,13 @@ def grow_tree(
     # grow depth-first with an explicit stack; children are allocated when
     # their parent splits, so indices are stable
     root = new_node()
-    stack = [(root, rows, 0)]
+    stack = [(root, np.arange(len(y)), 0)]
     while stack:
         node, rows, depth = stack.pop()
         y_rows = y[rows]
         f, t = -1, 0.0
         if depth < max_depth and len(rows) >= max(2 * min_leaf, 2):
-            if max_features is not None and max_features < p:
-                candidates = rng.choice(p, size=max_features, replace=False)
-                candidates.sort()
-            else:
-                candidates = all_features
-            f, t = _best_split(view, y_rows, rows, candidates, min_leaf)
+            f, t = _best_split(view, y_rows, rows, min_leaf)
         if f < 0:
             value[node] = float(y_rows.mean())
             leaf_of[rows] = node
@@ -332,10 +319,12 @@ def grow_forest(
 ) -> list[RegressionTree]:
     """A tree per row of `counts` (each view row's count in that tree's
     bootstrap sample, its generator in `rngs`), grown together a depth at a
-    time, on 0/1 labels `y`. A node draws its candidate columns as
-    `grow_tree` does, but depth by depth, left before right, and splits by
-    the same rules; each (tree, row) is one entry weighted by its count, so
-    every sum is an integer, the same in any order."""
+    time, on 0/1 labels `y`. Depth by depth, left before right, each node
+    that may split draws its candidate columns from its tree's generator,
+    `choice(width, max_features, replace=False)`, or takes every column when
+    `max_features` is at least the width. It splits by `grow_tree`'s rules;
+    each (tree, row) is one entry weighted by its count, so every sum is an
+    integer, the same in any order."""
     tree, row = np.nonzero(counts)
     numeric, one_hot = np.flatnonzero(view.group < 0), np.flatnonzero(view.group >= 0)
     first = np.cumsum(np.append(0, np.bincount(view.group[one_hot], minlength=len(view.levels)) + 1))  # each group's first level

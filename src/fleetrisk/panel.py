@@ -15,12 +15,12 @@ from datetime import date, timedelta
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, NamedTuple
 
 import numpy as np
 
 from .errors import EmptyDatasetError, InvalidConfigError, NonPositiveSpanError
-from .ingest import SubWorkOrderRecord, WorkOrders, WorkPlanClass, acquisition_year, classify_work_plan, level_codes
+from .ingest import WorkOrders, WorkPlanClass, acquisition_year, classify_work_plan, level_codes
 from .ingest import read_table, source_content, source_text, write_csv
 
 UTILIZATION_COLUMNS = ("asset_id", "week", "cumulative_units")
@@ -38,7 +38,7 @@ def week_index(d: date, start_monday: date) -> int:
 
 
 class PanelRow(NamedTuple):
-    """One vehicle-week, for hand-built panels and the `Panel.rows` view."""
+    """One vehicle-week, as the `Panel.rows` view gives it."""
 
     asset_id: str
     vehicle_type: str
@@ -50,7 +50,8 @@ class PanelRow(NamedTuple):
     repair_flag: int
 
 
-PANEL_COLUMNS = PanelRow._fields
+PANEL_COLUMNS = ("asset_id", "vehicle_type", "unit", "week", "operational_weeks", "weeks_since_last_visit", "utilization",
+                 "repair_flag")
 
 
 @dataclass(frozen=True)
@@ -142,23 +143,7 @@ class PanelOptions:
             raise InvalidConfigError(f"default_weekly_rate must be in [0, 168] hours a week, got {self.default_weekly_rate!r}")
 
 
-def panel_from_rows(rows: Iterable[PanelRow], start_monday: date | None = None) -> Panel:
-    """Sort hand-built rows into (asset_id, week) order and build their vocab."""
-    rows = sorted(rows, key=lambda r: (r.asset_id, r.week))
-    values = list(zip(*rows)) or [()] * len(PANEL_COLUMNS)
-    vocab, columns = {}, {}
-    for (code, field), names in zip(CODED.items(), values):
-        vocab[field], columns[code] = level_codes(names)
-    for name, column in zip(NUMERIC, values[len(CODED):]):
-        columns[name] = np.array(column, dtype=np.float64 if name == "utilization" else np.int64)
-    repeated = np.flatnonzero((columns["asset"][1:] == columns["asset"][:-1]) & (np.diff(columns["week"]) == 0))
-    if repeated.size:
-        r = rows[repeated[0]]
-        raise ValueError(f"duplicate panel row for {(r.asset_id, r.week)}")
-    return Panel(PanelVocab(**vocab), start_monday=start_monday, **columns)
-
-
-def build_panel(records: WorkOrders | Sequence[SubWorkOrderRecord], options: PanelOptions | None = None) -> Panel:
+def build_panel(orders: WorkOrders, options: PanelOptions | None = None) -> Panel:
     """Expand work orders into one row per (vehicle, week).
 
     Rows run from each vehicle's start week (acquisition-year anchor when
@@ -168,17 +153,16 @@ def build_panel(records: WorkOrders | Sequence[SubWorkOrderRecord], options: Pan
     week and is capped at options.gap_cap.
     """
     options = options or PanelOptions()
-    if not records:
+    if not orders:
         raise EmptyDatasetError("no records to build a panel from")
 
-    records = WorkOrders.of(records)  # hand-built records become columns
-    day = np.fromiter(map(date.toordinal, records.columns["approval_date"]), np.int64, len(records))
+    day = np.fromiter(map(date.toordinal, orders.columns["approval_date"]), np.int64, len(orders))
     start = monday_of(options.start_date or date.fromordinal(int(day.min())))
     week = (day - start.toordinal()) // 7  # week_index of each record
     end_week = options.end_week if options.end_week is not None else int(week.max())
 
     # per vehicle, in asset_id order: its first record and first record week
-    asset_ids, asset = level_codes(records.columns["asset_id"])
+    asset_ids, asset = level_codes(orders.columns["asset_id"])
     by_asset = np.argsort(asset, kind="stable")
     starts = np.searchsorted(asset[by_asset], np.arange(len(asset_ids)))
     first = by_asset[starts]
@@ -201,7 +185,7 @@ def build_panel(records: WorkOrders | Sequence[SubWorkOrderRecord], options: Pan
     row_week = row - (first_row - start_week)[vehicle]
 
     # flags, then each row's gap since the row after the last earlier flag in its vehicle
-    plans, plan = level_codes(records.columns["work_plan_type"])
+    plans, plan = level_codes(orders.columns["work_plan_type"])
     qualifying = np.array([classify_work_plan(p) is WorkPlanClass.UNSCHEDULED for p in plans])[plan] | options.include_scheduled
     hit = qualifying & (week >= start_week[asset]) & (week <= end_week)
     repair_flag = np.zeros(len(row), dtype=np.int64)
@@ -222,8 +206,8 @@ def build_panel(records: WorkOrders | Sequence[SubWorkOrderRecord], options: Pan
         reading = np.where((j >= 0) & (sidecar.asset[j] == code), sidecar.value[j], 0.0)
         utilization = np.where(code >= 0, reading, utilization)
 
-    vehicle_types, type_code = level_codes([records.columns["lin_tamcn"][i] for i in first.tolist()])
-    units, unit_code = level_codes([records.columns["equipment_pool"][i] for i in first.tolist()])
+    vehicle_types, type_code = level_codes([orders.columns["lin_tamcn"][i] for i in first.tolist()])
+    units, unit_code = level_codes([orders.columns["equipment_pool"][i] for i in first.tolist()])
     columns = dict(
         asset=vehicle, vehicle_type=type_code[vehicle], unit=unit_code[vehicle], week=row_week, operational_weeks=age,
         weeks_since_last_visit=gap, utilization=utilization, repair_flag=repair_flag,
@@ -295,14 +279,3 @@ def load_utilization_csv(source: str | Path | IO[str] | bytes) -> Utilization:
 
 def write_panel_csv(panel: Panel, stream: IO[str]) -> None:
     write_csv(stream, PANEL_COLUMNS, zip(*panel.lists()))
-
-
-def read_panel_csv(source: str | Path | IO[str] | bytes) -> Panel:
-    """Read a `write_panel_csv` file back; a cell that does not parse, a short row's included, raises ValueError."""
-    header, columns, _lines, _widths = read_table(source_text(source))
-    table = dict(zip(header, columns))  # a repeated name reads its last column
-    missing = set(PANEL_COLUMNS) - set(table)
-    if missing:
-        raise ValueError(f"panel CSV missing columns: {sorted(missing)}")
-    cells = (map(t, table[name]) for name, t in zip(PANEL_COLUMNS, (str, str, str, int, int, int, float, int)))
-    return panel_from_rows(PanelRow(*row) for row in zip(*cells))

@@ -19,9 +19,11 @@ from fleetrisk.evaluation import ChronologicalSplit, RandomRowSplit, separation_
 from fleetrisk.features import Column, FeatureMatrix, FeatureSpec, encode, standardize, transform
 from fleetrisk.ingest import parse_subworkorders
 from fleetrisk.models import ForestHyper, GbtHyper, LogisticHyper, fit_logistic, fit_model, predict_proba
-from fleetrisk.panel import PanelOptions, PanelRow, build_panel, load_utilization_csv, panel_from_rows
+from fleetrisk.panel import PanelOptions, PanelRow, build_panel, load_utilization_csv
 from fleetrisk.policy import HighestRisk, MelSpec, RandomUniform, mel_risk, simulate_policy
 from fleetrisk.synth import FleetConfig, VehicleTypeSpec, generate_fleet
+
+from oracles import panel_from_rows
 
 
 def fleet_panel(config, with_utilization=False):

@@ -23,7 +23,6 @@ from fleetrisk.config import RunConfig, build_run_config, fleet_config
 from fleetrisk.errors import FleetRiskError, InvalidConfigError, UsageError
 from fleetrisk.evaluation import ChronologicalSplit, RandomRowSplit
 from fleetrisk.features import FeatureSpec
-from fleetrisk.ingest import parse_subworkorders
 from fleetrisk.models import MODELS
 from fleetrisk.models.forest import ForestHyper
 from fleetrisk.models.gbt import GbtHyper
@@ -31,6 +30,8 @@ from fleetrisk.models.logistic import LogisticHyper
 from fleetrisk.models.tree import check_tree_size
 from fleetrisk.panel import PanelOptions, week_index
 from fleetrisk.policy import MelSpec, simulate_policy
+
+from oracles import parse_records
 
 SMALL = ["--n-vehicles", "18", "--n-weeks", "60"]
 
@@ -204,7 +205,7 @@ def test_labor_hours_add_each_vehicle_week_in_record_order(tmp_path):
     out = tmp_path / "out"
     assert main(["report", "-o", str(out), "--input", str(source), "--start-date", "2015-01-19", "--end-week", "40"]) == 0
 
-    records, errors = parse_subworkorders(source.read_bytes())
+    records, errors = parse_records(source.read_bytes())
     assert errors == []
     totals = {}
     for r in records:
@@ -335,14 +336,16 @@ def test_eval_on_a_gbt_whose_initial_score_is_no_prevalence_logit_is_data_error(
     "column, edit, message",
     [
         ("utilization", {"name": "bogus"}, "error: column 'bogus' of kind 'numeric' is not a panel feature"),
-        ("utilization", {"kind": "weird"}, "error: column 'utilization' of kind 'weird' is not a panel feature"),
+        ("utilization", {"kind": "weird"}, "error: malformed model payload: column 22 has kind 'weird', not numeric or onehot"),
         ("unit=<unknown>", {"level": "zzz"}, "error: one-hot group 'unit' has no '<unknown>' column"),
         ("unit=<unknown>", {"group": []}, "error: malformed model payload: column 19 needs a string name and kind,"
                                           " and a string or null group and level"),
         ("utilization", {"name": {}}, "error: malformed model payload: column 22 needs a string name and kind,"
                                       " and a string or null group and level"),
+        ("unit=82 LRS", {"level": None}, "error: malformed model payload: one-hot column 17 needs a string group and level"),
+        ("unit=83 LRS", {"level": "82 LRS"}, "error: malformed model payload: column 18 repeats the column for ('unit', '82 LRS')"),
     ],
-    ids=["name", "kind", "unknown-level", "list-group", "object-name"],
+    ids=["name", "kind", "unknown-level", "list-group", "object-name", "null-level", "repeated-level"],
 )
 def test_eval_on_a_model_with_an_unknown_column_is_data_error(tmp_path, capsys, column, edit, message):
     assert main(["synth", "-o", str(tmp_path), "--n-vehicles", "12", "--n-weeks", "40"]) == 0

@@ -26,8 +26,10 @@ from fleetrisk.evaluation import (
 from fleetrisk.features import FEATURE_NAMES, FeatureSpec, transform
 from fleetrisk.ingest import parse_subworkorders
 from fleetrisk.models import ForestHyper, GbtHyper, LogisticHyper, model_to_dict, predict_proba
-from fleetrisk.panel import PanelOptions, PanelRow, build_panel, load_utilization_csv, panel_from_rows
+from fleetrisk.panel import PanelOptions, PanelRow, build_panel, load_utilization_csv
 from fleetrisk.synth import generate_fleet
+
+from oracles import panel_from_rows
 
 
 def grid_panel(n_assets=6, n_weeks=10, flag_every=3):
@@ -219,8 +221,8 @@ def test_ablation_ratios_equal_one_fit_per_subset(kind, hyper):
     train, test = split(panel, ChronologicalSplit())
     subsets = [FeatureSpec.of(names) for names in DEFAULT_ABLATION_SUBSETS]
     sweeps = {
-        "report": [(spec, hyper) for spec in (FeatureSpec.full(), *subsets)],
-        "tune": [(FeatureSpec.full(), hyper), (FeatureSpec.full(), replace(hyper, **TUNED[kind]))],
+        "report": [(spec, hyper) for spec in (FeatureSpec(FEATURE_NAMES), *subsets)],
+        "tune": [(FeatureSpec(FEATURE_NAMES), hyper), (FeatureSpec(FEATURE_NAMES), replace(hyper, **TUNED[kind]))],
     }
     for name, variants in sweeps.items():
         for (spec, point), (model, report) in zip(variants, fit_and_score(train, test, variants, kind), strict=True):

@@ -21,8 +21,10 @@ from fleetrisk.features import (
 from fleetrisk.config import DEFAULT_ABLATION_SUBSETS, RunConfig, fleet_config
 from fleetrisk.evaluation import ChronologicalSplit, split
 from fleetrisk.ingest import parse_subworkorders
-from fleetrisk.panel import PanelOptions, PanelRow, build_panel, load_utilization_csv, panel_from_rows
+from fleetrisk.panel import PanelOptions, PanelRow, build_panel, load_utilization_csv
 from fleetrisk.synth import generate_fleet
+
+from oracles import panel_from_rows
 
 
 def make_panel(rows=None):
@@ -38,7 +40,7 @@ def make_panel(rows=None):
 def test_feature_spec_of_and_names():
     spec = FeatureSpec.of(["vehicle_type", "utilization"])
     assert spec.names() == ("vehicle_type", "utilization")
-    assert FeatureSpec.full().names() == FEATURE_NAMES
+    assert FeatureSpec(FEATURE_NAMES).names() == FEATURE_NAMES
     with pytest.raises(ValueError):
         FeatureSpec.of(["odometer"])
     with pytest.raises(ValueError, match="odometer"):
@@ -149,7 +151,7 @@ def test_standardize_leaves_constant_columns():
 
 def test_standardize_sparse_stays_sparse():
     panel = make_panel()
-    m = encode(panel, FeatureSpec.full())
+    m = encode(panel, FeatureSpec(FEATURE_NAMES))
     s = standardize(m)
     assert sp.issparse(s.values)
     dense_std = np.asarray(s.values.todense()).std(axis=0)
@@ -166,7 +168,7 @@ def test_transform_with_scale_matches_standardized_training_matrix():
 
 def test_transform_sparse_when_columns_include_vehicle_id():
     panel = make_panel()
-    m = standardize(encode(panel, FeatureSpec.full()))
+    m = standardize(encode(panel, FeatureSpec(FEATURE_NAMES)))
     X = transform(panel, m.columns, m.scale)
     assert sp.issparse(X)
     assert_same_bytes(X, m.values)
@@ -255,7 +257,7 @@ def test_fill_matches_the_per_row_reference_byte_for_byte(synth_halves, subset):
     # gives the training matrix back
     alone = standardize(matrix)
     assert_same_bytes(transform(train, alone.columns, alone.scale), alone.values)
-    picked = standardize(encode(train, FeatureSpec.full())).select(alone.columns)
+    picked = standardize(encode(train, FeatureSpec(FEATURE_NAMES))).select(alone.columns)
     assert_same_bytes(picked.values, alone.values)
     assert picked.scale.tobytes() == alone.scale.tobytes()
 
@@ -263,7 +265,7 @@ def test_fill_matches_the_per_row_reference_byte_for_byte(synth_halves, subset):
 def test_fill_matches_the_reference_on_a_layout_with_split_groups(synth_halves):
     """A hand-edited layout whose one-hot groups are not contiguous still encodes to canonical CSR."""
     train, held_out = synth_halves
-    columns = encode(train, FeatureSpec.full()).columns
+    columns = encode(train, FeatureSpec(FEATURE_NAMES)).columns
     permuted = columns[1::2] + columns[::2]
     for rows in (train, held_out):
         assert_same_bytes(transform(rows, permuted), reference_fill(rows.rows, permuted))

@@ -16,17 +16,17 @@ from fleetrisk.errors import MissingColumnError
 from fleetrisk.ingest import (
     LABOR_COLUMN,
     REQUIRED_COLUMNS,
-    SubWorkOrderRecord,
     WorkPlanClass,
     acquisition_year,
     classify_work_plan,
-    load_alias_map,
     parse_subworkorders,
     read_table,
     source_text,
     write_csv,
     write_subworkorders,
 )
+
+from oracles import SubWorkOrderRecord, orders_of, parse_records
 
 HEADER = ",".join(REQUIRED_COLUMNS)
 
@@ -48,7 +48,7 @@ def row(
 
 
 def test_happy_path_single_row():
-    records, errors = parse_subworkorders(HEADER + "\n" + row())
+    records, errors = parse_records(HEADER + "\n" + row())
     assert errors == []
     assert len(records) == 1
     r = records[0]
@@ -66,28 +66,28 @@ def test_happy_path_single_row():
 
 def test_labor_column_parsed_when_present():
     text = HEADER + "," + LABOR_COLUMN + "\n" + row() + ",3.5\n"
-    records, errors = parse_subworkorders(text)
+    records, errors = parse_records(text)
     assert errors == []
     assert records[0].labor_hours == 3.5
 
 
 def test_labor_blank_means_missing():
     text = HEADER + "," + LABOR_COLUMN + "\n" + row() + ",\n"
-    records, errors = parse_subworkorders(text)
+    records, errors = parse_records(text)
     assert errors == []
     assert records[0].labor_hours is None
 
 
 def test_negative_labor_rejected():
     text = HEADER + "," + LABOR_COLUMN + "\n" + row() + ",-1\n"
-    records, errors = parse_subworkorders(text)
+    records, errors = parse_records(text)
     assert records == []
     assert [e.field for e in errors] == [LABOR_COLUMN]
 
 
 def test_non_numeric_labor_rejected():
     text = HEADER + "," + LABOR_COLUMN + "\n" + row() + ",lots\n"
-    records, errors = parse_subworkorders(text)
+    records, errors = parse_records(text)
     assert records == []
     assert errors[0].field == LABOR_COLUMN
     assert errors[0].line == 2
@@ -101,17 +101,9 @@ def test_missing_required_column_is_fatal():
 
 
 def test_missing_labor_column_is_not_fatal():
-    records, errors = parse_subworkorders(HEADER + "\n" + row())
+    records, errors = parse_records(HEADER + "\n" + row())
     assert errors == []
     assert records[0].labor_hours is None
-
-
-def test_alias_map_renames_headers():
-    header = HEADER.replace("Asset Id", "Serial Number")
-    text = header + "\n" + row()
-    records, errors = parse_subworkorders(text, alias={"Asset Id": "Serial Number"})
-    assert errors == []
-    assert records[0].asset_id == "AF150001"
 
 
 def test_blank_lines_skipped():
@@ -131,21 +123,21 @@ def test_short_row_reported_not_fatal():
 
 def test_empty_asset_id_rejected():
     text = HEADER + "\n" + row(asset="  ")
-    records, errors = parse_subworkorders(text)
+    records, errors = parse_records(text)
     assert records == []
     assert errors[0].field == "Asset Id"
 
 
 def test_bad_approval_date_rejected():
     text = HEADER + "\n" + row(approval="13/45/2020")
-    records, errors = parse_subworkorders(text)
+    records, errors = parse_records(text)
     assert records == []
     assert errors[0].field == "Approval Dt"
 
 
 def test_iso_dates_accepted():
     text = HEADER + "\n" + row(approval="2020-01-06", closed="2020-01-08", estbd="2020-01-06T08:00:00")
-    records, errors = parse_subworkorders(text)
+    records, errors = parse_records(text)
     assert errors == []
     assert records[0].approval_date == date(2020, 1, 6)
     assert records[0].estbd_datetime == datetime(2020, 1, 6, 8, 0)
@@ -153,21 +145,21 @@ def test_iso_dates_accepted():
 
 def test_blank_closed_date_is_open_ticket():
     text = HEADER + "\n" + row(closed="")
-    records, errors = parse_subworkorders(text)
+    records, errors = parse_records(text)
     assert errors == []
     assert records[0].closed_date is None
 
 
 def test_closed_before_approval_rejected():
     text = HEADER + "\n" + row(approval="1/8/2020", closed="1/6/2020")
-    records, errors = parse_subworkorders(text)
+    records, errors = parse_records(text)
     assert records == []
     assert errors[0].field == "Closed Dt"
 
 
 def test_bad_estbd_rejected():
     text = HEADER + "\n" + row(estbd="not a time")
-    records, errors = parse_subworkorders(text)
+    records, errors = parse_records(text)
     assert records == []
     assert errors[0].field == "Estbd Dt/Time"
 
@@ -228,22 +220,6 @@ def test_classify_work_plan():
     assert classify_work_plan("") is WorkPlanClass.UNSCHEDULED
 
 
-def test_load_alias_map(tmp_path):
-    p = tmp_path / "aliases.txt"
-    text = "# mapping\nAsset Id = Serial Number\n\nApproval Dt=Appr Date\n"
-    p.write_text(text)
-    expected = {"Asset Id": "Serial Number", "Approval Dt": "Appr Date"}
-    assert load_alias_map(p) == expected
-    assert load_alias_map(text) == expected  # a str is the content, as for every reader
-
-
-def test_load_alias_map_bad_line(tmp_path):
-    p = tmp_path / "aliases.txt"
-    p.write_text("no separator here\n")
-    with pytest.raises(ValueError):
-        load_alias_map(p)
-
-
 def test_write_then_parse_round_trip():
     rec = SubWorkOrderRecord(
         work_order_id="W123",
@@ -260,8 +236,8 @@ def test_write_then_parse_round_trip():
         labor_hours=2.5,
     )
     buf = io.StringIO()
-    write_subworkorders([rec], buf)
-    records, errors = parse_subworkorders(buf.getvalue())
+    write_subworkorders(orders_of([rec]), buf)
+    records, errors = parse_records(buf.getvalue())
     assert errors == []
     assert records == [rec]
 
@@ -381,7 +357,7 @@ ORACLE = {
 @pytest.mark.parametrize("case", list(ORACLE))
 def test_ingest_oracle(case):
     header, lines, expected_records, expected_errors = ORACLE[case]
-    records, errors = parse_subworkorders("\n".join([header, *lines]) + "\n")
+    records, errors = parse_records("\n".join([header, *lines]) + "\n")
     assert [(e.line, e.field, e.reason) for e in errors] == expected_errors
     assert records == expected_records
 
@@ -537,7 +513,7 @@ def test_the_columnar_parse_matches_the_row_by_row_reference(export):
     if clean and len(lines):
         assert isinstance(lines, range)  # the one-string path numbers its rows as a range
     expected_records, expected_errors = reference_parse(source)
-    records, errors = parse_subworkorders(source)
+    records, errors = parse_records(source)
     assert [(e.line, e.field, e.reason) for e in errors] == expected_errors
     assert records == expected_records
     assert list(map(repr, records)) == list(map(repr, expected_records))  # -0.0 and timezones included

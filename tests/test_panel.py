@@ -16,8 +16,6 @@ from fleetrisk.config import RunConfig, fleet_config
 from fleetrisk.errors import EmptyDatasetError, InvalidConfigError, NonPositiveSpanError
 from fleetrisk.evaluation import ChronologicalSplit, RandomRowSplit, split
 from fleetrisk.ingest import (
-    SubWorkOrderRecord,
-    WorkOrders,
     WorkPlanClass,
     acquisition_year,
     classify_work_plan,
@@ -39,12 +37,12 @@ from fleetrisk.panel import (
     build_panel,
     load_utilization_csv,
     monday_of,
-    panel_from_rows,
-    read_panel_csv,
     week_index,
     write_panel_csv,
 )
 from fleetrisk.synth import generate_fleet
+
+from oracles import SubWorkOrderRecord, orders_of, panel_from_rows, parse_records, read_panel_csv, records_of
 
 MONDAY = date(2020, 1, 6)
 
@@ -100,24 +98,24 @@ def flagged_weeks(panel: Panel, asset):
 
 def test_repair_weeks_filters_scheduled():
     records = [rec("A", 0), rec("A", 2, plan="PREV"), rec("A", 5), rec("B", 1)]
-    with_prev = build_panel(records, PanelOptions(include_scheduled=True))
-    without = build_panel(records, PanelOptions(include_scheduled=False))
+    with_prev = build_panel(orders_of(records), PanelOptions(include_scheduled=True))
+    without = build_panel(orders_of(records), PanelOptions(include_scheduled=False))
     assert flagged_weeks(with_prev, "A") == [0, 2, 5]
     assert flagged_weeks(without, "A") == [0, 5]
     assert flagged_weeks(with_prev, "B") == [1]
     with pytest.raises(EmptyDatasetError):
-        build_panel([], PanelOptions())
+        build_panel(orders_of([]), PanelOptions())
 
 
 def test_repair_weeks_start_date_override():
     records = [rec("A", 3)]
-    assert flagged_weeks(build_panel(records), "A") == [0]
-    assert flagged_weeks(build_panel(records, PanelOptions(start_date=MONDAY)), "A") == [3]
+    assert flagged_weeks(build_panel(orders_of(records)), "A") == [0]
+    assert flagged_weeks(build_panel(orders_of(records), PanelOptions(start_date=MONDAY)), "A") == [3]
 
 
 def test_gap_counts_only_strictly_earlier_repairs():
     records = [rec("ZZ1", 3), rec("ZZ1", 7), rec("ZZ1", 0)]
-    panel = build_panel(records, PanelOptions(end_week=8))
+    panel = build_panel(orders_of(records), PanelOptions(end_week=8))
     gaps = {r.week: r.weeks_since_last_visit for r in panel.rows}
     flags = {r.week: r.repair_flag for r in panel.rows}
     assert flags == {0: 1, 1: 0, 2: 0, 3: 1, 4: 0, 5: 0, 6: 0, 7: 1, 8: 0}
@@ -129,14 +127,14 @@ def test_gap_before_any_repair_counts_from_start():
     # AF15 anchors before the panel start, so rows begin at week 0 even
     # though the only record lands at week 4.
     records = [rec("ZZ1", 0), rec("AF150002", 4)]
-    panel = build_panel(records, PanelOptions(end_week=4))
+    panel = build_panel(orders_of(records), PanelOptions(end_week=4))
     gaps = {r.week: r.weeks_since_last_visit for r in by_asset(panel, "AF150002")}
     assert gaps == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
 
 
 def test_gap_capped():
     records = [rec("ZZ1", 0), rec("ZZ1", 20)]
-    panel = build_panel(records, PanelOptions(gap_cap=5))
+    panel = build_panel(orders_of(records), PanelOptions(gap_cap=5))
     gaps = [r.weeks_since_last_visit for r in panel.rows]
     assert max(gaps) == 5
     assert gaps[6:20] == [5] * 14
@@ -170,7 +168,7 @@ def test_panel_options_reject_a_default_weekly_rate_out_of_range(rate):
 def test_age_anchored_at_acquisition_year():
     # AF15 -> Jan 1 2015, whose Monday (2014-12-29) is 262 weeks before MONDAY.
     records = [rec("AF150001", 0), rec("AF150001", 4)]
-    panel = build_panel(records)
+    panel = build_panel(orders_of(records))
     ages = {r.week: r.operational_weeks for r in panel.rows}
     assert ages[0] == 262
     assert ages[4] == 266
@@ -178,7 +176,7 @@ def test_age_anchored_at_acquisition_year():
 
 def test_anchor_is_first_record_when_earlier_than_acquisition_year():
     records = [rec("AF210001", 0), rec("AF210001", 9)]
-    panel = build_panel(records)
+    panel = build_panel(orders_of(records))
     ages = {r.week: r.operational_weeks for r in panel.rows}
     assert ages[0] == 0
     assert ages[9] == 9
@@ -186,7 +184,7 @@ def test_anchor_is_first_record_when_earlier_than_acquisition_year():
 
 def test_unrecognized_asset_id_anchors_at_first_record():
     records = [rec("TRUCK-9", 2), rec("ZZ1", 0)]
-    panel = build_panel(records)
+    panel = build_panel(orders_of(records))
     rows = by_asset(panel, "TRUCK-9")
     assert rows[0].week == 2
     assert rows[0].operational_weeks == 0
@@ -195,15 +193,15 @@ def test_unrecognized_asset_id_anchors_at_first_record():
 def test_start_week_clamped_to_zero():
     # Anchor predates the panel start; rows begin at week 0 with positive age.
     records = [rec("AF150001", 0)]
-    panel = build_panel(records, PanelOptions(end_week=2))
+    panel = build_panel(orders_of(records), PanelOptions(end_week=2))
     assert [r.week for r in panel.rows] == [0, 1, 2]
     assert panel.rows[0].operational_weeks == 262
 
 
 def test_scheduled_rows_kept_but_not_flagged():
     records = [rec("ZZ1", 0), rec("ZZ1", 2, plan="PREV"), rec("ZZ1", 4)]
-    with_prev = build_panel(records, PanelOptions(include_scheduled=True))
-    without = build_panel(records, PanelOptions(include_scheduled=False))
+    with_prev = build_panel(orders_of(records), PanelOptions(include_scheduled=True))
+    without = build_panel(orders_of(records), PanelOptions(include_scheduled=False))
     assert len(with_prev.rows) == len(without.rows) == 5
     assert [r.repair_flag for r in with_prev.rows] == [1, 0, 1, 0, 1]
     assert [r.repair_flag for r in without.rows] == [1, 0, 0, 0, 1]
@@ -214,21 +212,21 @@ def test_scheduled_rows_kept_but_not_flagged():
 
 def test_utilization_fallback_rate():
     records = [rec("ZZ1", 0, lin="bus"), rec("ZZ2", 1, lin="truck")]
-    panel = build_panel(records, PanelOptions(end_week=3, default_weekly_rate=2.0))
+    panel = build_panel(orders_of(records), PanelOptions(end_week=3, default_weekly_rate=2.0))
     assert [r.utilization for r in by_asset(panel, "ZZ1")] == [0.0, 2.0, 4.0, 6.0]
     assert [r.utilization for r in by_asset(panel, "ZZ2")] == [0.0, 2.0, 4.0]
 
 
 def test_utilization_sidecar_steps_forward():
     records = [rec("ZZ1", 0)]
-    panel = build_panel(records, PanelOptions(end_week=4, utilization=sidecar({"ZZ1": [(1, 10.0), (3, 25.0)]})))
+    panel = build_panel(orders_of(records), PanelOptions(end_week=4, utilization=sidecar({"ZZ1": [(1, 10.0), (3, 25.0)]})))
     assert [r.utilization for r in panel.rows] == [0.0, 10.0, 10.0, 25.0, 25.0]
 
 
 def test_sidecar_only_applies_to_listed_assets():
     records = [rec("ZZ1", 0), rec("ZZ2", 0)]
     panel = build_panel(
-        records,
+        orders_of(records),
         PanelOptions(end_week=1, utilization=sidecar({"ZZ1": [(0, 5.0)]}), default_weekly_rate=3.0),
     )
     assert [r.utilization for r in by_asset(panel, "ZZ1")] == [5.0, 5.0]
@@ -237,31 +235,31 @@ def test_sidecar_only_applies_to_listed_assets():
 
 def test_end_week_extends_past_last_record():
     records = [rec("ZZ1", 0)]
-    panel = build_panel(records, PanelOptions(end_week=6))
+    panel = build_panel(orders_of(records), PanelOptions(end_week=6))
     assert [r.week for r in panel.rows] == list(range(7))
 
 
 def test_end_week_before_every_start_raises():
     records = [rec("ZZ1", 5)]
     with pytest.raises(NonPositiveSpanError):
-        build_panel(records, PanelOptions(start_date=MONDAY - timedelta(weeks=3), end_week=1))
+        build_panel(orders_of(records), PanelOptions(start_date=MONDAY - timedelta(weeks=3), end_week=1))
 
 
 def test_empty_records_raise():
     with pytest.raises(EmptyDatasetError):
-        build_panel([])
+        build_panel(orders_of([]))
 
 
 def test_vehicle_type_and_unit_from_first_record():
     records = [rec("ZZ1", 0, lin="bus", pool="82 LRS"), rec("ZZ1", 1, lin="bus", pool="82 LRS")]
-    panel = build_panel(records)
+    panel = build_panel(orders_of(records))
     assert all(r.vehicle_type == "bus" for r in panel.rows)
     assert all(r.unit == "82 LRS" for r in panel.rows)
 
 
 def test_vocab_sorted_and_rows_ordered():
     records = [rec("B2", 1), rec("A1", 0, lin="bus", pool="83 LRS"), rec("B2", 0)]
-    panel = build_panel(records)
+    panel = build_panel(orders_of(records))
     assert panel.vocab.asset_ids == ("A1", "B2")
     assert panel.vocab.vehicle_types == ("bus", "truck")
     assert panel.vocab.units == ("82 LRS", "83 LRS")
@@ -271,7 +269,7 @@ def test_vocab_sorted_and_rows_ordered():
 
 def test_weekday_approvals_collapse_to_one_week():
     records = [rec("ZZ1", 0, day_offset=2), rec("ZZ1", 0, day_offset=6)]
-    panel = build_panel(records)
+    panel = build_panel(orders_of(records))
     assert len(panel.rows) == 1
     assert panel.rows[0].repair_flag == 1
 
@@ -284,7 +282,7 @@ def test_duplicate_rows_rejected():
 
 def test_panel_csv_round_trip():
     records = [rec("ZZ1", 0), rec("ZZ1", 3), rec("ZZ2", 1, lin="bus")]
-    panel = build_panel(records, PanelOptions(default_weekly_rate=1.5))
+    panel = build_panel(orders_of(records), PanelOptions(default_weekly_rate=1.5))
     buf = io.StringIO()
     write_panel_csv(panel, buf)
     back = read_panel_csv(buf.getvalue())
@@ -540,7 +538,7 @@ def synth_fleet():
     {asset_id: [(week, value), ...]}."""
     config = replace(fleet_config(RunConfig()), seed=7, n_vehicles=30, n_weeks=80)
     csv_bytes, sidecar, _ = generate_fleet(config)
-    records, errors = parse_subworkorders(csv_bytes)
+    records, errors = parse_records(csv_bytes)
     assert errors == []
     series = {}
     for row in csv.DictReader(sidecar.splitlines()):
@@ -591,7 +589,7 @@ def test_build_panel_matches_the_per_row_reference_byte_for_byte(synth_fleet, ca
     rows, start = reference_build(records, options, series)
     if series is not None:
         options.utilization = sidecar(series)
-    panel = build_panel(records, options)
+    panel = build_panel(orders_of(records), options)
     if case == "end-week-before-some-starts":
         assert {r.asset_id for r in rows} < {r.asset_id for r in records}
     assert_panel_holds(panel, rows, start)
@@ -618,11 +616,11 @@ def test_a_record_list_builds_the_panel_its_parsed_columns_build(synth_fleet, ca
     records, series = synth_fleet
     records = list(change_records(records))
     stream = io.StringIO()
-    write_subworkorders(records, stream)
+    write_subworkorders(orders_of(records), stream)
     orders, errors = parse_subworkorders(stream.getvalue())
-    assert errors == [] and isinstance(orders, WorkOrders) and orders == records
+    assert errors == [] and records_of(orders) == records
     options = PanelOptions(**settings, utilization=sidecar(change_series(series)) if change_series else None)
-    from_records, from_columns = build_panel(records, options), build_panel(orders, options)
+    from_records, from_columns = build_panel(orders_of(records), options), build_panel(orders, options)
     assert from_records.vocab == from_columns.vocab and from_records.start_monday == from_columns.start_monday
     for name in (*CODED, *NUMERIC):
         column, again = getattr(from_records, name), getattr(from_columns, name)
@@ -632,7 +630,7 @@ def test_a_record_list_builds_the_panel_its_parsed_columns_build(synth_fleet, ca
 @pytest.mark.parametrize("spec", [ChronologicalSplit(0.3), RandomRowSplit(0.3, seed=5)], ids=["chronological", "random"])
 def test_split_halves_equal_panels_built_from_their_rows(synth_fleet, spec):
     records, series = synth_fleet
-    panel = build_panel(records, PanelOptions(utilization=sidecar(series)))
+    panel = build_panel(orders_of(records), PanelOptions(utilization=sidecar(series)))
     train, test = split(panel, spec)
     if isinstance(spec, RandomRowSplit):
         in_test = np.random.default_rng(spec.seed).random(len(panel)) < spec.test_fraction

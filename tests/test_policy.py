@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from fleetrisk.config import RunConfig, fleet_config
 from fleetrisk.errors import EmptyTestRangeError, LengthMismatchError
 from fleetrisk.evaluation import ChronologicalSplit, fit_on_train, split
-from fleetrisk.features import Column, FeatureSpec
+from fleetrisk.features import FEATURE_NAMES, Column, FeatureSpec
 from fleetrisk.ingest import parse_subworkorders
 from fleetrisk.models import predict_panel
 from fleetrisk.models.forest import ForestHyper
 from fleetrisk.models.gbt import GbtHyper
 from fleetrisk.models.logistic import LogisticHyper
-from fleetrisk.panel import PanelOptions, PanelRow, build_panel, load_utilization_csv, panel_from_rows
+from fleetrisk.panel import PanelOptions, PanelRow, build_panel, load_utilization_csv
 from fleetrisk.synth import generate_fleet
 from fleetrisk.policy import (
     HighestRisk,
@@ -28,6 +28,8 @@ from fleetrisk.policy import (
     write_trace_csv,
     write_trace_histograms_csv,
 )
+
+from oracles import panel_from_rows
 
 
 class GapModel:
@@ -150,7 +152,7 @@ def test_the_batch_scores_are_each_weeks_scores(synth_halves, kind, hyper, polic
     each week's rows on its own, with the gaps the trace's earlier picks imply,
     gives the same bits, and the highest-risk pick is that week's first max."""
     train, test = synth_halves
-    model = fit_on_train(train, FeatureSpec.full(), kind, hyper)
+    model = fit_on_train(train, FeatureSpec(FEATURE_NAMES), kind, hyper)
     trace = simulate_policy(model, test, policy)
     assert trace.week == sorted(set(test.week.tolist()))
     repaired_at = {}

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fleetrisk.config import RunConfig, fleet_config
 from fleetrisk.errors import InvalidConfigError
-from fleetrisk.ingest import SubWorkOrderRecord, parse_subworkorders, write_csv, write_subworkorders
+from fleetrisk.ingest import parse_subworkorders, write_csv, write_subworkorders
 from fleetrisk.panel import UTILIZATION_COLUMNS, PanelOptions, build_panel, load_utilization_csv, monday_of, week_index
 from fleetrisk.synth import (
     GAP_CAP,
@@ -28,6 +28,8 @@ from fleetrisk.synth import (
     generate_fleet,
     hazard_probability,
 )
+
+from oracles import SubWorkOrderRecord, orders_of, parse_records
 
 SMALL_TYPES = (
     VehicleTypeSpec("bus", 0.5, 30.0),
@@ -103,7 +105,7 @@ def test_config_validation():
 
 def test_generated_csv_parses_cleanly():
     csv_bytes, sidecar, truth = generate_fleet(small_config())
-    records, errors = parse_subworkorders(csv_bytes)
+    records, errors = parse_records(csv_bytes)
     assert errors == []
     expected = sum(len(v.breakdown_weeks) + len(v.prev_weeks) for v in truth.vehicles)
     assert len(records) == expected
@@ -157,7 +159,7 @@ def test_preventive_schedule_matches_vehicle_phase():
     csv_bytes, _, truth = generate_fleet(cfg)
     for i, v in enumerate(truth.vehicles):
         assert v.prev_weeks == [w for w in range(60) if w % PREV_PERIOD_WEEKS == i % PREV_PERIOD_WEEKS]
-    records, _ = parse_subworkorders(csv_bytes)
+    records, _ = parse_records(csv_bytes)
     prevs = [r for r in records if r.work_plan_type == "PREV"]
     assert all(r.closed_date == r.approval_date for r in prevs)
     assert all(r.labor_hours == 2.0 for r in prevs)
@@ -220,7 +222,7 @@ def test_gap_feedback_caps():
 def test_hostile_intercept_leaves_only_scheduled_rows():
     cfg = small_config(beta0=-50.0)
     csv_bytes, _, truth = generate_fleet(cfg)
-    records, errors = parse_subworkorders(csv_bytes)
+    records, errors = parse_records(csv_bytes)
     assert errors == []
     assert records
     assert all(r.work_plan_type == "PREV" for r in records)
@@ -339,7 +341,7 @@ def reference_fleet(config):
         utilizations.append(utilization.tolist())
 
     work_orders = io.StringIO()
-    write_subworkorders(records, work_orders)
+    write_subworkorders(orders_of(records), work_orders)
     sidecar = io.StringIO()
     write_csv(sidecar, UTILIZATION_COLUMNS, (
         (v.asset_id, w, u) for v, series in zip(vehicles, utilizations) for w, u in enumerate(series)
@@ -409,12 +411,12 @@ def test_a_200_vehicle_fleet_matches_the_per_vehicle_reference():
 
 
 def test_work_orders_round_trip_through_the_record_serializer():
-    """Synth writes rows without records; the record writer gives the same text."""
+    """Synth writes its rows itself; parsing them and writing them back with `write_subworkorders` gives the same text."""
     work_orders, _, _ = generate_fleet(small_config(n_weeks=60))
-    records, errors = parse_subworkorders(work_orders)
+    orders, errors = parse_subworkorders(work_orders)
     assert errors == []
     stream = io.StringIO()
-    write_subworkorders(records, stream)
+    write_subworkorders(orders, stream)
     assert stream.getvalue() == work_orders
 
 

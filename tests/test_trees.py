@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from fleetrisk.config import RunConfig, fleet_config
 from fleetrisk.errors import ModelFormatError, NonFiniteFeatureError, SingleClassLabelsError, WidthMismatchError
 from fleetrisk.evaluation import ChronologicalSplit, split, train_matrix
-from fleetrisk.features import Column, FeatureMatrix, FeatureSpec, transform
+from fleetrisk.features import FEATURE_NAMES, Column, FeatureMatrix, FeatureSpec, transform
 from fleetrisk.ingest import parse_subworkorders
 from fleetrisk.models import (
     ForestHyper,
@@ -77,11 +77,10 @@ def brute_force_root_split(X, y, min_leaf):
     return best[1], best[2]
 
 
-def fit_tree(X, y, max_depth=12, min_leaf=5, max_features=None, rng=None):
+def fit_tree(X, y, max_depth=12, min_leaf=5):
     """One tree on every row of X, every column numeric, through the
     depth-first builder that grows boosting rounds."""
-    y = np.asarray(y, dtype=np.float64)
-    return grow_tree(feature_view(X), y, np.arange(len(y)), max_depth, min_leaf, max_features, rng)[0]
+    return grow_tree(feature_view(X), np.asarray(y, dtype=np.float64), max_depth, min_leaf)[0]
 
 
 def walk_sum(trees, X, start, weight):
@@ -249,7 +248,7 @@ def test_split_tie_prefers_lower_feature_index():
 
 
 @pytest.mark.parametrize("adjacent", [False, True], ids=["spaced", "adjacent-doubles"])
-@pytest.mark.parametrize("min_leaf,max_features", [(1, None), (5, None), (3, 2), (1, 3)])
+@pytest.mark.parametrize("min_leaf,max_features", [(1, None), (5, None)])
 def test_trees_match_the_float_sort_reference_bit_for_bit(min_leaf, max_features, adjacent):
     rng = np.random.default_rng(min_leaf * 10 + (max_features or 0))
     X = rng.random((400, 5))
@@ -258,8 +257,8 @@ def test_trees_match_the_float_sort_reference_bit_for_bit(min_leaf, max_features
     # six levels one ulp apart, or 0.01 apart
     X[:, 3] = 1.0 + rng.integers(0, 6, 400) * (np.finfo(float).eps if adjacent else 0.01)
     y = rng.random(400) + X[:, 1] * 0.2
-    got = fit_tree(X, y, max_depth=8, min_leaf=min_leaf, max_features=max_features, rng=np.random.default_rng(1))
-    want = reference_tree(X, y, 8, min_leaf, max_features, np.random.default_rng(1))
+    got = fit_tree(X, y, max_depth=8, min_leaf=min_leaf)
+    want = reference_tree(X, y, 8, min_leaf, max_features)
     assert tree_bytes(got) == tree_bytes(want)
 
 
@@ -334,16 +333,6 @@ def test_deeper_trees_fit_no_worse():
     assert sse == sorted(sse, reverse=True) or all(
         later <= earlier + 1e-9 for earlier, later in zip(sse, sse[1:])
     )
-
-
-def test_feature_subsampling_is_deterministic():
-    rng_data = np.random.default_rng(4)
-    X = rng_data.random((80, 6))
-    y = rng_data.random(80)
-    t1 = fit_tree(X, y, max_depth=4, min_leaf=5, max_features=2, rng=np.random.default_rng(11))
-    t2 = fit_tree(X, y, max_depth=4, min_leaf=5, max_features=2, rng=np.random.default_rng(11))
-    np.testing.assert_array_equal(t1.feature, t2.feature)
-    np.testing.assert_array_equal(t1.threshold, t2.threshold)
 
 
 def forest_training_matrix(n=300, seed=5):
@@ -589,7 +578,7 @@ def test_a_node_with_two_levels_of_a_group_splits_on_the_lower_column():
     X = np.zeros((4, 3))
     X[np.arange(4), [0, 1, 0, 1]] = 1.0
     y = np.array([0.1, 0.1, 0.2, 0.3])  # the level-b split scores the higher float gain
-    tree, _ = grow_tree(feature_view(X, columns), y, np.arange(4), max_depth=1, min_leaf=1)
+    tree, _ = grow_tree(feature_view(X, columns), y, max_depth=1, min_leaf=1)
     assert tree.feature[0] == 0
     assert predict(tree, np.array([[0.0, 0.0, 1.0]]))[0] == pytest.approx(0.2)  # the mean of the level-b rows
 
@@ -603,7 +592,7 @@ def test_a_forest_fit_and_its_scoring_never_build_the_dense_matrix(monkeypatch):
     csv_bytes, sidecar, _ = generate_fleet(config)
     records, _ = parse_subworkorders(csv_bytes)
     train, test = split(build_panel(records, PanelOptions(utilization=load_utilization_csv(sidecar))), ChronologicalSplit())
-    matrix = train_matrix(train, FeatureSpec.full())
+    matrix = train_matrix(train, FeatureSpec(FEATURE_NAMES))
 
     def peak_bytes(call):
         tracemalloc.start()
@@ -816,6 +805,7 @@ def test_load_rejects_malformed_payloads(tmp_path):
     # payloads that parse but that no fit produces
     m = forest_training_matrix(n=120, seed=12)
     saved = {kind: json.dumps(model_to_dict(fit_model(kind, m, hyper))) for kind, hyper in SMALL_HYPERS.items()}
+    saved["one-hot"] = json.dumps(model_to_dict(fit_model("logistic", onehot_training_matrix(), SMALL_HYPERS["logistic"])))
     accepted = []
     for name, kind, mutate in INCONSISTENT:
         payload = json.loads(saved[kind])
@@ -826,6 +816,17 @@ def test_load_rejects_malformed_payloads(tmp_path):
         except ModelFormatError:
             pass
     assert accepted == []
+
+
+def onehot_training_matrix(n=120, seed=13):
+    """Columns 0-2 one one-hot group of "unit", then two numeric features."""
+    rng = np.random.default_rng(seed)
+    level = rng.integers(0, 3, n)
+    X = np.column_stack([level == 0, level == 1, level == 2, rng.random((n, 2))]).astype(float)
+    y = (rng.random(n) < 0.2 + 0.5 * (level == 1)).astype(np.int8)
+    columns = [Column(f"unit={v}", "onehot", "unit", v) for v in ("82 LRS", "83 LRS", "<unknown>")]
+    columns += [Column(name, "numeric") for name in ("operational_weeks", "utilization")]
+    return FeatureMatrix(columns=columns, values=X, labels=y, scale=np.ones(5))
 
 
 SMALL_HYPERS = {
@@ -847,7 +848,7 @@ def _tree_edit(field, at, value):
     return mutate
 
 
-# (what is wrong, model kind, mutation of a saved payload)
+# (what is wrong, model kind or "one-hot" for a logistic fit with a one-hot group, mutation of a saved payload)
 INCONSISTENT = [
     ("short weights", "logistic", lambda p: p.update(weights=p["weights"][:-1])),
     ("short scale", "logistic", lambda p: p.update(scale=p["scale"][:-1])),
@@ -870,6 +871,11 @@ INCONSISTENT = [
     ("negative learning rate", "gbt", lambda p: p.update(learning_rate=-1)),
     ("no boosted trees", "gbt", lambda p: p.update(trees=[])),
     ("self-looping boosted node", "gbt", _tree_edit("right", "split", "self")),
+    ("unknown column kind", "one-hot", lambda p: p["columns"][3].update(kind="ordinal")),
+    ("null one-hot level", "one-hot", lambda p: p["columns"][0].update(level=None)),
+    ("null one-hot group", "one-hot", lambda p: p["columns"][0].update(group=None)),
+    ("one-hot level twice", "one-hot", lambda p: p["columns"].__setitem__(1, dict(p["columns"][0]))),
+    ("numeric feature twice", "one-hot", lambda p: p["columns"].__setitem__(4, dict(p["columns"][3]))),
 ]
 
 
