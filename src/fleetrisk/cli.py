@@ -38,6 +38,7 @@ from .evaluation import (
     fit_on_train,
     score_panel,
     split,
+    with_ratio,
     write_ablation_csv,
     write_eval_report,
     write_histogram_csv,
@@ -310,7 +311,7 @@ def _cmd_report(run: _Run) -> None:
     variants = [(spec, run.hyper) for spec in (run.features, *run.subsets)]
     (model, report), *ablated = fit_and_score(train, test, variants, run.config.model)
     run.write(MODEL_JSON, partial(save_model, model))
-    _eval_artifacts(run, report)
+    _eval_artifacts(run, with_ratio(report))
     run.write("ablation.csv", partial(write_ablation_csv, run.subsets, [report for _model, report in ablated]))
     _simulate_artifacts(run, model, test)
 
@@ -318,7 +319,7 @@ def _cmd_report(run: _Run) -> None:
 def _cmd_tune(run: _Run) -> None:
     train, test = split(_build_panel(run), run.split_spec)
     sweep = fit_and_score(train, test, [(run.features, hyper) for _point, hyper in run.tune_points], run.config.model)
-    results = [(point, report) for (point, _hyper), (_model, report) in zip(run.tune_points, sweep)]
+    results = [(point, with_ratio(report)) for (point, _hyper), (_model, report) in zip(run.tune_points, sweep)]
     rows = ([json.dumps(point, sort_keys=True), r.ratio, r.mean_pred_true, r.mean_pred_false] for point, r in results)
     header = ["params", "ratio", "mean_pred_true", "mean_pred_false"]
     run.write("tune_results.csv", lambda stream: write_csv(stream, header, rows))

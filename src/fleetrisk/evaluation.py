@@ -73,7 +73,7 @@ def split(panel: Panel, spec: SplitSpec) -> tuple[Panel, Panel]:
 class EvalReport:
     mean_pred_true: float
     mean_pred_false: float
-    ratio: float
+    ratio: float | None  # None when mean_pred_false is zero
     histogram_true: np.ndarray   # int counts, 50 uniform bins on [0,1]
     histogram_false: np.ndarray
     n_test: int
@@ -85,6 +85,17 @@ def _bin_counts(preds: np.ndarray) -> np.ndarray:
 
 
 def separation_ratio(preds: Sequence[float], labels: Sequence[int]) -> EvalReport:
+    return with_ratio(class_report(preds, labels))
+
+
+def with_ratio(report: EvalReport) -> EvalReport:
+    if report.ratio is None:
+        raise ZeroFalseMeanError("mean prediction over false rows is zero")
+    return report
+
+
+def class_report(preds: Sequence[float], labels: Sequence[int]) -> EvalReport:
+    """Each label class's mean prediction and histogram, and the ratio of the means, if the false rows' is not zero."""
     preds = np.asarray(preds, dtype=np.float64)
     labels = np.asarray(labels)
     if preds.shape != labels.shape:
@@ -95,12 +106,10 @@ def separation_ratio(preds: Sequence[float], labels: Sequence[int]) -> EvalRepor
         raise SingleClassLabelsError("both label classes must be present")
     mean_true = float(preds[true_mask].mean())
     mean_false = float(preds[~true_mask].mean())
-    if mean_false == 0.0:
-        raise ZeroFalseMeanError("mean prediction over false rows is zero")
     return EvalReport(
         mean_pred_true=mean_true,
         mean_pred_false=mean_false,
-        ratio=mean_true / mean_false,
+        ratio=mean_true / mean_false if mean_false != 0.0 else None,
         histogram_true=_bin_counts(preds[true_mask]),
         histogram_false=_bin_counts(preds[~true_mask]),
         n_test=len(labels),
@@ -127,7 +136,7 @@ def fit_and_score(train: Panel, test: Panel, variants: Sequence[tuple[FeatureSpe
     the train half and scored on the test half. Both halves are encoded once,
     over the union of the variants' features, with the train half's layout and
     scale; each fit and each score takes its variant's columns, the bytes
-    `fit_on_train` and `score_panel` would encode for it alone."""
+    `fit_on_train` and `score_panel` would encode for it alone; a report may lack a ratio."""
     if not variants:
         return []
     matrix = train_matrix(train, FeatureSpec.of([name for spec, _ in variants for name in spec.names()]))
@@ -136,7 +145,7 @@ def fit_and_score(train: Panel, test: Panel, variants: Sequence[tuple[FeatureSpe
     # the test half is encoded after the fits, so it adds nothing to their peak memory
     held_out = replace(matrix, values=transform(test, matrix.columns, matrix.scale), labels=test.repair_flag)
     return [
-        (model, separation_ratio(predict_proba(model, held_out.select(columns).values), test.repair_flag))
+        (model, class_report(predict_proba(model, held_out.select(columns).values), test.repair_flag))
         for model, columns in zip(fitted, layouts)
     ]
 
@@ -169,6 +178,6 @@ def write_histogram_csv(counts: np.ndarray, stream: IO[str]) -> None:
 
 
 def write_ablation_csv(subsets: Sequence[FeatureSpec], reports: Sequence[EvalReport], stream: IO[str]) -> None:
-    """One row per feature subset: its names joined by "+", then its report's means and ratio."""
+    """One row per feature subset: its names joined by "+", then its report's means and ratio (empty if none)."""
     rows = (["+".join(s.names()), r.mean_pred_true, r.mean_pred_false, r.ratio] for s, r in zip(subsets, reports, strict=True))
     write_csv(stream, ["features", "mean_pred_true", "mean_pred_false", "ratio"], rows)

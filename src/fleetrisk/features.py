@@ -102,12 +102,11 @@ class Fitted:
 
     columns: list[Column]
     scale: np.ndarray
-    standardized: bool
 
     @classmethod
     def of(cls, matrix: FeatureMatrix, **params):
         """A model of this class on `matrix`'s layout, with its own fitted params."""
-        return cls(list(matrix.columns), np.asarray(matrix.scale, dtype=np.float64), matrix.standardized, **params)
+        return cls(list(matrix.columns), np.asarray(matrix.scale, dtype=np.float64), **params)
 
 
 def build_columns(spec: FeatureSpec, vocab: PanelVocab) -> list[Column]:

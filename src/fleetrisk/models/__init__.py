@@ -30,15 +30,10 @@ MODELS = {
 MODEL_KINDS = tuple(MODELS)
 
 
-def default_hyper(kind: str):
+def fit_model(kind: str, matrix: FeatureMatrix, hyper):
     if kind not in MODELS:
         raise ValueError(f"unknown model kind {kind!r}")
-    return MODELS[kind][1]()
-
-
-def fit_model(kind: str, matrix: FeatureMatrix, hyper=None):
-    default = default_hyper(kind)  # also rejects an unknown kind
-    return MODELS[kind][0](matrix, default if hyper is None else hyper)
+    return MODELS[kind][0](matrix, hyper)
 
 
 def predict_proba(model, X) -> np.ndarray:
@@ -64,7 +59,6 @@ __all__ = [
     "LogisticHyper",
     "LogisticModel",
     "RegressionTree",
-    "default_hyper",
     "fit_model",
     "fit_random_forest",
     "fit_gbt",

@@ -2,7 +2,8 @@
 
 A model is written as its format version and kind, then its dataclass
 fields in order, NaN as null; fit statistics are left out. Loading reads
-each field back by its annotation and rejects what no fit produces.
+each field back by its annotation, a number only from a JSON number, and
+rejects what no fit produces; a key that names no field is ignored.
 """
 
 from __future__ import annotations
@@ -40,18 +41,24 @@ def _to_json(value):
     return value
 
 
-# field annotation -> reader of its JSON value
+def _numbers(value, name: str) -> np.ndarray:
+    """A JSON list of numbers and nulls (read as NaN); a boolean, an int to Python, is refused."""
+    if type(value) is not list or not all(v is None or type(v) in (int, float) for v in value):
+        raise TypeError(f"{name} must hold JSON numbers")
+    return np.asarray(value, dtype=np.float64)
+
+
+# field annotation -> reader of (its JSON value, the field's name for errors)
 _READERS = {
-    "list[Column]": lambda value: [Column(**c) for c in value],
-    "np.ndarray": lambda value: np.asarray(value, dtype=np.float64),  # null -> NaN
-    "bool": bool,
-    "float": float,
-    "list[RegressionTree]": lambda value: [_from_json(RegressionTree, t) for t in value],
+    "list[Column]": lambda value, _name: [Column(**c) for c in value],
+    "np.ndarray": _numbers,
+    "float": lambda value, name: float(_numbers([value], name)[0]),  # null -> NaN, which _check refuses
+    "list[RegressionTree]": lambda value, _name: [_from_json(RegressionTree, t) for t in value],
 }
 
 
 def _from_json(cls, payload: dict):
-    return cls(**{f.name: _READERS[f.type](payload[f.name]) for f in _saved_fields(cls)})
+    return cls(**{f.name: _READERS[f.type](payload[f.name], f.name) for f in _saved_fields(cls)})
 
 
 def _check_tree(tree: RegressionTree, width: int) -> None:
@@ -128,7 +135,7 @@ def model_from_dict(payload: dict):
     try:
         model = _from_json(MODELS[kind][2], payload)
         _check(model)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:  # OverflowError: an integer past float range
         raise ModelFormatError(f"malformed model payload: {exc}") from exc
     return model
 

@@ -3,6 +3,8 @@
 Nodes live in flat parallel arrays rather than linked objects: column j of
 the tree is node j's split feature (-1 for a leaf), threshold, child
 indices, and leaf value. That keeps models cheap to serialize and traverse.
+Nodes are numbered as they grow, a split node's children after it and side
+by side (right == left + 1).
 
 Fitting is exact greedy search on a `feature_view` of the matrix, built
 once per fit (so once for all of a forest's trees or boosting's rounds)
@@ -411,25 +413,13 @@ def grow_forest(
         right = (x > np.where(g < 0, threshold, s - 0.5).take(at)) & (x < np.where(g < 0, np.inf, s + 0.5).take(at))
         at = (2 * rank).take(at) + right
         open_tree, base = np.repeat(open_tree[split], 2), base + A
-    return _depth_first(depths, T)
-
-
-def _depth_first(depths, n_trees):
-    """The trees of `depths` (per depth, its nodes' tree, feature, threshold,
-    value and first child), numbered as depth-first growth numbers them:
-    each split node in preorder gives its children the next two ids."""
+    # nodes are numbered by depth, then tree: a stable sort by tree gives each
+    # tree its nodes in growth order, a split node's two children side by side
     tree, feature, threshold, value, child = map(np.concatenate, zip(*depths))
-    new, first = np.zeros(len(tree), np.intp), child.tolist()
-    for root in range(n_trees):
-        stack, free = [root], 1
-        while stack:
-            c = first[stack.pop()]
-            if c >= 0:
-                new[c], new[c + 1], free = free, free + 1, free + 2
-                stack += [c + 1, c]
-    sizes = np.bincount(tree, minlength=n_trees)
-    starts, at = np.cumsum(sizes) - sizes, np.empty(len(tree), np.intp)
-    at[starts[tree] + new] = np.arange(len(tree))
-    left, right = np.where(child >= 0, new[child], -1), np.where(child >= 0, new[child + 1], -1)
-    arrays = [a[at] for a in (feature, threshold, left, right, value)]
+    order = np.argsort(tree, kind="stable")
+    sizes = np.bincount(tree, minlength=T)
+    starts = np.cumsum(sizes) - sizes
+    new = np.argsort(order) - starts[tree]  # each node's id in its tree
+    left = np.where(child >= 0, new[child], -1)
+    arrays = [a[order] for a in (feature, threshold, left, np.where(child >= 0, left + 1, -1), value)]
     return [RegressionTree(*(a[s:s + m] for a in arrays)) for s, m in zip(starts.tolist(), sizes.tolist())]

@@ -14,7 +14,7 @@ from datetime import date
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fleetrisk import cli, features, models
@@ -60,7 +60,7 @@ def test_synth_writes_dataset_and_manifest(tmp_path):
 def test_train_saves_model(trained_dir):
     payload = json.loads((trained_dir / "model.json").read_text())
     assert payload["kind"] == "logistic"
-    assert payload["standardized"] is True
+    assert set(payload) == {"format_version", "kind", "columns", "scale", "weights", "intercept"}
     assert len(payload["weights"]) == len(payload["columns"])
 
 
@@ -359,6 +359,160 @@ def test_eval_on_a_model_with_an_unknown_column_is_data_error(tmp_path, capsys, 
     assert main(["eval", "-o", str(tmp_path)]) == 1
     assert capsys.readouterr().err.splitlines() == [message]
     assert not (tmp_path / "eval_report.json").exists()
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    """A seed-7 20x60 fleet, and per model kind the payload of its saved
+    model (five trees or rounds of depth 3, so test rows reach every node)
+    and the eval artifacts it gives."""
+    fleet = tmp_path_factory.mktemp("saved")
+    assert main(["synth", "-o", str(fleet), "--seed", "7", "--n-vehicles", "20", "--n-weeks", "60"]) == 0
+    saved = {}
+    for kind in MODELS:
+        out = fleet / kind
+        trees = ["--n-estimators", "5", "--max-depth", "3"] if kind != "logistic" else []
+        assert main(["train", "-o", str(out), "--seed", "7", "--model", kind, *trees,
+                     "--input", str(fleet / "subworkorders.csv")]) == 0
+        payload = json.loads((out / "model.json").read_text())
+        code, err, artifacts = eval_saved(fleet, payload)
+        assert code == 0, err
+        saved[kind] = payload, artifacts
+    return fleet, saved
+
+
+def eval_saved(fleet: Path, payload) -> tuple[int, list[str], dict]:
+    """`eval` of a model.json holding `payload`, in a directory of its own:
+    the exit code, the stderr lines, and each file it wrote by name, with
+    its bytes (None for the manifest, which holds a time and paths)."""
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        (Path(out) / "model.json").write_text(json.dumps(payload))
+        code = main(["eval", "-o", out, "--seed", "7", "--input", str(fleet / "subworkorders.csv"),
+                     "--utilization", str(fleet / "utilization.csv")])
+        written = {p.name: None if p.name == "manifest.json" else p.read_bytes()
+                   for p in Path(out).iterdir() if p.name != "model.json"}
+    return code, err.getvalue().splitlines(), written
+
+
+def json_nodes(value, path=()):
+    """(path, value) of a JSON value and of each value inside it, depth first."""
+    yield path, value
+    for key, inner in value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ():
+        yield from json_nodes(inner, (*path, key))
+
+
+def json_type(value) -> str:
+    if isinstance(value, (dict, list)):
+        return "container"
+    return {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string"}[type(value)]
+
+
+FUZZ = [None, True, False, 0.5, -1, "x", "0.1", [], {}, [0], [[0]]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    delete=st.booleans(),
+    leaf_type=st.sampled_from(["number", "string", "null"]),
+    at=st.integers(0, 10**6),
+    edit=st.sampled_from(FUZZ),
+)
+# the model's last number (the intercept, or the last tree's last leaf value) read from a string or a boolean
+@example(delete=False, leaf_type="number", at=-1, edit="0.1")
+@example(delete=False, leaf_type="number", at=-1, edit=True)
+@pytest.mark.parametrize("kind", list(MODELS))
+def test_a_saved_model_with_one_value_of_another_json_type_or_one_key_less_scores_as_before_or_is_refused(
+    saved_models, kind, delete, leaf_type, at, edit
+):
+    """A saved model with one scalar replaced by a value of another JSON
+    type (a number by a string or boolean, say), or with one key deleted:
+    eval either writes the unmutated model's artifacts, or exits 1 with one
+    error line and writes nothing. The scalar is drawn by its type first,
+    so the many column strings do not crowd out the numbers. A number read
+    from a string or a boolean used to load as another model."""
+    fleet, saved = saved_models
+    payload, want = saved[kind]
+    payload = json.loads(json.dumps(payload))
+    nodes = list(json_nodes(payload))[1:]
+    if delete:
+        keys = [path for path, _ in nodes if isinstance(path[-1], str)]
+    else:
+        keys = [path for path, value in nodes if json_type(value) == leaf_type]
+    path = keys[at % len(keys)]
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        assume(json_type(edit) != leaf_type)
+        parent[path[-1]] = edit
+    code, err, written = eval_saved(fleet, payload)
+    if code == 0:
+        assert written == want, (path, delete, edit)
+    else:
+        assert code == 1 and len(err) == 1 and err[0].startswith("error: ") and written == {}, (path, delete, edit, err)
+
+
+def preorder(tree: dict) -> dict:
+    """A saved tree renumbered as forests were numbered before they kept
+    their growth order: each split node, in preorder, gives its children
+    the next two ids."""
+    new, stack = {0: 0}, [0]
+    while stack:
+        node = stack.pop()
+        if tree["feature"][node] >= 0:
+            left, right = tree["left"][node], tree["right"][node]
+            new[left], new[right] = len(new), len(new) + 1
+            stack += [right, left]
+    old = sorted(new, key=new.get)
+    renumbered = {name: [values[i] for i in old] for name, values in tree.items()}
+    for name in ("left", "right"):
+        renumbered[name] = [new.get(child, -1) for child in renumbered[name]]
+    return renumbered
+
+
+@pytest.mark.parametrize(
+    "kind, layout", [("logistic", "growth"), ("gbt", "growth"), ("forest", "growth"), ("forest", "preorder")]
+)
+@pytest.mark.parametrize("standardized", [True, False, "x", "absent"])
+def test_an_older_model_file_scores_as_before(saved_models, kind, layout, standardized):
+    """A model file of format version 1 from before saved models kept their
+    growth order and lost the `standardized` flag loads and gives the same
+    eval artifacts, whatever that flag holds: forest trees numbered in
+    preorder, and any value of the flag, or none."""
+    fleet, saved = saved_models
+    payload, want = saved[kind]
+    older = dict(payload) if standardized == "absent" else {**payload, "standardized": standardized}
+    if layout == "preorder":
+        older["trees"] = [preorder(tree) for tree in payload["trees"]]
+        assert older["trees"] != payload["trees"]
+    assert eval_saved(fleet, older) == (0, [], want)
+
+
+def test_an_ablation_subset_that_scores_zero_on_every_false_row_has_no_ratio(tmp_path, capsys):
+    """Seed 0's three-tree forest on operational_weeks alone scores 0 on
+    every false test row of a 12x40 fleet. Ablate and report write that
+    subset's means and an empty ratio, where one such subset used to end
+    the run; eval, tune and report of such a model stay data errors."""
+    assert main(["synth", "-o", str(tmp_path), "--seed", "0", "--n-vehicles", "12", "--n-weeks", "40"]) == 0
+    forest = ["--seed", "0", "--model", "forest", "--n-estimators", "3", "--input", str(tmp_path / "subworkorders.csv")]
+    for command in ("ablate", "report"):
+        assert main([command, "-o", str(tmp_path / command), *forest]) == 0
+        rows = list(csv.reader(io.StringIO((tmp_path / command / "ablation.csv").read_text())))
+        assert rows[-1] == ["operational_weeks", "0.0", "0.0", ""]
+        assert all(float(row[3]) > 0 for row in rows[1:-1])
+    config = tmp_path / "tune.json"
+    config.write_text(json.dumps({"tune_grid": {"max_depth": [12]}}))
+    alone = [*forest, "--features", "operational_weeks"]
+    assert main(["train", "-o", str(tmp_path / "eval"), *alone]) == 0
+    capsys.readouterr()
+    for argv in (["eval"], ["tune", "--config", str(config)], ["report"]):
+        out = tmp_path / argv[0]
+        before = _snapshot(out) if out.exists() else None
+        assert main([argv[0], "-o", str(out), *argv[1:], *alone]) == 1, argv
+        assert capsys.readouterr().err.splitlines() == ["error: mean prediction over false rows is zero"]
+        assert (_snapshot(out) if out.exists() else None) == before
 
 
 @pytest.mark.parametrize("name, what", [("subworkorders.csv", "input CSV"), ("utilization.csv", "utilization sidecar")])

@@ -34,7 +34,7 @@ GOLDEN = {
     "report-forest-leaf1/histogram_false.csv": "7cb5834a164759e4b6fd4e18970e004f20d749fe937d3439c80a85bc53d9a0fb",
     "report-forest-leaf1/histogram_true.csv": "75d7bf8ee13b705bcbaf162ad68f9647103a218df6f1e9c0d5642e1b2d89e67f",
     "report-forest-leaf1/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
-    "report-forest-leaf1/model.json": "9b7235c91f7e736500bcf38bf22b37dafd9ae70e0f904e2ab01281270497d82a",
+    "report-forest-leaf1/model.json": "3bbb629407bae3c34ee9fd98227462db6a792a6f3aa2b8d210b32a9c40c95c8d",
     "report-forest-leaf1/policy_hist_proactive.csv": "6fa82b90dc63345b6a88e80ed846fbd0e6a9dc5916de16d06196b06161efd77a",
     "report-forest-leaf1/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "report-forest-leaf1/policy_summary.json": "0bef4e95e756c52116d624fb8fd52c96f46e2db7d78224ea35ea2f70a18631db",
@@ -44,7 +44,7 @@ GOLDEN = {
     "report-forest/histogram_false.csv": "708e96288c12703b862a2f8eba082e160aeb27ae6e658ea2bb895c5d643685df",
     "report-forest/histogram_true.csv": "8565d38459229f363adea93de02b3da4dd453246e5bc5db930463fc40724060d",
     "report-forest/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
-    "report-forest/model.json": "767f4a949df07ffe442adae62a3d611f088f948c9145d9e7d222914d7536b203",
+    "report-forest/model.json": "998cf52cd5c4d5a11ce817df35b4b5ad79c52039b66e5a4af87cb5922dc0a42a",
     "report-forest/policy_hist_proactive.csv": "edfd7275f325e223b4c8b445a9ef0f99693b9856391b3e5c113a298b78f6a8d8",
     "report-forest/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "report-forest/policy_summary.json": "2489ef32e6097a2cd737cd277cdb776636a8039b37e12ca30f52adf76a8a42b1",
@@ -54,7 +54,7 @@ GOLDEN = {
     "report-gbt-deep/histogram_false.csv": "d97e600c75181613ca668d4854290f86866db4dfbc504bbe26d607b916f53da6",
     "report-gbt-deep/histogram_true.csv": "c3f043324e76bcea3d7d5bde12424e06ad9fdac74b5fa28ae1f9db95b901e3f5",
     "report-gbt-deep/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
-    "report-gbt-deep/model.json": "07ca07a05d08449863f8757d289cc22f7aafc90a87a98c9d31ae371a7dfeec8e",
+    "report-gbt-deep/model.json": "89fa0cc559f2e66da5f9f4e4208dd590d617e99419a595d11a6b154aef03b232",
     "report-gbt-deep/policy_hist_proactive.csv": "093d4e4ed4f9c54dc148c2611444b3ad83877d1e8e993f6ca436207b85171d08",
     "report-gbt-deep/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "report-gbt-deep/policy_summary.json": "c27c278612869ad3b9710e709d4c9303236630333850bebebc30ea0dcb4567c0",
@@ -64,7 +64,7 @@ GOLDEN = {
     "report-gbt/histogram_false.csv": "e042b4572f06b267204d676569dea10daf2cc9bd3cbdd3e7f4591c51693c6837",
     "report-gbt/histogram_true.csv": "24fe790ebd5c3195451dd6ccef90ee6c20f1ce5e21cf024aca7eb351fdc4a31d",
     "report-gbt/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
-    "report-gbt/model.json": "ad872d242eab7ed762b7d51329b193124c88375bb57deb91932bce5951278f6d",
+    "report-gbt/model.json": "dc954bb4a111322a462585e530d935926e0a36b045f9ecfe556e9576c710cb18",
     "report-gbt/policy_hist_proactive.csv": "54e2ee0254ccd269b71da57077bc7956147cbf50bae59e099b83c50d5ce9f6cd",
     "report-gbt/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "report-gbt/policy_summary.json": "cbc1f1d84eea55934afc2d62efa81009b2d3ad308ab5b59ee5c8c4af46a4a578",
@@ -74,7 +74,7 @@ GOLDEN = {
     "report-logistic/histogram_false.csv": "c4baa2951180524997501ccd280b294075708903d6154de0bac4f88f5edb1caf",
     "report-logistic/histogram_true.csv": "72cbda638f3589bf11c3a53a64b7f435809d9db91e2562fbf1d78bfe5e866a8a",
     "report-logistic/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
-    "report-logistic/model.json": "9220fd3dccf042f285755de4c89f51614e58afcd5cee3baa57d1971e2f039588",
+    "report-logistic/model.json": "62ac807ee6ea9fdb45cbfa2d5e559fafaf53fd7a70c724aa984e72b7752ec5da",
     "report-logistic/policy_hist_proactive.csv": "89ecf41b7d639f086c60c64b5969534712df9e3d1e87149c9b5c3ba8ae934c2f",
     "report-logistic/policy_hist_random.csv": "fc9251a3d523c8e95968ee88f83046d9f84823e7c484f85646d17d42f8a0dd4e",
     "report-logistic/policy_summary.json": "984dacf0f8d68fccbb19fb923b74424addb0322ce4b3fe4a1ef0d9edbb1e6855",
@@ -84,7 +84,7 @@ GOLDEN = {
     "report-random/histogram_false.csv": "2ae29047f8bbbecae80dfafa88ce68bd500b22672dc750318a6230fc18083588",
     "report-random/histogram_true.csv": "5581182225e9ce5ddc1986402c8bcb101afb0ecddef1c91b64d416a9ea5b3778",
     "report-random/labor_hours.csv": "bdaed481d3f12a6f619fce4de95e783d0d8f9afcb0ec9236724ae99d527695ed",
-    "report-random/model.json": "61a22fa4245722337452c099897b734161d2b110c60ee41dfd2102a70ff41ba7",
+    "report-random/model.json": "bcbf50c16dc2ee29a97eb026ed2f1f4b587b40ac3eab4dabb0ae2b99061ef3ae",
     "report-random/policy_hist_proactive.csv": "71ee3f00cc9b4906e551432b26d60ec84125eb8247dc492488da2fe0bfb7cfc2",
     "report-random/policy_hist_random.csv": "7d172b88f9775c6228b672a016f427b53d1b2839a87d4869b713bd6c7953a0a2",
     "report-random/policy_summary.json": "13e5e3343f0038ab30910132bce1206e9d3d7e94783068c941629b33896d920f",
@@ -96,8 +96,8 @@ GOLDEN = {
     "synth/ground_truth.json": "3cf470da6d5b0d173ed0cbb30923dcbfddc1139c61f1e70c7f58d9cb7b190f6e",
     "synth/subworkorders.csv": "363365d1aaa837c7df06b973ee714e32697a610272aac84a6ae5852f4064158a",
     "synth/utilization.csv": "500c405b36d10382860c2cb6eaf81849a91ed7126e92ae30ab59bc1c487d9a63",
-    "train-forest/model.json": "767f4a949df07ffe442adae62a3d611f088f948c9145d9e7d222914d7536b203",
-    "train/model.json": "9220fd3dccf042f285755de4c89f51614e58afcd5cee3baa57d1971e2f039588",
+    "train-forest/model.json": "998cf52cd5c4d5a11ce817df35b4b5ad79c52039b66e5a4af87cb5922dc0a42a",
+    "train/model.json": "62ac807ee6ea9fdb45cbfa2d5e559fafaf53fd7a70c724aa984e72b7752ec5da",
     "tune/tune_best.json": "7f2053b3e1d6046114e2d697493744ab3588eebb26a7c4836bbbaab1c29ef16c",
     "tune/tune_results.csv": "8ccdacb69a647c390e3a94f16ad6afbbcd64fd595d6de7a01bd05a700a1f3b7a",
 }

@@ -138,7 +138,7 @@ def test_model_carries_fit_metadata():
     m = matrix_from(X, y, standardized=True)
     model = fit_logistic(m, LogisticHyper(solver="newton"))
     assert model.kind == "logistic"
-    assert model.standardized
+    assert np.array_equal(model.scale, m.scale)
     assert [c.name for c in model.columns] == ["x0"]
     assert 0 < model.n_iters <= 500
 

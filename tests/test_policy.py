@@ -37,7 +37,6 @@ class GapModel:
 
     columns = [Column(name="weeks_since_last_visit", kind="numeric")]
     scale = np.ones(1)
-    standardized = True
     kind = "logistic"
 
     def predict_proba(self, X):

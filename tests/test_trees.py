@@ -29,7 +29,6 @@ from fleetrisk.models import (
     GbtModel,
     LogisticHyper,
     LogisticModel,
-    default_hyper,
     fit_gbt,
     fit_logistic,
     fit_model,
@@ -121,10 +120,11 @@ def reference_tree(X, y, max_depth, min_leaf, max_features=None, rng=None, bread
     rank-code kernel replaces. Trees must match it bit for bit. Nodes grow
     depth-first, left before right, as boosting grows them, or with
     `breadth_first` depth by depth, left before right, as a forest grows
-    them; each node draws its candidate features when it grows. Either way
-    the tree is numbered as depth-first growth numbers it: each split node,
-    in preorder, gives its children the next two ids. A midpoint that
-    rounds up to the upper value falls back to the lower one."""
+    them; each node draws its candidate features when it grows. A
+    breadth-first tree is numbered in growth order; a depth-first one as
+    depth-first growth numbers it: each split node, in preorder, gives its
+    children the next two ids. A midpoint that rounds up to the upper value
+    falls back to the lower one."""
     n, p = X.shape
     nodes = []  # in growth order: feature, threshold, children, value
     pending = deque([(np.arange(n), 0, None)])  # rows, depth, the parent's child slot
@@ -164,7 +164,7 @@ def reference_tree(X, y, max_depth, min_leaf, max_features=None, rng=None, bread
         nodes[-1][:2] = [f, t]
         children = [(rows[go_left], depth + 1, (nodes[-1][2], 0)), (rows[~go_left], depth + 1, (nodes[-1][2], 1))]
         pending += children if breadth_first else children[::-1]
-    new, stack = {0: 0}, [0]
+    new, stack = ({i: i for i in range(len(nodes))}, []) if breadth_first else ({0: 0}, [0])
     while stack:
         left, right = nodes[stack.pop()][2]
         if left >= 0:
@@ -505,6 +505,43 @@ def test_forest_trees_match_the_breadth_first_float_sort_reference(
         assert tree_bytes(tree) == tree_bytes(want)
 
 
+def node_depths(tree):
+    """Each node's depth, for a tree whose children come after their parent."""
+    depth = np.zeros(tree.n_nodes, dtype=np.intp)
+    for node in np.flatnonzero(tree.feature >= 0):
+        depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+    return depth
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 150),
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    n_numeric=st.integers(0, 3),
+    max_features=st.integers(1, 8),
+    min_leaf=st.integers(1, 6),
+    max_depth=st.integers(1, 6),
+)
+def test_every_fitted_tree_keeps_a_split_nodes_children_adjacent_and_after_it(
+    seed, n, sizes, n_numeric, max_features, min_leaf, max_depth
+):
+    """The layout the stacked walk reads: right == left + 1 > node at every
+    split, in forest trees grown as a batch (as a pool worker grows them)
+    or one at a time (in process), whose nodes also come depth by depth,
+    and in boosting rounds."""
+    m = grouped_matrix(np.random.default_rng(seed), n, sizes, n_numeric)
+    hyper = ForestHyper(max_features=max_features, min_leaf=min_leaf, max_depth=max_depth, seed=seed % 1000)
+    inputs = (feature_view(m.values, m.columns), np.asarray(m.labels, dtype=np.float64), hyper, min(max_features, m.width))
+    batch, alone = forest_module._grow(range(4), inputs), [forest_module._grow([i], inputs)[0] for i in range(4)]
+    boosted = fit_gbt(m, GbtHyper(n_estimators=3, max_depth=max_depth, min_leaf=min_leaf)).trees
+    for tree in [*batch, *alone, *boosted]:
+        split = np.flatnonzero(tree.feature >= 0)
+        assert np.all(tree.right[split] == tree.left[split] + 1) and np.all(tree.left[split] > split)
+    for tree in [*batch, *alone]:
+        assert np.all(np.diff(node_depths(tree)) >= 0)
+
+
 def random_tree(rng, width, levels, n_splits):
     """A tree with `n_splits` splits on random columns at thresholds drawn
     from `levels`, its nodes numbered in a random order that keeps each
@@ -732,19 +769,16 @@ def test_stacked_prediction_equals_the_per_tree_loop_bit_for_bit():
 
 def test_fit_model_dispatch():
     m = forest_training_matrix()
-    assert isinstance(fit_model("logistic", m), LogisticModel)
+    assert isinstance(fit_model("logistic", m, LogisticHyper()), LogisticModel)
     assert isinstance(fit_model("forest", m, ForestHyper(n_estimators=2)), ForestModel)
     assert isinstance(fit_model("gbt", m, GbtHyper(n_estimators=2)), GbtModel)
     with pytest.raises(ValueError):
-        fit_model("svm", m)
-    with pytest.raises(ValueError):
-        default_hyper("svm")
-    assert isinstance(default_hyper("logistic"), LogisticHyper)
+        fit_model("svm", m, LogisticHyper())
 
 
 def test_predict_proba_checks_width():
     m = forest_training_matrix()
-    model = fit_model("logistic", m)
+    model = fit_model("logistic", m, LogisticHyper())
     with pytest.raises(WidthMismatchError):
         predict_proba(model, m.values[:, :2])
     p = predict_proba(model, m.values)
@@ -797,7 +831,7 @@ def test_load_rejects_malformed_payloads(tmp_path):
             {"format_version": 1, "kind": "perceptron", "columns": [], "scale": [], "standardized": False}
         )
     m = forest_training_matrix(n=80, seed=11)
-    payload = model_to_dict(fit_model("logistic", m))
+    payload = model_to_dict(fit_model("logistic", m, LogisticHyper()))
     del payload["weights"]
     with pytest.raises(ModelFormatError):
         model_from_dict(payload)
@@ -856,6 +890,11 @@ INCONSISTENT = [
     ("zero scale", "logistic", lambda p: p.update(scale=[0.0, *p["scale"][1:]])),
     ("nested weights", "logistic", lambda p: p.update(weights=[[w] for w in p["weights"]])),
     ("infinite intercept", "logistic", lambda p: p.update(intercept=float("inf"))),
+    ("intercept past the float range", "logistic", lambda p: p.update(intercept=10**400)),
+    ("string intercept", "logistic", lambda p: p.update(intercept="0.5")),
+    ("boolean scale entry", "logistic", lambda p: p.update(scale=[True, *p["scale"][1:]])),
+    ("string learning rate", "gbt", lambda p: p.update(learning_rate="0.1")),
+    ("boolean split feature", "forest", _tree_edit("feature", "split", True)),
     ("no trees", "forest", lambda p: p.update(trees=[])),
     ("self-looping node", "forest", _tree_edit("left", "split", "self")),
     ("child past the last node", "forest", _tree_edit("right", "split", 10**6)),
