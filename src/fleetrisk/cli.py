@@ -236,9 +236,9 @@ def _labor_artifacts(run: _Run, orders, start_monday: date) -> None:
 
 
 def _cmd_synth(run: _Run) -> None:
-    work_orders, sidecar, truth = generate_fleet(run.fleet)
-    run.write(SUBWORKORDERS_CSV, lambda stream: stream.write(work_orders))
-    run.write(UTILIZATION_CSV, lambda stream: stream.write(sidecar))
+    write_work_orders, write_sidecar, truth = generate_fleet(run.fleet)
+    run.write(SUBWORKORDERS_CSV, write_work_orders)
+    run.write(UTILIZATION_CSV, write_sidecar)
     run.write("ground_truth.json", truth.save)
 
 

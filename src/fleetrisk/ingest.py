@@ -11,7 +11,7 @@ import contextlib
 import csv
 import io
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from datetime import date, datetime
 from enum import Enum
@@ -37,6 +37,7 @@ REQUIRED_COLUMNS = (
     "Work Plan Type CD",
 )
 LABOR_COLUMN = "Labor Hours"
+WRITE_BLOCK = 256  # vehicles whose CSV lines `write_blocks` formats and writes together
 
 _ASSET_YEAR_RE = re.compile(r"^AF(\d{2})")
 _US_DATE_RE = re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{4})(?:\s+(\d{1,2}):(\d{2})(?::(\d{2}))?)?$")  # the time optional
@@ -106,6 +107,21 @@ def write_csv(stream: IO[str], header: Sequence[str], rows: Iterable[Sequence]) 
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+
+
+def csv_cell(text: str) -> str:
+    """`text` as `write_csv` writes it in a row of more than one cell (a lone empty cell would be `""`)."""
+    stream = io.StringIO()
+    csv.writer(stream, lineterminator="\n").writerow((text, ""))
+    return stream.getvalue()[:-2]
+
+
+def write_blocks(stream: IO[str], header: Sequence[str], bounds: Sequence[int], lines: Callable[[int, int], list[str]]) -> None:
+    """Write one CSV artifact in `write_csv`'s dialect: the header row, then for each two consecutive `bounds` the lines
+    `lines(lo, hi)` formats (cells through `csv_cell`, each ending in "\n") as one write: one block's strings at a time."""
+    write_csv(stream, header, ())
+    for lo, hi in zip(bounds, bounds[1:]):
+        stream.write("".join(lines(lo, hi)))
 
 
 def level_codes(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:

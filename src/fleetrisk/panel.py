@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyDatasetError, InvalidConfigError, NonPositiveSpanError
 from .ingest import WorkOrders, WorkPlanClass, acquisition_year, classify_work_plan, level_codes
-from .ingest import read_table, source_content, source_text, write_csv
+from .ingest import WRITE_BLOCK, csv_cell, read_table, source_content, source_text, write_blocks
 
 UTILIZATION_COLUMNS = ("asset_id", "week", "cumulative_units")
 GAP_CAP = 104  # default cap on weeks since the last visit; synth plants its hazard with it
@@ -94,15 +94,11 @@ class Panel:
         """The rows at `index` (a mask or ascending positions), the vocab cut to their levels."""
         return _panel(self.vocab, {name: getattr(self, name)[index] for name in (*CODED, *NUMERIC)}, self.start_monday)
 
-    def lists(self) -> list[list]:
-        """The PANEL_COLUMNS as Python lists, with names in place of codes."""
-        names = [np.array(getattr(self.vocab, field), dtype=object)[getattr(self, code)].tolist() for code, field in CODED.items()]
-        return names + [getattr(self, name).tolist() for name in NUMERIC]
-
     @cached_property
     def rows(self) -> list[PanelRow]:
-        """The rows as `PanelRow`s, for tests and small callers."""
-        return list(map(PanelRow._make, zip(*self.lists())))
+        """The rows as `PanelRow`s, with names in place of codes, for tests and small callers."""
+        names = [np.array(getattr(self.vocab, field), dtype=object)[getattr(self, code)].tolist() for code, field in CODED.items()]
+        return list(map(PanelRow._make, zip(*names, *(getattr(self, name).tolist() for name in NUMERIC))))
 
 
 def _panel(vocab: PanelVocab, columns: dict[str, np.ndarray], start_monday: date | None) -> Panel:
@@ -278,4 +274,12 @@ def load_utilization_csv(source: str | Path | IO[str] | bytes) -> Utilization:
 
 
 def write_panel_csv(panel: Panel, stream: IO[str]) -> None:
-    write_csv(stream, PANEL_COLUMNS, zip(*panel.lists()))
+    """Write the panel's rows as CSV, WRITE_BLOCK vehicles at a time."""
+    columns = [np.array(list(map(csv_cell, getattr(panel.vocab, field))), dtype=object)[getattr(panel, code)]
+               for code, field in CODED.items()]
+    columns += [getattr(panel, name) for name in NUMERIC]
+    bounds = [*np.flatnonzero(np.diff(panel.asset, prepend=-1))[::WRITE_BLOCK].tolist(), len(panel)]
+    write_blocks(stream, PANEL_COLUMNS, bounds, lambda lo, hi: [
+        f"{asset},{vtype},{unit},{week},{age},{gap},{util!r},{flag}\n"
+        for asset, vtype, unit, week, age, gap, util, flag in zip(*(column[lo:hi].tolist() for column in columns))
+    ])

@@ -17,18 +17,19 @@ panel's derived start date to the configured start Monday.
 
 from __future__ import annotations
 
-import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import IO
+from functools import cache, partial
+from typing import IO, Callable
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import InvalidConfigError
-from .ingest import LABOR_COLUMN, REQUIRED_COLUMNS, write_csv
+from .ingest import LABOR_COLUMN, REQUIRED_COLUMNS, WRITE_BLOCK, csv_cell, write_blocks
 from .panel import GAP_CAP, UTILIZATION_COLUMNS, monday_of, week_index
 
 START_MONDAY = date(2015, 1, 5)
@@ -127,8 +128,9 @@ def hazard_probability(
     return expit(z)
 
 
-def generate_fleet(config: FleetConfig) -> tuple[str, str, GroundTruth]:
-    """Returns (sub-work-order CSV text, utilization sidecar CSV text, truth).
+def generate_fleet(config: FleetConfig) -> tuple[Callable[[IO[str]], None], Callable[[IO[str]], None], GroundTruth]:
+    """Returns (sub-work-order CSV writer, utilization sidecar CSV writer, truth). A writer writes its CSV
+    to a text stream WRITE_BLOCK vehicles at a time and draws nothing, so a second call writes the same text.
 
     Each vehicle draws its utilization, weekly breakdown draws and labor
     hours from its own generator. The weeks are walked once for the whole
@@ -168,46 +170,42 @@ def generate_fleet(config: FleetConfig) -> tuple[str, str, GroundTruth]:
 
     approved = [(START_MONDAY + timedelta(weeks=w)).isoformat() for w in range(weeks)]
     closed_late = [(START_MONDAY + timedelta(weeks=w, days=2)).isoformat() for w in range(weeks)]
-    established = [f"{day} 08:00:00" for day in approved]
+    cells = [f",{w}," for w in range(weeks)]  # the sidecar's week cells
 
-    rows: list[tuple] = []
     vehicles: list[VehicleTruth] = []
+    labor: list[list[float]] = []  # each vehicle's breakdown hours, drawn here so that the writers draw nothing
     for v, (vtype, rng) in enumerate(zip(types, rngs)):
-        unit = config.units[v % len(config.units)]
-        asset_id = f"AF{acq_years[v] % 100:02d}{v:05d}"
         breakdown_weeks = np.flatnonzero(broke[v]).tolist()
-        prev_weeks = list(range(v % PREV_PERIOD_WEEKS, weeks, PREV_PERIOD_WEEKS))
-        labor = np.round(rng.uniform(0.5, 8.0, len(breakdown_weeks)), 1).tolist()
-        # (week, closed date, description, work plan code, labor hours): breakdowns, then preventive visits
-        orders = [(w, closed_late[w], "UNSCHEDULED BREAKDOWN REPAIR", UNSCHEDULED_CODE, h) for w, h in zip(breakdown_weeks, labor)]
-        orders += [(w, approved[w], "SCHEDULED PREVENTIVE SERVICE", "PREV", 2.0) for w in prev_weeks]
-        shop = f"{vtype.name.upper()} SHOP"
-        rows += [
-            (approved[w], asset_id, closed, desc, vtype.name, unit, shop, established[w], plan, hours)
-            for w, closed, desc, plan, hours in orders
-        ]
+        labor.append(np.round(rng.uniform(0.5, 8.0, len(breakdown_weeks)), 1).tolist())
         vehicles.append(
             VehicleTruth(
-                asset_id=asset_id,
+                asset_id=f"AF{acq_years[v] % 100:02d}{v:05d}",
                 type_name=vtype.name,
                 hazard_multiplier=vtype.hazard_multiplier,
-                unit=unit,
+                unit=config.units[v % len(config.units)],
                 acquisition_year=acq_years[v],
                 age_anchor_week=anchors[v],
                 breakdown_weeks=breakdown_weeks,
-                prev_weeks=prev_weeks,
+                prev_weeks=list(range(v % PREV_PERIOD_WEEKS, weeks, PREV_PERIOD_WEEKS)),
             )
         )
+    quoted = cache(csv_cell)  # each config-supplied name is quoted once
+    kinds = [f"{quoted(v.type_name)},{quoted(v.unit)},{quoted(f'{v.type_name.upper()} SHOP')}" for v in vehicles]
+    first_number = np.cumsum([1] + [len(v.breakdown_weeks) + len(v.prev_weeks) for v in vehicles]).tolist()
 
-    work_orders = io.StringIO()
-    write_csv(work_orders, REQUIRED_COLUMNS + (LABOR_COLUMN,), ((f"W{i:07d}", "1", *row) for i, row in enumerate(rows, 1)))
+    def order_lines(lo: int, hi: int) -> list[str]:
+        """Vehicles lo..hi-1's work orders, each vehicle's breakdowns, then its preventive visits."""
+        number, lines = itertools.count(first_number[lo]), []
+        for v, kind, hours in zip(vehicles[lo:hi], kinds[lo:hi], labor[lo:hi]):
+            lines += [f"W{next(number):07d},1,{approved[w]},{v.asset_id},{closed_late[w]},UNSCHEDULED BREAKDOWN REPAIR,"
+                      f"{kind},{approved[w]} 08:00:00,{UNSCHEDULED_CODE},{h!r}\n" for w, h in zip(v.breakdown_weeks, hours)]
+            lines += [f"W{next(number):07d},1,{approved[w]},{v.asset_id},{approved[w]},SCHEDULED PREVENTIVE SERVICE,"
+                      f"{kind},{approved[w]} 08:00:00,PREV,2.0\n" for w in v.prev_weeks]
+        return lines
 
-    sidecar = io.StringIO()
-    write_csv(sidecar, UTILIZATION_COLUMNS, zip(
-        [v.asset_id for v in vehicles for _ in range(weeks)],
-        list(range(weeks)) * n,
-        utilization.ravel().tolist(),
-    ))
+    def sidecar_lines(lo: int, hi: int) -> list[str]:
+        rows = zip(vehicles[lo:hi], utilization[lo:hi].tolist())
+        return [f"{v.asset_id}{cell}{u!r}\n" for v, values in rows for cell, u in zip(cells, values)]
 
     truth = GroundTruth(
         beta0=config.beta0,
@@ -220,4 +218,6 @@ def generate_fleet(config: FleetConfig) -> tuple[str, str, GroundTruth]:
         vehicles=vehicles,
         hazard=hazard,
     )
-    return work_orders.getvalue(), sidecar.getvalue(), truth
+    bounds = [*range(0, n, WRITE_BLOCK), n]
+    return (partial(write_blocks, header=REQUIRED_COLUMNS + (LABOR_COLUMN,), bounds=bounds, lines=order_lines),
+            partial(write_blocks, header=UTILIZATION_COLUMNS, bounds=bounds, lines=sidecar_lines), truth)

@@ -1,8 +1,10 @@
 """Test fixtures and oracles that no command needs: one work order as a
-record, and panels built from, or read back as, hand-written rows."""
+record, panels built from, or read back as, hand-written rows, and a
+generated fleet's CSVs as strings."""
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, fields
 from datetime import date, datetime
 from pathlib import Path
@@ -12,6 +14,7 @@ import numpy as np
 
 from fleetrisk.ingest import WorkOrders, level_codes, parse_subworkorders, read_table, source_text
 from fleetrisk.panel import CODED, NUMERIC, PANEL_COLUMNS, Panel, PanelRow, PanelVocab
+from fleetrisk.synth import FleetConfig, GroundTruth, generate_fleet
 
 
 @dataclass(frozen=True)
@@ -75,3 +78,16 @@ def read_panel_csv(source: str | Path | IO[str] | bytes) -> Panel:
         raise ValueError(f"panel CSV missing columns: {sorted(missing)}")
     cells = (map(t, table[name]) for name, t in zip(PANEL_COLUMNS, (str, str, str, int, int, int, float, int)))
     return panel_from_rows(PanelRow(*row) for row in zip(*cells))
+
+
+def rendered(write) -> str:
+    """What a `write(stream)` artifact writer writes, as one string."""
+    stream = io.StringIO()
+    write(stream)
+    return stream.getvalue()
+
+
+def render_fleet(config: FleetConfig) -> tuple[str, str, GroundTruth]:
+    """`generate_fleet` with its two CSV writers run: (work-order text, sidecar text, truth)."""
+    write_work_orders, write_sidecar, truth = generate_fleet(config)
+    return rendered(write_work_orders), rendered(write_sidecar), truth

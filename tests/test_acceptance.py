@@ -21,13 +21,13 @@ from fleetrisk.ingest import parse_subworkorders
 from fleetrisk.models import ForestHyper, GbtHyper, LogisticHyper, fit_logistic, fit_model, predict_proba
 from fleetrisk.panel import PanelOptions, PanelRow, build_panel, load_utilization_csv
 from fleetrisk.policy import HighestRisk, MelSpec, RandomUniform, mel_risk, simulate_policy
-from fleetrisk.synth import FleetConfig, VehicleTypeSpec, generate_fleet
+from fleetrisk.synth import FleetConfig, VehicleTypeSpec
 
-from oracles import panel_from_rows
+from oracles import panel_from_rows, render_fleet
 
 
 def fleet_panel(config, with_utilization=False):
-    csv_bytes, sidecar, truth = generate_fleet(config)
+    csv_bytes, sidecar, truth = render_fleet(config)
     records, errors = parse_subworkorders(csv_bytes)
     assert errors == []
     options = PanelOptions(

@@ -27,9 +27,8 @@ from fleetrisk.features import FEATURE_NAMES, FeatureSpec, transform
 from fleetrisk.ingest import parse_subworkorders
 from fleetrisk.models import ForestHyper, GbtHyper, LogisticHyper, model_to_dict, predict_proba
 from fleetrisk.panel import PanelOptions, PanelRow, build_panel, load_utilization_csv
-from fleetrisk.synth import generate_fleet
 
-from oracles import panel_from_rows
+from oracles import panel_from_rows, render_fleet
 
 
 def grid_panel(n_assets=6, n_weeks=10, flag_every=3):
@@ -215,7 +214,7 @@ def test_ablation_ratios_equal_one_fit_per_subset(kind, hyper):
     report's sweep (the full features, then each ablation subset), a tune's
     (one spec, several hypers) and `ablation`'s (the subsets alone)."""
     config = replace(fleet_config(RunConfig()), seed=7, n_vehicles=20, n_weeks=60)
-    csv_bytes, sidecar, _ = generate_fleet(config)
+    csv_bytes, sidecar, _ = render_fleet(config)
     records, _ = parse_subworkorders(csv_bytes)
     panel = build_panel(records, PanelOptions(utilization=load_utilization_csv(sidecar)))
     train, test = split(panel, ChronologicalSplit())
@@ -237,7 +236,7 @@ def test_ablation_ratios_equal_one_fit_per_subset(kind, hyper):
 def seed7_halves():
     """A seed-7 fleet of 60 vehicles over 156 weeks, split chronologically."""
     config = replace(fleet_config(RunConfig()), seed=7, n_vehicles=60, n_weeks=156)
-    csv_bytes, sidecar, _ = generate_fleet(config)
+    csv_bytes, sidecar, _ = render_fleet(config)
     records, _ = parse_subworkorders(csv_bytes)
     return split(build_panel(records, PanelOptions(utilization=load_utilization_csv(sidecar))), ChronologicalSplit())
 

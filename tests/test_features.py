@@ -22,9 +22,8 @@ from fleetrisk.config import DEFAULT_ABLATION_SUBSETS, RunConfig, fleet_config
 from fleetrisk.evaluation import ChronologicalSplit, split
 from fleetrisk.ingest import parse_subworkorders
 from fleetrisk.panel import PanelOptions, PanelRow, build_panel, load_utilization_csv
-from fleetrisk.synth import generate_fleet
 
-from oracles import panel_from_rows
+from oracles import panel_from_rows, render_fleet
 
 
 def make_panel(rows=None):
@@ -233,7 +232,7 @@ def synth_halves():
     the train vocabulary, rows whose numerics are all zero, and a "<unknown>"
     value that must land on the unknown level like any other stranger."""
     config = replace(fleet_config(RunConfig()), seed=7, n_vehicles=20, n_weeks=60)
-    csv_bytes, sidecar, _ = generate_fleet(config)
+    csv_bytes, sidecar, _ = render_fleet(config)
     records, _ = parse_subworkorders(csv_bytes)
     panel = build_panel(records, PanelOptions(utilization=load_utilization_csv(sidecar)))
     train, test = split(panel, ChronologicalSplit(0.3))

@@ -16,6 +16,7 @@ from fleetrisk.config import RunConfig, fleet_config
 from fleetrisk.errors import EmptyDatasetError, InvalidConfigError, NonPositiveSpanError
 from fleetrisk.evaluation import ChronologicalSplit, RandomRowSplit, split
 from fleetrisk.ingest import (
+    WRITE_BLOCK,
     WorkPlanClass,
     acquisition_year,
     classify_work_plan,
@@ -23,11 +24,13 @@ from fleetrisk.ingest import (
     parse_subworkorders,
     read_table,
     source_text,
+    write_csv,
     write_subworkorders,
 )
 from fleetrisk.panel import (
     CODED,
     NUMERIC,
+    PANEL_COLUMNS,
     Panel,
     PanelOptions,
     PanelRow,
@@ -40,9 +43,8 @@ from fleetrisk.panel import (
     week_index,
     write_panel_csv,
 )
-from fleetrisk.synth import generate_fleet
 
-from oracles import SubWorkOrderRecord, orders_of, panel_from_rows, parse_records, read_panel_csv, records_of
+from oracles import SubWorkOrderRecord, orders_of, panel_from_rows, parse_records, read_panel_csv, records_of, render_fleet
 
 MONDAY = date(2020, 1, 6)
 
@@ -290,6 +292,25 @@ def test_panel_csv_round_trip():
     assert back.vocab == panel.vocab
 
 
+def test_panel_csv_is_the_row_writer_text_in_vehicle_blocks():
+    """The columnar writer writes what csv.writer writes from the rows, names that need quoting
+    included, one write per WRITE_BLOCK vehicles."""
+    names = ('tank, "heavy"', " grue à tour ", "plain")
+    rows = [PanelRow(f"A{v:04d}", names[v % 3], names[(v + 1) % 3], w, w + v, w % 5, w * 1.1 + v / 3, (v + w) % 2)
+            for v in range(WRITE_BLOCK + 1) for w in range(1 + v % 3)]
+    panel = panel_from_rows(rows)
+    expected = io.StringIO()
+    write_csv(expected, PANEL_COLUMNS, panel.rows)
+    writes = []
+    stream = io.StringIO()
+    stream.write = writes.append
+    write_panel_csv(panel, stream)
+    assert "".join(writes) == expected.getvalue()
+    assert len(writes) == 3  # the header, then two blocks of vehicles
+    for block in writes[1:]:
+        assert len({line.split(",")[0] for line in block.splitlines()}) <= WRITE_BLOCK
+
+
 def test_read_panel_csv_reads_a_short_row_as_blank_cells_and_refuses_them():
     """A short row reads "" past its end, as in every table reader, so its
     cells fail to parse with a ValueError rather than a TypeError on None."""
@@ -435,7 +456,7 @@ def test_the_sidecar_read_from_bytes_matches_the_row_by_row_reference(source):
 def test_the_sidecar_read_stays_within_four_times_its_bytes():
     """A synth sidecar of 200 vehicles x 260 weeks, read under tracemalloc:
     one str per cell peaked at about 11x the file's bytes."""
-    _, text, _ = generate_fleet(replace(fleet_config(RunConfig()), seed=7, n_vehicles=200, n_weeks=260))
+    _, text, _ = render_fleet(replace(fleet_config(RunConfig()), seed=7, n_vehicles=200, n_weeks=260))
     data = text.encode()
     tracemalloc.start()
     try:
@@ -526,7 +547,7 @@ def assert_panel_holds(panel, rows, start_monday):
         *(tuple(sorted({getattr(r, name) for r in rows})) for name in ("asset_id", "vehicle_type", "unit"))
     )
     for k, name in enumerate(("asset_id", "vehicle_type", "unit")):
-        assert panel.lists()[k] == [getattr(r, name) for r in rows], name
+        assert [getattr(r, name) for r in panel.rows] == [getattr(r, name) for r in rows], name
     for name in NUMERIC:
         column = getattr(panel, name)
         assert column.tobytes() == np.array([getattr(r, name) for r in rows], dtype=column.dtype).tobytes(), name
@@ -537,7 +558,7 @@ def synth_fleet():
     """A seed-7 synth fleet: its records and its sidecar, as CSV text and as
     {asset_id: [(week, value), ...]}."""
     config = replace(fleet_config(RunConfig()), seed=7, n_vehicles=30, n_weeks=80)
-    csv_bytes, sidecar, _ = generate_fleet(config)
+    csv_bytes, sidecar, _ = render_fleet(config)
     records, errors = parse_records(csv_bytes)
     assert errors == []
     series = {}

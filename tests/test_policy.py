@@ -18,7 +18,6 @@ from fleetrisk.models.forest import ForestHyper
 from fleetrisk.models.gbt import GbtHyper
 from fleetrisk.models.logistic import LogisticHyper
 from fleetrisk.panel import PanelOptions, PanelRow, build_panel, load_utilization_csv
-from fleetrisk.synth import generate_fleet
 from fleetrisk.policy import (
     HighestRisk,
     MelSpec,
@@ -29,7 +28,7 @@ from fleetrisk.policy import (
     write_trace_histograms_csv,
 )
 
-from oracles import panel_from_rows
+from oracles import panel_from_rows, render_fleet
 
 
 class GapModel:
@@ -135,7 +134,7 @@ def test_the_random_arm_scores_its_picks_in_one_batch():
 
 @pytest.fixture(scope="module")
 def synth_halves():
-    csv_bytes, sidecar, _ = generate_fleet(replace(fleet_config(RunConfig()), seed=7, n_vehicles=12, n_weeks=60))
+    csv_bytes, sidecar, _ = render_fleet(replace(fleet_config(RunConfig()), seed=7, n_vehicles=12, n_weeks=60))
     panel = build_panel(parse_subworkorders(csv_bytes)[0], PanelOptions(utilization=load_utilization_csv(sidecar)))
     return split(panel, ChronologicalSplit(0.3))
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fleetrisk.config import RunConfig, fleet_config
 from fleetrisk.errors import InvalidConfigError
-from fleetrisk.ingest import parse_subworkorders, write_csv, write_subworkorders
+from fleetrisk.ingest import WRITE_BLOCK, parse_subworkorders, write_csv, write_subworkorders
 from fleetrisk.panel import UTILIZATION_COLUMNS, PanelOptions, build_panel, load_utilization_csv, monday_of, week_index
 from fleetrisk.synth import (
     GAP_CAP,
@@ -29,7 +29,7 @@ from fleetrisk.synth import (
     hazard_probability,
 )
 
-from oracles import SubWorkOrderRecord, orders_of, parse_records
+from oracles import SubWorkOrderRecord, orders_of, parse_records, render_fleet, rendered
 
 SMALL_TYPES = (
     VehicleTypeSpec("bus", 0.5, 30.0),
@@ -104,7 +104,7 @@ def test_config_validation():
 
 
 def test_generated_csv_parses_cleanly():
-    csv_bytes, sidecar, truth = generate_fleet(small_config())
+    csv_bytes, sidecar, truth = render_fleet(small_config())
     records, errors = parse_records(csv_bytes)
     assert errors == []
     expected = sum(len(v.breakdown_weeks) + len(v.prev_weeks) for v in truth.vehicles)
@@ -114,19 +114,21 @@ def test_generated_csv_parses_cleanly():
 
 def test_generation_is_deterministic():
     cfg = small_config()
-    a = generate_fleet(cfg)
-    b = generate_fleet(cfg)
+    a = render_fleet(cfg)
+    b = render_fleet(cfg)
+    for write, text in zip(generate_fleet(cfg)[:2], a):
+        assert rendered(write) == rendered(write) == text  # a writer draws nothing: a second call writes the same text
     assert a[0] == b[0]
     assert a[1] == b[1]
     assert a[2].to_dict() == b[2].to_dict()
     assert a[2].hazard.tobytes() == b[2].hazard.tobytes()
-    c = generate_fleet(small_config(seed=4))
+    c = render_fleet(small_config(seed=4))
     assert c[0] != a[0]
 
 
 def test_panel_flags_reproduce_breakdown_weeks():
     cfg = small_config()
-    csv_bytes, sidecar, truth = generate_fleet(cfg)
+    csv_bytes, sidecar, truth = render_fleet(cfg)
     panel = panel_of(csv_bytes, sidecar, cfg.n_weeks)
     flagged = {}
     for r in panel.rows:
@@ -139,7 +141,7 @@ def test_panel_flags_reproduce_breakdown_weeks():
 
 def test_panel_features_reproduce_hazard_exactly():
     cfg = small_config()
-    csv_bytes, sidecar, truth = generate_fleet(cfg)
+    csv_bytes, sidecar, truth = render_fleet(cfg)
     panel = panel_of(csv_bytes, sidecar, cfg.n_weeks)
     by_asset = {v.asset_id: i for i, v in enumerate(truth.vehicles)}
     assert len(panel.rows) == cfg.n_vehicles * cfg.n_weeks
@@ -156,7 +158,7 @@ def test_panel_features_reproduce_hazard_exactly():
 
 def test_preventive_schedule_matches_vehicle_phase():
     cfg = small_config(n_weeks=60)
-    csv_bytes, _, truth = generate_fleet(cfg)
+    csv_bytes, _, truth = render_fleet(cfg)
     for i, v in enumerate(truth.vehicles):
         assert v.prev_weeks == [w for w in range(60) if w % PREV_PERIOD_WEEKS == i % PREV_PERIOD_WEEKS]
     records, _ = parse_records(csv_bytes)
@@ -168,7 +170,7 @@ def test_preventive_schedule_matches_vehicle_phase():
 
 
 def test_acquisition_years_cycle_and_anchor():
-    _, _, truth = generate_fleet(small_config())
+    _, _, truth = render_fleet(small_config())
     years = [v.acquisition_year for v in truth.vehicles[:6]]
     assert years == [2013, 2014, 2015, 2013, 2014, 2015]
     assert truth.vehicles[0].asset_id.startswith("AF13")
@@ -178,14 +180,14 @@ def test_acquisition_years_cycle_and_anchor():
 
 
 def test_vehicle_types_and_units_cycle():
-    _, _, truth = generate_fleet(small_config())
+    _, _, truth = render_fleet(small_config())
     assert [v.type_name for v in truth.vehicles[:4]] == ["bus", "truck", "loader", "bus"]
     assert [v.unit for v in truth.vehicles[:4]] == ["82 LRS", "83 LRS", "82 LRS", "83 LRS"]
 
 
 def test_sidecar_is_loadable_and_increasing():
     cfg = small_config()
-    _, sidecar, truth = generate_fleet(cfg)
+    _, sidecar, truth = render_fleet(cfg)
     series = load_utilization_csv(sidecar)
     assert len(series.asset_ids) == cfg.n_vehicles
     for v in truth.vehicles:
@@ -197,7 +199,7 @@ def test_sidecar_is_loadable_and_increasing():
 def test_ground_truth_saves_no_per_week_series():
     """The betas and the panel's features give the hazard, and the sidecar
     holds the utilization, so the saved truth holds neither."""
-    _, _, truth = generate_fleet(small_config())
+    _, _, truth = render_fleet(small_config())
     stream = io.StringIO()
     truth.save(stream)
     assert stream.getvalue() == json.dumps(truth.to_dict())
@@ -211,7 +213,7 @@ def test_gap_feedback_caps():
     # tiny positive gap coefficient the hazard rises up to the cap week and
     # is flat beyond it.
     cfg = small_config(n_vehicles=1, n_weeks=GAP_CAP + 10, beta0=-50.0, beta_age=0.0, beta_gap=1e-6, beta_util=0.0)
-    _, _, truth = generate_fleet(cfg)
+    _, _, truth = render_fleet(cfg)
     v = truth.vehicles[0]
     assert v.breakdown_weeks == []
     hz = truth.hazard[0]
@@ -221,7 +223,7 @@ def test_gap_feedback_caps():
 
 def test_hostile_intercept_leaves_only_scheduled_rows():
     cfg = small_config(beta0=-50.0)
-    csv_bytes, _, truth = generate_fleet(cfg)
+    csv_bytes, _, truth = render_fleet(cfg)
     records, errors = parse_records(csv_bytes)
     assert errors == []
     assert records
@@ -239,7 +241,7 @@ def test_zero_betas_break_down_half_the_time():
         beta_gap=0.0,
         beta_util=0.0,
     )
-    _, _, truth = generate_fleet(cfg)
+    _, _, truth = render_fleet(cfg)
     n = cfg.n_vehicles * cfg.n_weeks
     rate = sum(len(v.breakdown_weeks) for v in truth.vehicles) / n
     sigma = (0.25 / n) ** 0.5
@@ -249,7 +251,7 @@ def test_zero_betas_break_down_half_the_time():
 
 def test_default_fleet_breakdown_rate_band():
     cfg = default_fleet()
-    _, _, truth = generate_fleet(cfg)
+    _, _, truth = render_fleet(cfg)
     rate = sum(len(v.breakdown_weeks) for v in truth.vehicles) / (cfg.n_vehicles * cfg.n_weeks)
     assert 0.04 < rate < 0.10
 
@@ -265,7 +267,7 @@ def test_hazard_probability_hand_values():
 
 def test_start_monday_is_a_monday():
     assert START_MONDAY.weekday() == 0
-    _, _, truth = generate_fleet(small_config())
+    _, _, truth = render_fleet(small_config())
     assert truth.start_monday == START_MONDAY
     assert truth.start_monday == date(2015, 1, 5)
 
@@ -365,7 +367,7 @@ def assert_same_fleet_bytes(config):
     for byte, and holds its hazard bit for bit. A mismatch names the first
     differing offset, not a diff of megabytes."""
     texts = []
-    for work_orders, sidecar, truth in (generate_fleet(config), reference_fleet(config)):
+    for work_orders, sidecar, truth in (render_fleet(config), reference_fleet(config)):
         stream = io.StringIO()
         truth.save(stream)
         assert truth.hazard.shape == (config.n_vehicles, config.n_weeks)
@@ -410,9 +412,38 @@ def test_a_200_vehicle_fleet_matches_the_per_vehicle_reference():
     assert_same_fleet_bytes(replace(default_fleet(seed=11), n_vehicles=200, n_weeks=104))
 
 
+def test_names_that_need_quoting_are_written_as_csv_writer_writes_them():
+    """Type and unit names with a comma, a double quote, edge spaces or non-ASCII
+    are quoted by csv.writer's rule, and the work orders parse back whole."""
+    types = (VehicleTypeSpec('tank, "heavy"', 1.0, 30.0), VehicleTypeSpec(" grue à tour ", 2.0, 45.0))
+    config = small_config(n_vehicles=6, n_weeks=30, vehicle_types=types, units=("Ünit 7,N", '"quoted"', "spaced "))
+    assert_same_fleet_bytes(config)
+    records, errors = parse_records(render_fleet(config)[0])
+    assert errors == []
+    # ingest strips a cell's edge spaces
+    assert {(r.lin_tamcn, r.equipment_pool) for r in records} == {(t.name.strip(), u.strip()) for t in types for u in config.units}
+    assert {r.maint_team for r in records} == {'TANK, "HEAVY" SHOP', "GRUE À TOUR  SHOP"}
+
+
+def test_a_fleet_one_vehicle_past_a_block_is_written_one_block_per_write():
+    config = replace(default_fleet(seed=5), n_vehicles=WRITE_BLOCK + 1, n_weeks=8)
+    assert_same_fleet_bytes(config)
+    write_work_orders, write_sidecar, _ = generate_fleet(config)
+    for write in (write_work_orders, write_sidecar):
+        writes = []
+        stream = io.StringIO()
+        stream.write = writes.append
+        write(stream)
+        _header, *blocks = writes
+        assert len(blocks) == 2
+        for block in blocks:
+            asset_ids = [line.split(",")[3 if write is write_work_orders else 0] for line in block.splitlines()]
+            assert len(set(asset_ids)) <= WRITE_BLOCK
+
+
 def test_work_orders_round_trip_through_the_record_serializer():
     """Synth writes its rows itself; parsing them and writing them back with `write_subworkorders` gives the same text."""
-    work_orders, _, _ = generate_fleet(small_config(n_weeks=60))
+    work_orders, _, _ = render_fleet(small_config(n_weeks=60))
     orders, errors = parse_subworkorders(work_orders)
     assert errors == []
     stream = io.StringIO()

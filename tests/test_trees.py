@@ -42,7 +42,8 @@ from fleetrisk.models import (
 from fleetrisk.models import forest as forest_module
 from fleetrisk.models.tree import ZERO_REDUCTION, RegressionTree, TreeWalk, feature_view, grow_tree
 from fleetrisk.panel import PanelOptions, build_panel, load_utilization_csv
-from fleetrisk.synth import generate_fleet
+
+from oracles import render_fleet
 
 
 def matrix_from(X, y, standardized=False):
@@ -626,7 +627,7 @@ def test_a_forest_fit_and_its_scoring_never_build_the_dense_matrix(monkeypatch):
     matrix each allocate less than one dense float64 copy of their matrix."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     config = replace(fleet_config(RunConfig()), seed=7, n_vehicles=300, n_weeks=52)
-    csv_bytes, sidecar, _ = generate_fleet(config)
+    csv_bytes, sidecar, _ = render_fleet(config)
     records, _ = parse_subworkorders(csv_bytes)
     train, test = split(build_panel(records, PanelOptions(utilization=load_utilization_csv(sidecar))), ChronologicalSplit())
     matrix = train_matrix(train, FeatureSpec(FEATURE_NAMES))
