@@ -103,6 +103,34 @@ class Fitted:
     columns: list[Column]
     scale: np.ndarray
 
+    def __post_init__(self):
+        """Refuse what no fit gives: a column field that is not a string (a
+        numeric column's group or level may be None), a kind other than
+        numeric or onehot, two columns for one numeric name or one (group,
+        level), or a scale without one finite, positive number per column."""
+        slots = set()  # what each column fills: a numeric column its name, a one-hot column its (group, level)
+        for j, c in enumerate(self.columns):
+            if not all(isinstance(v, str) for v in (c.name, c.kind, *(v for v in (c.group, c.level) if v is not None))):
+                raise ValueError(f"column {j} needs a string name and kind, and a string or null group and level")
+            if c.kind not in ("numeric", "onehot"):
+                raise ValueError(f"column {j} has kind {c.kind!r}, not numeric or onehot")
+            onehot = c.kind == "onehot"
+            if onehot and None in (c.group, c.level):
+                raise ValueError(f"one-hot column {j} needs a string group and level")
+            slot = (c.group, c.level) if onehot else c.name
+            if slot in slots:
+                raise ValueError(f"column {j} repeats the column for {slot!r}")
+            slots.add(slot)
+        self._per_column("scale")
+        if not np.all(self.scale > 0):
+            raise ValueError("scale must be positive")
+
+    def _per_column(self, name: str) -> None:
+        """Refuse field `name` unless it holds one finite number per column."""
+        value = getattr(self, name)
+        if value.shape != (len(self.columns),) or not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} needs {len(self.columns)} finite numbers, one per column")
+
     @classmethod
     def of(cls, matrix: FeatureMatrix, **params):
         """A model of this class on `matrix`'s layout, with its own fitted params."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidConfigError, SingleClassLabelsError
-from ..features import FeatureMatrix, Fitted
+from ..features import FeatureMatrix
 from .tree import WALK_BLOCK, RegressionTree, TreeEnsemble, check_tree_size, feature_view, grow_forest
 
 
@@ -36,14 +36,11 @@ class ForestHyper:
 
 
 @dataclass
-class ForestModel(Fitted, TreeEnsemble):
+class ForestModel(TreeEnsemble):
     trees: list[RegressionTree]
 
     kind = "forest"
-
-    def __post_init__(self):
-        if not self.trees:
-            raise ValueError("a forest averages its trees, so it needs at least one")
+    no_trees = "a forest averages its trees, so it needs at least one"
 
     def predict_proba(self, X) -> np.ndarray:
         total = self.sum_leaves(X, 0.0, 1.0)

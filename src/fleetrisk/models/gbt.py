@@ -2,8 +2,8 @@
 
 Each round fits a shallow regression tree to y - p (the gradient of
 log-loss with respect to the score) and adds lr times its output to the
-running score. The initial score is the base-rate logit, so zero rounds
-degenerates to predicting the training prevalence everywhere.
+running score, which starts from the base-rate logit. A fit runs at least
+one round, so every model has a tree to sum.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from ..errors import InvalidConfigError, SingleClassLabelsError
-from ..features import FeatureMatrix, Fitted
+from ..features import FeatureMatrix
 from .tree import RegressionTree, TreeEnsemble, check_tree_size, feature_view, grow_tree
 
 
@@ -28,18 +28,28 @@ class GbtHyper:
     def __post_init__(self):
         if not 0.0 < self.learning_rate <= 1.0:
             raise InvalidConfigError("learning_rate must be in (0, 1]")
-        if self.n_estimators < 0:
-            raise InvalidConfigError("n_estimators must be >= 0")
+        if self.n_estimators < 1:
+            raise InvalidConfigError("n_estimators must be >= 1")
         check_tree_size(self.max_depth, self.min_leaf)
 
 
 @dataclass
-class GbtModel(Fitted, TreeEnsemble):
+class GbtModel(TreeEnsemble):
     init_score: float
     learning_rate: float
     trees: list[RegressionTree]
 
     kind = "gbt"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.learning_rate > 0:  # a negative rate inverts the ranking
+            raise ValueError("learning_rate must be positive")
+        if not 0 < expit(self.init_score) < 1:  # a saturated sigmoid scores every row alike
+            raise ValueError("init_score must be the logit of a prevalence strictly between 0 and 1")
+        largest = sum(float(np.abs(tree.value[tree.feature < 0]).max()) for tree in self.trees)
+        if not np.isfinite(abs(float(self.init_score)) + float(self.learning_rate) * largest):
+            raise ValueError("init_score plus learning_rate times each tree's largest leaf must be finite")
 
     def decision_scores(self, X) -> np.ndarray:
         return self.sum_leaves(X, self.init_score, self.learning_rate)

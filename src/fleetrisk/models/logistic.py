@@ -53,6 +53,12 @@ class LogisticModel(Fitted):
 
     kind = "logistic"
 
+    def __post_init__(self):
+        super().__post_init__()
+        self._per_column("weights")
+        if not np.isfinite(self.intercept):
+            raise ValueError("intercept must be finite")
+
     def decision_scores(self, X) -> np.ndarray:
         return X @ self.weights + self.intercept
 

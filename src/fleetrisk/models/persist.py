@@ -3,7 +3,8 @@
 A model is written as its format version and kind, then its dataclass
 fields in order, NaN as null; fit statistics are left out. Loading reads
 each field back by its annotation, a number only from a JSON number, and
-rejects what no fit produces; a key that names no field is ignored.
+builds the model with its constructor, which refuses any state that no fit
+produces, as it does for a fit; a key that names no field is ignored.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from pathlib import Path
 from typing import IO
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import ModelFormatError
 from ..features import Column
@@ -27,17 +27,15 @@ def _saved_fields(class_or_instance) -> list:
     return [f for f in fields(class_or_instance) if not f.metadata.get("fit_stat")]
 
 
-def _to_json(value):
+def _to_json(value, skip=()):
     if is_dataclass(value):
-        return {f.name: _to_json(getattr(value, f.name)) for f in _saved_fields(value)}
+        return {f.name: _to_json(getattr(value, f.name)) for f in _saved_fields(value) if f.name not in skip}
     if isinstance(value, list):
         return [_to_json(v) for v in value]
     if isinstance(value, np.ndarray):
         if value.dtype.kind == "f" and np.isnan(value).any():
             value = np.where(np.isnan(value), None, value)
         return value.tolist()
-    if isinstance(value, float) and np.isnan(value):
-        return None
     return value
 
 
@@ -52,7 +50,7 @@ def _numbers(value, name: str) -> np.ndarray:
 _READERS = {
     "list[Column]": lambda value, _name: [Column(**c) for c in value],
     "np.ndarray": _numbers,
-    "float": lambda value, name: float(_numbers([value], name)[0]),  # null -> NaN, which _check refuses
+    "float": lambda value, name: float(_numbers([value], name)[0]),  # null -> NaN, which the model refuses
     "list[RegressionTree]": lambda value, _name: [_from_json(RegressionTree, t) for t in value],
 }
 
@@ -61,64 +59,9 @@ def _from_json(cls, payload: dict):
     return cls(**{f.name: _READERS[f.type](payload[f.name], f.name) for f in _saved_fields(cls)})
 
 
-def _check_tree(tree: RegressionTree, width: int) -> None:
-    n = tree.n_nodes
-    if n == 0 or any(a.shape != (n,) for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.value)):
-        raise ValueError("a tree needs five equally long node arrays with at least one node")
-    split = tree.feature >= 0
-    node, left, right = np.flatnonzero(split), tree.left[split], tree.right[split]
-    # children come after their parent, so every walk ends at a leaf
-    if not np.all((tree.feature[split] < width) & (left > node) & (right > node) & (left < n) & (right < n)):
-        raise ValueError(f"a tree split needs a feature below {width} and later nodes as children")
-    if not (np.all(np.isfinite(tree.threshold[split])) and np.all(np.isfinite(tree.value[~split]))):
-        raise ValueError("a tree needs finite thresholds and leaf values")
-
-
-def _check(model) -> None:
-    """Reject what parsed but no fit produces: a column field that is not a
-    string (a numeric column's group or level may be null), a column kind
-    other than numeric or onehot, two columns for one numeric name or one
-    (group, level), an array whose length is not the model's width, a
-    non-finite or non-positive number where a fit gives a finite or
-    positive one, a GBT initial score that is not the logit of a
-    prevalence strictly between 0 and 1, an ensemble without trees, or a
-    tree that cannot be walked."""
-    width = len(model.columns)
-    slots = set()  # what each column fills: a numeric column its name, a one-hot column its (group, level)
-    for j, c in enumerate(model.columns):
-        strings = (c.name, c.kind, *(v for v in (c.group, c.level) if v is not None))
-        if not all(isinstance(v, str) for v in strings):
-            raise ValueError(f"column {j} needs a string name and kind, and a string or null group and level")
-        if c.kind not in ("numeric", "onehot"):
-            raise ValueError(f"column {j} has kind {c.kind!r}, not numeric or onehot")
-        onehot = c.kind == "onehot"
-        if onehot and None in (c.group, c.level):
-            raise ValueError(f"one-hot column {j} needs a string group and level")
-        slot = (c.group, c.level) if onehot else c.name
-        if slot in slots:
-            raise ValueError(f"column {j} repeats the column for {slot!r}")
-        slots.add(slot)
-    for f in _saved_fields(model):
-        value = getattr(model, f.name)
-        if f.type == "np.ndarray" and (value.shape != (width,) or not np.all(np.isfinite(value))):
-            raise ValueError(f"{f.name} needs {width} finite numbers, one per column")
-        if f.type == "float" and not np.isfinite(value):
-            raise ValueError(f"{f.name} must be finite")
-        if f.type == "list[RegressionTree]":
-            if not value:
-                raise ValueError("an ensemble needs at least one tree")
-            for tree in value:
-                _check_tree(tree, width)
-    if not np.all(model.scale > 0):
-        raise ValueError("scale must be positive")
-    if model.kind == "gbt" and not model.learning_rate > 0:
-        raise ValueError("learning_rate must be positive")
-    if model.kind == "gbt" and not 0 < expit(model.init_score) < 1:
-        raise ValueError("init_score must be the logit of a prevalence strictly between 0 and 1")
-
-
-def model_to_dict(model) -> dict:
-    return {"format_version": FORMAT_VERSION, "kind": model.kind, **_to_json(model)}
+def model_to_dict(model, skip: tuple[str, ...] = ()) -> dict:
+    """The JSON value of `model`, without its fields named in `skip`."""
+    return {"format_version": FORMAT_VERSION, "kind": model.kind, **_to_json(model, skip)}
 
 
 def model_from_dict(payload: dict):
@@ -133,15 +76,21 @@ def model_from_dict(payload: dict):
     if kind not in MODEL_KINDS:
         raise ModelFormatError(f"unknown model kind {kind!r}")
     try:
-        model = _from_json(MODELS[kind][2], payload)
-        _check(model)
+        return _from_json(MODELS[kind][2], payload)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:  # OverflowError: an integer past float range
         raise ModelFormatError(f"malformed model payload: {exc}") from exc
-    return model
 
 
 def save_model(model, stream: IO[str]) -> None:
-    json.dump(model_to_dict(model), stream)
+    """`model_to_dict` as JSON, with `trees`, the last field of both tree
+    kinds, encoded a tree at a time, so the model is never one string."""
+    head = json.dumps(model_to_dict(model, skip=("trees",)))
+    if not hasattr(model, "trees"):
+        stream.write(head)
+        return
+    stream.write(head[:-1] + ', "trees": [')
+    stream.writelines(", " * (i > 0) + json.dumps(_to_json(tree)) for i, tree in enumerate(model.trees))
+    stream.write("]}")
 
 
 def load_model(source: bytes | str | Path | IO):

@@ -45,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import InvalidConfigError, NonFiniteFeatureError
-from ..features import onehot_groups
+from ..features import Fitted, onehot_groups
 
 ZERO_REDUCTION = 1e-12
 FEATURE_BLOCK = 8        # candidate features scored together in one node
@@ -69,6 +69,20 @@ class RegressionTree:
             self.feature, self.left, self.right = (a.astype(np.int32) for a in index)
         if not all(map(np.array_equal, (self.feature, self.left, self.right), index)):
             raise ValueError("tree node and feature indices must be 32-bit integers")
+        n = self.n_nodes
+        if n == 0 or any(a.shape != (n,) for a in (self.feature, self.threshold, self.left, self.right, self.value)):
+            raise ValueError("a tree needs five equally long node arrays with at least one node")
+        split = self.feature >= 0
+        node, left, right, leaf = np.flatnonzero(split), self.left[split], self.right[split], ~split
+        # children come after their parent, so every walk ends at a leaf
+        if not np.all((left > node) & (right > node) & (left < n) & (right < n)):
+            raise ValueError("a tree split needs later nodes as children")
+        if not (np.all(np.isfinite(self.threshold[split])) and np.all(np.isfinite(self.value[leaf]))):
+            raise ValueError("a tree needs finite thresholds and leaf values")
+        # what every fit writes where nothing reads it
+        indices = np.stack((self.feature, self.left, self.right))
+        if np.any(indices[:, leaf] != -1) or np.any(self.threshold[leaf] != 0) or not np.isnan(self.value[split]).all():
+            raise ValueError("a tree leaf needs -1 as feature and children and 0 as threshold, and a split null as value")
 
     @property
     def n_nodes(self) -> int:
@@ -83,7 +97,7 @@ class TreeWalk:
         self.trees = tuple(trees)
         sizes = np.array([t.n_nodes for t in self.trees], dtype=np.int64)
         self.offsets = np.cumsum(sizes) - sizes
-        stack = lambda name: np.concatenate([getattr(t, name) for t in self.trees] or [np.empty(0)])
+        stack = lambda name: np.concatenate([getattr(t, name) for t in self.trees])
         feature = stack("feature")
         leaf = feature < 0
         self_index = np.arange(len(feature), dtype=np.int64)
@@ -110,8 +124,6 @@ class TreeWalk:
         n = X.shape[0]
         out = np.empty(n)
         out[:] = start
-        if not self.trees or n == 0:
-            return out
         used = X[:, self.used]
         rows_per_block = max(1, WALK_BLOCK // max(len(self.trees), len(self.used)))
         for lo in range(0, n, rows_per_block):
@@ -128,9 +140,19 @@ class TreeWalk:
         return out
 
 
-class TreeEnsemble:
-    """A model that sums the leaves of its `trees`, through a `TreeWalk`
-    built again when `trees` holds other trees; no field, so never saved."""
+class TreeEnsemble(Fitted):
+    """A model that sums the leaves of its `trees` (its last field, at least one tree)
+    through a `TreeWalk`, built again when `trees` holds other trees."""
+
+    no_trees = "an ensemble needs at least one tree"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.trees:
+            raise ValueError(self.no_trees)
+        width = len(self.columns)
+        if any(tree.feature.max() >= width for tree in self.trees):
+            raise ValueError(f"a tree split needs a feature below {width}")
 
     def sum_leaves(self, X, start, weight: float) -> np.ndarray:
         walk = getattr(self, "_walk", None)
@@ -257,25 +279,10 @@ def grow_tree(view: FeatureView, y: np.ndarray, max_depth: int, min_leaf: int) -
     """Grow a tree greedily on the view and y, every node scoring every
     column; returns it and the leaf each row ends in."""
     leaf_of = np.empty(len(y), dtype=np.intp)
-
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(np.nan)
-        return len(feature) - 1
-
+    leaf = [-1, 0.0, -1, -1, np.nan]  # a node's feature, threshold, left, right and value until it splits or is valued
     # grow depth-first with an explicit stack; children are allocated when
     # their parent splits, so indices are stable
-    root = new_node()
-    stack = [(root, np.arange(len(y)), 0)]
+    nodes, stack = [list(leaf)], [(0, np.arange(len(y)), 0)]
     while stack:
         node, rows, depth = stack.pop()
         y_rows = y[rows]
@@ -283,21 +290,19 @@ def grow_tree(view: FeatureView, y: np.ndarray, max_depth: int, min_leaf: int) -
         if depth < max_depth and len(rows) >= max(2 * min_leaf, 2):
             f, t = _best_split(view, y_rows, rows, min_leaf)
         if f < 0:
-            value[node] = float(y_rows.mean())
+            nodes[node][4] = float(y_rows.mean())
             leaf_of[rows] = node
             continue
         # the threshold lies at or above the last value on the left and
         # below the first on the right, so this is the scored split
         g, slot = view.group[f], view.slot[f]
         go_left = view.levels[g][rows] != slot if g >= 0 else view.values[slot, rows] <= t
-        feature[node] = f
-        threshold[node] = t
-        left[node] = lc = new_node()
-        right[node] = rc = new_node()
-        stack.append((rc, rows[~go_left], depth + 1))
+        lc = len(nodes)
+        nodes[node][:4] = f, t, lc, lc + 1
+        nodes += [list(leaf), list(leaf)]
+        stack.append((lc + 1, rows[~go_left], depth + 1))
         stack.append((lc, rows[go_left], depth + 1))
-
-    return RegressionTree(feature, threshold, left, right, value), leaf_of
+    return RegressionTree(*zip(*nodes)), leaf_of
 
 
 

@@ -19,13 +19,14 @@ from typing import IO, NamedTuple
 
 import numpy as np
 
-from .errors import EmptyDatasetError, InvalidConfigError, NonPositiveSpanError
+from .errors import DegeneratePanelError, EmptyDatasetError, InvalidConfigError, NonPositiveSpanError
 from .ingest import WorkOrders, WorkPlanClass, acquisition_year, classify_work_plan, level_codes
 from .ingest import WRITE_BLOCK, csv_cell, read_table, source_content, source_text, write_blocks
 
 UTILIZATION_COLUMNS = ("asset_id", "week", "cumulative_units")
 GAP_CAP = 104  # default cap on weeks since the last visit; synth plants its hazard with it
 MAX_WEEKS = (date.max - date.min).days // 7  # 521,722: the most weeks two dates lie apart
+MAX_PANEL_ROWS = 1 << 25  # 33,554,432 vehicle-weeks: 13 times a 10000x260 fleet, not a work order dated 9999
 
 
 def monday_of(d: date) -> date:
@@ -175,6 +176,9 @@ def build_panel(orders: WorkOrders, options: PanelOptions | None = None) -> Pane
 
     # each vehicle's rows are start_week..end_week; a vehicle past the end gets none
     counts = np.maximum(end_week + 1 - start_week, 0)
+    if counts.sum() > MAX_PANEL_ROWS:
+        raise DegeneratePanelError(f"a panel of {counts.sum():,} rows over weeks {start_week.min()} to {end_week}"
+                                   f" is more than the {MAX_PANEL_ROWS:,} rows a panel may hold")
     first_row = np.cumsum(counts) - counts
     vehicle = np.repeat(np.arange(len(asset_ids)), counts)
     row = np.arange(counts.sum())

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fleetrisk import cli, features, models
+from fleetrisk import cli, features, models, panel
 from fleetrisk.cli import build_parser, main
 from fleetrisk.config import RunConfig, build_run_config, fleet_config
 from fleetrisk.errors import FleetRiskError, InvalidConfigError, UsageError
@@ -289,6 +289,28 @@ def test_header_only_sidecar_leaves_every_vehicle_on_the_default_rate(tmp_path):
     sidecar.write_text("asset_id,week,cumulative_units\n")
     assert main(["panel", "-o", str(tmp_path)]) == 0
     assert (tmp_path / "panel.csv").read_bytes() == without
+
+
+def test_a_panel_above_the_row_bound_is_one_data_error_line(tmp_path, capsys, monkeypatch):
+    """A panel of more rows than `MAX_PANEL_ROWS` is refused before its rows
+    are allocated, with its row count and week span; a bound one row below a
+    small fleet's panel stands in for the 249,981,600 rows that one work
+    order dated 9999-12-20 asks of a 600x156 fleet."""
+    assert main(["synth", "-o", str(tmp_path), *SMALL]) == 0
+    assert main(["panel", "-o", str(tmp_path)]) == 0
+    weeks = [int(row["week"]) for row in csv.DictReader(io.StringIO((tmp_path / "panel.csv").read_text()))]
+    monkeypatch.setattr(panel, "MAX_PANEL_ROWS", len(weeks))
+    assert main(["panel", "-o", str(tmp_path)]) == 0
+    monkeypatch.setattr(panel, "MAX_PANEL_ROWS", len(weeks) - 1)
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    for command in ("panel", "report"):
+        assert main([command, "-o", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: a panel of {len(weeks):,} rows over weeks {min(weeks)} to {max(weeks)}"
+            f" is more than the {len(weeks) - 1:,} rows a panel may hold"
+        ]
+    assert _snapshot(tmp_path) == before
 
 
 def test_manifest_records_the_kind_of_the_loaded_model(tmp_path):

@@ -16,6 +16,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from fleetrisk.config import RunConfig, fleet_config
 from fleetrisk.errors import ModelFormatError, NonFiniteFeatureError, SingleClassLabelsError, WidthMismatchError
@@ -23,6 +24,7 @@ from fleetrisk.evaluation import ChronologicalSplit, split, train_matrix
 from fleetrisk.features import FEATURE_NAMES, Column, FeatureMatrix, FeatureSpec, transform
 from fleetrisk.ingest import parse_subworkorders
 from fleetrisk.models import (
+    MODELS,
     ForestHyper,
     ForestModel,
     GbtHyper,
@@ -697,11 +699,11 @@ def test_forest_hyper_validation():
             ForestHyper(**bad)
 
 
-def test_gbt_zero_rounds_is_base_rate():
+def test_gbt_starts_from_the_base_rate():
     m = forest_training_matrix()
-    g = fit_gbt(m, GbtHyper(n_estimators=0))
+    g = fit_gbt(m, GbtHyper(n_estimators=1))
     y = np.asarray(m.labels, dtype=np.float64)
-    np.testing.assert_allclose(g.predict_proba(m.values), y.mean(), atol=1e-12)
+    np.testing.assert_allclose(expit(g.init_score), y.mean(), atol=1e-12)
 
 
 def test_gbt_more_rounds_lower_train_loss():
@@ -712,7 +714,7 @@ def test_gbt_more_rounds_lower_train_loss():
         p = model.predict_proba(m.values)
         return -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
 
-    losses = [nll(fit_gbt(m, GbtHyper(n_estimators=k))) for k in (0, 10, 50)]
+    losses = [nll(fit_gbt(m, GbtHyper(n_estimators=k))) for k in (1, 10, 50)]
     assert losses[0] > losses[1] > losses[2]
 
 
@@ -724,7 +726,7 @@ def test_gbt_deterministic():
 
 
 def test_gbt_hyper_validation():
-    for bad in ({"learning_rate": 0.0}, {"learning_rate": 1.5}, {"n_estimators": -1}, {"max_depth": 0}, {"min_leaf": 0}):
+    for bad in ({"learning_rate": 0.0}, {"learning_rate": 1.5}, {"n_estimators": 0}, {"max_depth": 0}, {"min_leaf": 0}):
         with pytest.raises(ValueError):
             GbtHyper(**bad)
 
@@ -763,9 +765,6 @@ def test_stacked_prediction_equals_the_per_tree_loop_bit_for_bit():
     gbt.trees.append(stump)
     want = per_tree_sum(gbt.trees, X, gbt.init_score, gbt.learning_rate)
     assert gbt.decision_scores(X).tobytes() == want.tobytes()
-
-    empty = fit_gbt(m, GbtHyper(n_estimators=0))
-    assert empty.decision_scores(X).tobytes() == np.full(700, empty.init_score).tobytes()
 
 
 def test_fit_model_dispatch():
@@ -818,7 +817,7 @@ def test_serialization_round_trip_via_path(tmp_path):
     np.testing.assert_array_equal(back.predict_proba(m.values), model.predict_proba(m.values))
 
 
-def test_load_rejects_malformed_payloads(tmp_path):
+def test_load_rejects_malformed_payloads(tmp_path, saved_payloads):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
     with pytest.raises(ModelFormatError):
@@ -838,12 +837,9 @@ def test_load_rejects_malformed_payloads(tmp_path):
         model_from_dict(payload)
 
     # payloads that parse but that no fit produces
-    m = forest_training_matrix(n=120, seed=12)
-    saved = {kind: json.dumps(model_to_dict(fit_model(kind, m, hyper))) for kind, hyper in SMALL_HYPERS.items()}
-    saved["one-hot"] = json.dumps(model_to_dict(fit_model("logistic", onehot_training_matrix(), SMALL_HYPERS["logistic"])))
     accepted = []
-    for name, kind, mutate in INCONSISTENT:
-        payload = json.loads(saved[kind])
+    for name, kind, mutate in MISTYPED + INCONSISTENT:
+        payload = json.loads(saved_payloads[kind])
         mutate(payload)
         try:
             model_from_dict(payload)
@@ -883,19 +879,44 @@ def _tree_edit(field, at, value):
     return mutate
 
 
-# (what is wrong, model kind or "one-hot" for a logistic fit with a one-hot group, mutation of a saved payload)
-INCONSISTENT = [
-    ("short weights", "logistic", lambda p: p.update(weights=p["weights"][:-1])),
-    ("short scale", "logistic", lambda p: p.update(scale=p["scale"][:-1])),
-    ("null scale", "logistic", lambda p: p.update(scale=[None, *p["scale"][1:]])),
-    ("zero scale", "logistic", lambda p: p.update(scale=[0.0, *p["scale"][1:]])),
+def _all_leaves(value):
+    """Set a GBT's learning rate to 1 and every leaf of every tree to `value`."""
+
+    def mutate(payload):
+        payload["learning_rate"] = 1.0
+        for tree in payload["trees"]:
+            tree["value"] = [value if f < 0 else v for f, v in zip(tree["feature"], tree["value"])]
+
+    return mutate
+
+
+@pytest.fixture(scope="module")
+def saved_payloads():
+    """The JSON of a small fitted model per kind, and of a logistic fit with a one-hot group as "one-hot"."""
+    m = forest_training_matrix(n=120, seed=12)
+    saved = {kind: json.dumps(model_to_dict(fit_model(kind, m, hyper))) for kind, hyper in SMALL_HYPERS.items()}
+    saved["one-hot"] = json.dumps(model_to_dict(fit_model("logistic", onehot_training_matrix(), SMALL_HYPERS["logistic"])))
+    return saved
+
+
+# (what is wrong, model kind or "one-hot" for a logistic fit with a one-hot group, mutation of a saved payload):
+# a JSON value of a type the field is not read from, refused by the load alone
+MISTYPED = [
     ("nested weights", "logistic", lambda p: p.update(weights=[[w] for w in p["weights"]])),
-    ("infinite intercept", "logistic", lambda p: p.update(intercept=float("inf"))),
     ("intercept past the float range", "logistic", lambda p: p.update(intercept=10**400)),
     ("string intercept", "logistic", lambda p: p.update(intercept="0.5")),
     ("boolean scale entry", "logistic", lambda p: p.update(scale=[True, *p["scale"][1:]])),
     ("string learning rate", "gbt", lambda p: p.update(learning_rate="0.1")),
     ("boolean split feature", "forest", _tree_edit("feature", "split", True)),
+    ("boolean format version", "logistic", lambda p: p.update(format_version=True)),
+]
+# a state that no fit produces, refused by the model type
+INCONSISTENT = [
+    ("short weights", "logistic", lambda p: p.update(weights=p["weights"][:-1])),
+    ("short scale", "logistic", lambda p: p.update(scale=p["scale"][:-1])),
+    ("null scale", "logistic", lambda p: p.update(scale=[None, *p["scale"][1:]])),
+    ("zero scale", "logistic", lambda p: p.update(scale=[0.0, *p["scale"][1:]])),
+    ("infinite intercept", "logistic", lambda p: p.update(intercept=float("inf"))),
     ("no trees", "forest", lambda p: p.update(trees=[])),
     ("self-looping node", "forest", _tree_edit("left", "split", "self")),
     ("child past the last node", "forest", _tree_edit("right", "split", 10**6)),
@@ -905,18 +926,48 @@ INCONSISTENT = [
     ("null leaf value", "forest", _tree_edit("value", "leaf", None)),
     ("short value array", "forest", lambda p: p["trees"][0]["value"].pop()),
     ("tree with no nodes", "forest", lambda p: p["trees"][0].update(feature=[], threshold=[], left=[], right=[], value=[])),
-    ("boolean format version", "logistic", lambda p: p.update(format_version=True)),
+    ("leaf threshold", "forest", _tree_edit("threshold", "leaf", 0.5)),
+    ("leaf child", "forest", _tree_edit("left", "leaf", "self")),
+    ("split value", "forest", _tree_edit("value", "split", 2.0)),
     ("NaN learning rate", "gbt", lambda p: p.update(learning_rate=float("nan"))),
     ("zero learning rate", "gbt", lambda p: p.update(learning_rate=0)),
     ("negative learning rate", "gbt", lambda p: p.update(learning_rate=-1)),
     ("no boosted trees", "gbt", lambda p: p.update(trees=[])),
     ("self-looping boosted node", "gbt", _tree_edit("right", "split", "self")),
+    ("leaves that sum past the float range", "gbt", _all_leaves(1e308)),
     ("unknown column kind", "one-hot", lambda p: p["columns"][3].update(kind="ordinal")),
     ("null one-hot level", "one-hot", lambda p: p["columns"][0].update(level=None)),
     ("null one-hot group", "one-hot", lambda p: p["columns"][0].update(group=None)),
     ("one-hot level twice", "one-hot", lambda p: p["columns"].__setitem__(1, dict(p["columns"][0]))),
     ("numeric feature twice", "one-hot", lambda p: p["columns"].__setitem__(4, dict(p["columns"][3]))),
 ]
+
+
+def construct(kind: str, payload: dict):
+    """The model a payload's fields describe, built by its class's
+    constructor from Python values: a list of numbers as a float array."""
+    def value(name, v):
+        if name == "columns":
+            return [Column(**c) for c in v]
+        if name == "trees":
+            return [RegressionTree(**{k: np.array(a, dtype=np.float64) for k, a in t.items()}) for t in v]
+        return np.array(v, dtype=np.float64) if isinstance(v, list) else v
+
+    return MODELS[kind][2](**{k: value(k, v) for k, v in payload.items() if k not in ("format_version", "kind")})
+
+
+@pytest.mark.parametrize("name, kind, mutate", INCONSISTENT, ids=[row[0] for row in INCONSISTENT])
+def test_a_model_refuses_each_inconsistent_state_as_its_load_does(saved_payloads, name, kind, mutate):
+    """A model built by its constructor refuses each state that the load
+    refuses, with the load's message: the rules belong to the model type."""
+    payload = json.loads(saved_payloads[kind])
+    construct(payload["kind"], payload)  # the fitted state itself is accepted
+    mutate(payload)
+    with pytest.raises(ModelFormatError) as loaded:
+        model_from_dict(payload)
+    with pytest.raises(ValueError) as built:
+        construct(payload["kind"], payload)
+    assert str(loaded.value) == f"malformed model payload: {built.value}"
 
 
 def test_tree_nan_values_survive_json():
